@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .domain import assemble_support_blocks, build_grid, svd_truncate
+from .domain import BlockFamily, assemble_support_blocks, build_grid, svd_truncate
 from .selberg import (
     SpectralParameter,
     gap_lower_bound_coefficient,
@@ -23,11 +23,9 @@ from .selberg import (
     selberg_h,
 )
 from .surface_group import (
-    SurfacePresentation,
     build_bolza_realization,
     concat,
     dehn_reduce,
-    inverse_word,
     lattice_points,
     support_set,
 )
@@ -51,7 +49,7 @@ def _mean_zero_basis(n: int) -> np.ndarray:
 class CoverOperator:
     """Immutable assembled operator sum A_gamma (x) rho(gamma^-1)."""
 
-    blocks: tuple
+    blocks: BlockFamily
     hom: HomTuple
     fiber: str
     m: int
@@ -65,42 +63,24 @@ class CoverOperator:
 def build_cover_operator(blocks, hom: HomTuple, fiber: str = MEAN_ZERO) -> CoverOperator:
     """Pair translate blocks with a generator tuple.
 
-    Requires the tuple to satisfy the surface relation (otherwise the words
-    labelling the blocks would not map to well-defined permutations) and
-    the block family to be closed under gamma -> gamma^-1 with transposed
-    matrices, which makes the operator symmetric.
+    A BlockFamily is reused as it is; any other sequence of blocks is
+    validated into one first. Requires the tuple to satisfy the surface
+    relation of the family's genus, otherwise the words labelling the
+    blocks would not map to well-defined permutations.
     """
     if fiber not in (MEAN_ZERO, FULL):
         raise ValueError(f"unknown fiber {fiber!r}")
-    blocks = tuple(blocks)
-    if not blocks:
-        raise ValueError("no blocks supplied")
+    family = blocks if isinstance(blocks, BlockFamily) else BlockFamily(blocks)
     if not hom.relation_ok:
         raise ValueError("generator images must satisfy the surface relation")
-    m = blocks[0].dense().shape[0] if blocks[0].is_sparse else blocks[0].matrix.shape[0]
-    t = blocks[0].t
-    pres = SurfacePresentation(genus=hom.genus)
-    by_word = {}
-    for b in blocks:
-        word = tuple(b.gamma[0])
-        if b.matrix.shape != (m, m) or b.t != t:
-            raise ValueError("inconsistent block family")
-        if any(abs(letter) > 2 * hom.genus for letter in word):
-            raise ValueError("block word uses letters outside the generators")
-        by_word[word] = b
-    for word, b in by_word.items():
-        winv = dehn_reduce(inverse_word(word), pres)
-        partner = by_word.get(tuple(winv))
-        if partner is None:
-            raise ValueError(f"family is not inverse-closed at {word}")
-        dev = np.abs(b.dense().T - partner.dense()).max()
-        if dev > 1e-10 * max(1.0, b.hs_norm):
-            raise ValueError(f"adjoint block mismatch at {word}: {dev}")
+    if hom.genus != family.genus:
+        raise ValueError(
+            f"genus-{hom.genus} tuple cannot label genus-{family.genus} blocks")
     perms = tuple(
         np.asarray(evaluate_word(hom, b.gamma[0]).images0, dtype=np.intp)
-        for b in blocks
+        for b in family
     )
-    n = hom.n
+    m, n = family.m, hom.n
     if fiber == MEAN_ZERO:
         dim = m * (n - 1)
         basis = _mean_zero_basis(n) if n > 1 else None
@@ -108,17 +88,25 @@ def build_cover_operator(blocks, hom: HomTuple, fiber: str = MEAN_ZERO) -> Cover
         dim = m * n
         basis = None
     return CoverOperator(
-        blocks=blocks, hom=hom, fiber=fiber, m=m, n=n, t=t,
+        blocks=family, hom=hom, fiber=fiber, m=m, n=n, t=family.t,
         dimension=dim, perm_images=perms, basis=basis,
     )
 
 
-def _apply_full(op: CoverOperator, X: np.ndarray) -> np.ndarray:
-    """sum_gamma (A_gamma X) with fiber columns permuted by phi(gamma)."""
+def _apply(op: CoverOperator, products, x: np.ndarray) -> np.ndarray:
+    """sum_gamma (A_gamma X) with fiber columns permuted by phi(gamma), in
+    the operator's fiber coordinates; products[k](X) computes A_gamma X for
+    the k-th block."""
+    if op.fiber == MEAN_ZERO:
+        X = x.reshape(op.m, op.n - 1) @ op.basis.T
+    else:
+        X = x.reshape(op.m, op.n)
     Y = np.zeros_like(X)
-    for b, idx in zip(op.blocks, op.perm_images):
-        Y += b.matrix.dot(X)[:, idx]
-    return Y
+    for product, idx in zip(products, op.perm_images):
+        Y += product(X)[:, idx]
+    if op.fiber == MEAN_ZERO:
+        Y = Y @ op.basis
+    return Y.ravel()
 
 
 def matvec(op: CoverOperator, x) -> np.ndarray:
@@ -128,10 +116,7 @@ def matvec(op: CoverOperator, x) -> np.ndarray:
         raise ValueError(f"expected shape ({op.dimension},), got {x.shape}")
     if op.dimension == 0:
         return np.zeros(0)
-    if op.fiber == MEAN_ZERO:
-        X = x.reshape(op.m, op.n - 1) @ op.basis.T
-        return (_apply_full(op, X) @ op.basis).ravel()
-    return _apply_full(op, x.reshape(op.m, op.n)).ravel()
+    return _apply(op, [b.matrix.dot for b in op.blocks], x)
 
 
 # ------------------------------------------------------------------ Krylov
@@ -167,6 +152,8 @@ def _lanczos_extremes(apply, dim: int, seed, tol: float = 1e-8,
     Converges on the top Ritz pair (residual beta |u_last| <= tol * scale);
     the bottom estimate is reported with its own residual as a diagnostic.
     """
+    if dim < 1:
+        raise ValueError("operator has an empty fiber")
     cap = min(maxiter if maxiter is not None else 400, dim)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
@@ -202,8 +189,6 @@ def _lanczos_extremes(apply, dim: int, seed, tol: float = 1e-8,
 def top_norm(op: CoverOperator, seed=0, tol: float = 1e-8,
              maxiter: Optional[int] = None) -> float:
     """Largest eigenvalue of the symmetric cover operator."""
-    if op.dimension < 1:
-        raise ValueError("operator has an empty fiber")
     res = _lanczos_extremes(lambda x: matvec(op, x), op.dimension, seed,
                             tol=tol, maxiter=maxiter)
     return res.top
@@ -250,29 +235,6 @@ class SpectralEstimate:
         )
 
 
-def _rowsum_ceiling(op: CoverOperator) -> float:
-    """Collatz-Wielandt bound max_j (T u)_j / u_j on the top eigenvalue.
-
-    The assembled operator is entrywise nonnegative, so any positive test
-    vector certifies an upper bound.  The identity translate's diagonal is
-    exactly the quadrature weight vector, and u = sqrt(w) (x) 1 makes the
-    ratios row sums of the scalar grid operator, i.e. per-node quadrature
-    estimates of the ball area.  Falls back to u = 1 if no identity block
-    is present.
-    """
-    u = np.ones(op.m)
-    for b in op.blocks:
-        if not b.gamma[0]:
-            diag = np.asarray(b.matrix.diagonal() if b.is_sparse else np.diagonal(b.matrix))
-            if np.all(diag > 0):
-                u = np.sqrt(diag)
-            break
-    s = np.zeros(op.m)
-    for b in op.blocks:
-        s += b.matrix.dot(u)
-    return float(np.max(s / u))
-
-
 def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> SpectralEstimate:
     """Invert the top norm of a mean-zero-fiber operator to a gap bound.
 
@@ -291,7 +253,7 @@ def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> Spectr
     v = ext.top
     peak = selberg_h(t, SpectralParameter.real(0.0)).value
     ball = selberg_h(t, SpectralParameter.imaginary(0.5)).value
-    ceiling = _rowsum_ceiling(op)
+    ceiling = op.blocks.rowsum_ceiling
     if v > max(ball * (1.0 + 1e-6) + 1e-9, ceiling * (1.0 + 1e-9)):
         raise ValueError(
             f"value {v} exceeds the lambda=0 transform {ball} and the "
@@ -330,32 +292,18 @@ def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> Spectr
 # ------------------------------------------------------------- truncation
 
 
-def _truncated_apply(op: CoverOperator, truncs):
-    factors = [
-        (tb.left_factors * tb.singular_values, tb.right_factors)
-        for tb in truncs
-    ]
-
-    def apply(x):
-        if op.fiber == MEAN_ZERO:
-            X = x.reshape(op.m, op.n - 1) @ op.basis.T
-        else:
-            X = x.reshape(op.m, op.n)
-        Y = np.zeros_like(X)
-        for (Ls, R), idx in zip(factors, op.perm_images):
-            Y += (Ls @ (R @ X))[:, idx]
-        if op.fiber == MEAN_ZERO:
-            Y = Y @ op.basis
-        return Y.ravel()
-
-    return apply
+def _factored_product(tb):
+    """X -> B^(r) X through the rank-r factors, never forming B^(r)."""
+    Ls, R =tb.left_factors * tb.singular_values, tb.right_factors
+    return lambda X: Ls @ (R @ X)
 
 
 def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
     """Truncated-operator norm plus the error-budget pieces for rank r."""
     truncs = [svd_truncate(b, r) for b in op.blocks]
     sigma_total = sum(tb.op_error_bound for tb in truncs)
-    res = _lanczos_extremes(_truncated_apply(op, truncs), op.dimension, seed)
+    products = [_factored_product(tb) for tb in truncs]
+    res = _lanczos_extremes(lambda x: _apply(op, products, x), op.dimension, seed)
     hs_ref = sum(b.hs_norm for b in op.blocks) / math.sqrt(r)
     return {
         "r": r,
@@ -365,17 +313,6 @@ def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
         "hs_reference": hs_ref,
         "bound": res.top + sigma_total,
     }
-
-
-def truncated_norm_bound(op: CoverOperator, r: int, seed=0) -> float:
-    """Upper bound top_norm(sum B^(r) (x) rho) + sum sigma_{r+1}.
-
-    By the triangle inequality the true norm sits within one sigma budget
-    below this value, so the bound is certified at level 2 * sum sigma_{r+1}.
-    """
-    if op.dimension < 1:
-        raise ValueError("operator has an empty fiber")
-    return truncation_components(op, r, seed=seed)["bound"]
 
 
 # --------------------------------------------------------------- baseline
@@ -431,42 +368,6 @@ def regular_baseline(t: float, radius: float = 6.0, grid_target: int = 50,
         emp = cayley_ball_rayleigh(build_bolza_realization(), t,
                                    radius=radius, grid_target=grid_target,
                                    seed=seed)
-        assert emp <= peak + 1e-6, f"variational bound {emp} above peak {peak}"
+        if not emp <= peak + 1e-6:
+            raise RuntimeError(f"variational bound {emp} above peak {peak}")
     return peak
-
-
-# ---------------------------------------------------------------- dilation
-
-
-def dilation_norm(A: np.ndarray, seed=0) -> float:
-    """Largest singular value via the symmetric dilation [[0, A], [A^T, 0]]."""
-    A = np.asarray(A, dtype=float)
-    p, q = A.shape
-
-    def apply(z):
-        x, y = z[:p], z[p:]
-        return np.concatenate([A @ y, A.T @ x])
-
-    return _lanczos_extremes(apply, p + q, seed).top
-
-
-def self_adjointize_check(blocks, homs, fiber: str = MEAN_ZERO,
-                          tol: float = 1e-8, seed=0) -> bool:
-    """Confirm the dilation trick: the off-diagonal 2x2 dilation of each
-    cover operator has top eigenvalue equal to the operator's spectral
-    norm max(|top|, |bottom|)."""
-    for hom in homs:
-        op = build_cover_operator(blocks, hom, fiber)
-        if op.dimension == 0:
-            continue
-        ext = _lanczos_extremes(lambda x: matvec(op, x), op.dimension, seed)
-        ref = max(abs(ext.top), abs(ext.bottom))
-
-        def apply(z):
-            x, y = z[: op.dimension], z[op.dimension:]
-            return np.concatenate([matvec(op, y), matvec(op, x)])
-
-        dil = _lanczos_extremes(apply, 2 * op.dimension, seed).top
-        if abs(dil - ref) > tol * max(1.0, ref):
-            return False
-    return True

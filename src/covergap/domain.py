@@ -8,7 +8,6 @@ sqrt(w_k), which keeps the global operator exactly symmetric, and truncated
 by SVD with the Hilbert-Schmidt certificate sigma_{r+1} <= hs / sqrt(r).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -17,7 +16,12 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from .hyperbolic import HPoint, distance, geodesic_point, mobius_apply, pairwise_cosh_distance
-from .surface_group import FuchsianRealization, in_fundamental_domain
+from .surface_group import (
+    FuchsianRealization,
+    SurfacePresentation,
+    dehn_reduce,
+    inverse_word,
+)
 
 SPARSE_DENSITY = 0.25
 
@@ -137,25 +141,66 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     return OperatorBlock(gamma=gamma, matrix=mat, hs_norm=hs, t=t)
 
 
-def assemble_support_blocks(support, t: float, grid: QuadratureGrid):
+class BlockFamily(tuple):
+    """The translate blocks of one sweep, validated once for every cover.
+
+    The blocks share one grid size m and radius t, their words use the
+    letters of the genus-2 octagon group, and the family is closed under
+    gamma -> gamma^-1 with transposed matrices, which makes every cover
+    operator built from it symmetric.
+
+    rowsum_ceiling is the Collatz-Wielandt bound max_j (T u)_j / u_j on the
+    top eigenvalue of any cover operator T built from the family.  T is
+    entrywise nonnegative, so any positive test vector certifies an upper
+    bound.  The identity translate's diagonal is exactly the quadrature
+    weight vector, and u = sqrt(w) (x) 1 makes the ratios row sums of the
+    scalar grid operator, i.e. per-node quadrature estimates of the ball
+    area.  Falls back to u = 1 if no identity block is present.
+    """
+
+    genus = 2  # every block is a translate of the Bolza octagon
+
+    def __new__(cls, blocks):
+        self = super().__new__(cls, blocks)
+        if not self:
+            raise ValueError("no blocks supplied")
+        m, t = self[0].matrix.shape[0], self[0].t
+        pres = SurfacePresentation(genus=cls.genus)
+        by_word = {}
+        for b in self:
+            word = tuple(b.gamma[0])
+            if b.matrix.shape != (m, m) or b.t != t:
+                raise ValueError("inconsistent block family")
+            if any(abs(letter) > 2 * cls.genus for letter in word):
+                raise ValueError("block word uses letters outside the generators")
+            by_word[word] = b
+        for word, b in by_word.items():
+            partner = by_word.get(dehn_reduce(inverse_word(word), pres))
+            if partner is None:
+                raise ValueError(f"family is not inverse-closed at {word}")
+            dev = abs(b.matrix.T - partner.matrix).max()
+            if dev > 1e-10 * max(1.0, b.hs_norm):
+                raise ValueError(f"adjoint block mismatch at {word}: {dev}")
+        u = np.ones(m)
+        for b in self:
+            if not b.gamma[0]:
+                diag = b.matrix.diagonal()
+                if np.all(diag > 0):
+                    u = np.sqrt(diag)
+                break
+        s = np.zeros(m)
+        for b in self:
+            s += b.matrix.dot(u)
+        self.m, self.t = m, t
+        self.rowsum_ceiling = float(np.max(s / u))
+        return self
+
+
+def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:
     """Blocks for every element of a support set, dropping all-zero ones
     (their translate's qualifying region missed every node pair)."""
     blocks = [assemble_block(g, t, grid) for g in support.elements]
-    return [b for b in blocks if not b.is_zero]
-
-
-def hs_norm_bound_check(blocks_by_t: dict) -> float:
-    """Fit the smallest C with max_gamma hs_norm(gamma, t) <= C e^t across
-    the supplied radii and return it."""
-    if len(blocks_by_t) < 2:
-        raise ValueError("need blocks for at least two radii")
-    C = 0.0
-    for t, blocks in blocks_by_t.items():
-        if not blocks:
-            raise ValueError(f"no blocks supplied for t={t}")
-        top = max(b.hs_norm for b in blocks)
-        C = max(C, top / math.exp(t))
-    return C
+    return BlockFamily(b for b in blocks if not b.is_zero)
 
 
 @dataclass
@@ -195,51 +240,3 @@ def svd_truncate(block: OperatorBlock, r: int) -> TruncatedBlock:
         right_factors=Vt[:keep],
         op_error_bound=bound,
     )
-
-
-def export_blocks(blocks, json_path, data_path) -> None:
-    """Portable dump: JSON metadata plus a raw little-endian float64 sidecar
-    holding the dense row-major block matrices back to back."""
-    meta, offset = [], 0
-    with open(data_path, "wb") as fh:
-        for b in blocks:
-            A = np.ascontiguousarray(b.dense(), dtype="<f8")
-            fh.write(A.tobytes())
-            word, M = b.gamma
-            meta.append(
-                {
-                    "word": list(word),
-                    "isometry": M.m.ravel().tolist(),
-                    "shape": list(A.shape),
-                    "offset": offset,
-                    "hs_norm": b.hs_norm,
-                    "t": b.t,
-                }
-            )
-            offset += A.nbytes
-    with open(json_path, "w") as fh:
-        json.dump({"dtype": "<f8", "order": "C", "blocks": meta}, fh, indent=1)
-
-
-def load_blocks(json_path, data_path):
-    """Inverse of export_blocks; matrices come back dense."""
-    from .hyperbolic import Isometry
-
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    raw = open(data_path, "rb").read()
-    out = []
-    for rec in meta["blocks"]:
-        n = rec["shape"][0] * rec["shape"][1]
-        A = np.frombuffer(raw, dtype="<f8", count=n, offset=rec["offset"])
-        A = A.reshape(rec["shape"]).copy()
-        M = Isometry(np.array(rec["isometry"]).reshape(2, 2))
-        out.append(
-            OperatorBlock(
-                gamma=(tuple(rec["word"]), M),
-                matrix=A,
-                hs_norm=rec["hs_norm"],
-                t=rec["t"],
-            )
-        )
-    return out

@@ -78,8 +78,8 @@ class ExperimentConfig:
     require_transitive: bool = False
 
     def validate(self) -> "ExperimentConfig":
-        if self.genus < 2:
-            raise UsageError("genus must be at least 2")
+        if self.genus != 2:
+            raise UsageError("genus must be 2: the blocks are built on the Bolza surface")
         if not 0 < self.t <= 4.0:
             raise UsageError("t must lie in (0, 4]")
         if self.grid_m < 50:

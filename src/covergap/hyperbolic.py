@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DET_TOL = 1e-12
-SIGN_EPS = 1e-9  # entries below this are treated as zero when fixing the sign
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,6 @@ class Isometry:
         x = ((a * z.x + b) * (c * z.x + d) + a * c * z.y * z.y) / den
         y = z.y / den
         return HPoint(x, y)
-
-    def sign_normalized(self) -> np.ndarray:
-        """The matrix with the first non-negligible entry made positive."""
-        flat = self.m.ravel()
-        for e in flat:
-            if abs(e) > SIGN_EPS:
-                return self.m if e > 0 else -self.m
-        return self.m  # numerically zero matrix cannot occur for det 1
 
     def same_as(self, other: "Isometry", tol: float = 1e-9) -> bool:
         """Projective equality: M equals +-N entrywise within tol."""

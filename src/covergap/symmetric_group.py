@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-import numpy as np
-
 # -------------------------------------------------------------- permutations
 
 
@@ -229,7 +227,8 @@ def count_homs(n: int, g: int) -> int:
     fact = math.factorial(n)
     total = sum(Fraction(1, d ** (2 * g - 2)) for d in tab.dimensions)
     total *= Fraction(fact) ** (2 * g - 1)
-    assert total.denominator == 1
+    if not total.denominator == 1:
+        raise ArithmeticError(f"Frobenius-Mednykh count {total} is not an integer")
     return int(total)
 
 
@@ -262,7 +261,8 @@ class _SamplerTables:
             )
         )
         val = Fraction(self.sizes[e_idx] * self.sizes[c_idx], self.fact) * s
-        assert val.denominator == 1 and val >= 0
+        if not (val.denominator == 1 and val >= 0):
+            raise ArithmeticError(f"class triple count {val} is not a natural number")
         return int(val)
 
 
@@ -281,7 +281,8 @@ def _f_k(n: int, class_idx: int, k: int) -> int:
         for c, d in zip(st.chi_by_class[class_idx], st.dims)
     )
     val = Fraction(st.fact) ** (2 * k - 1) * s
-    assert val.denominator == 1
+    if not val.denominator == 1:
+        raise ArithmeticError(f"tuple count {val} is not an integer")
     return int(val)
 
 
@@ -294,7 +295,8 @@ def _identity_target_weights(n: int, k: int) -> Tuple[int, ...]:
     ws = tuple(
         st.sizes[i] * _f_k(n, i, 1) * _f_k(n, i, k - 1) for i in range(len(st.types))
     )
-    assert sum(ws) == count_homs(n, k)
+    if not sum(ws) == count_homs(n, k):
+        raise ArithmeticError(f"class weights miss the count of Hom at n={n}, k={k}")
     return ws
 
 
@@ -308,7 +310,8 @@ def _pair_class_weights(n: int, c_type: Tuple[int, ...]) -> Tuple[int, ...]:
         st.triple_count(k, k, c_idx) * (st.fact // st.sizes[k])
         for k in range(len(st.types))
     )
-    assert sum(ws) == _f_k(n, c_idx, 1)
+    if not sum(ws) == _f_k(n, c_idx, 1):
+        raise ArithmeticError(f"pair class weights miss M(c) at n={n}, c={c_type}")
     return ws
 
 
@@ -427,7 +430,8 @@ def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
     v = u.inverse() * c
     b0 = _matching_conjugator(u.inverse(), v)
     B = b0 * _uniform_centralizer(u.inverse(), rng)
-    assert commutator(u, B) == c
+    if not commutator(u, B) == c:
+        raise RuntimeError("commutator realization does not hit its target")
     return u, B
 
 
@@ -561,32 +565,9 @@ def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
     pairs.append(_commutator_pair(target, rng))
     flat = tuple(p for ab in reversed(pairs) for p in ab)
     out = make_hom_tuple(n, g, flat, seed=seed)
-    assert out.relation_ok
+    if not out.relation_ok:
+        raise RuntimeError("sampled tuple violates the surface relation")
     return out
-
-
-# --------------------------------------------------------------- std action
-
-
-@dataclass(frozen=True)
-class StdAction:
-    """Action of one word through a tuple on mean-zero vectors of R^n."""
-
-    permutation: Permutation
-
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        inv = self.permutation.inverse().images0
-        y = x[list(inv)]
-        return y - y.mean()
-
-    def as_matrix(self) -> np.ndarray:
-        n = self.permutation.n
-        inv = self.permutation.inverse().images0
-        P = np.zeros((n, n))
-        for i in range(n):
-            P[i, inv[i]] = 1.0
-        return (np.eye(n) - np.ones((n, n)) / n) @ P
 
 
 def evaluate_word(t: HomTuple, word) -> Permutation:
@@ -598,7 +579,3 @@ def evaluate_word(t: HomTuple, word) -> Permutation:
             gp = gp.inverse()
         p = p * gp
     return p
-
-
-def std_action(t: HomTuple, word) -> StdAction:
-    return StdAction(permutation=evaluate_word(t, word))

@@ -1,8 +1,7 @@
 """Tests for cover operators, Krylov extremes, and gap estimation.
 
-Oracles: dense eigensolvers on small grids (kron-assembled operators),
-the ball-area identity for the constant eigenvector on the full fiber,
-and SVD for dilation norms.
+Oracles: dense eigensolvers on small grids (kron-assembled operators)
+and the ball-area identity for the constant eigenvector on the full fiber.
 """
 
 import dataclasses
@@ -14,7 +13,7 @@ import pytest
 
 from covergap.hyperbolic import ball_area
 from covergap.surface_group import build_bolza_realization, support_set
-from covergap.domain import assemble_support_blocks, build_grid
+from covergap.domain import BlockFamily, assemble_support_blocks, build_grid
 from covergap.selberg import SpectralParameter, selberg_h
 from covergap.symmetric_group import (
     HomTuple,
@@ -29,13 +28,10 @@ from covergap.cover_spectrum import (
     _mean_zero_basis,
     build_cover_operator,
     cayley_ball_rayleigh,
-    dilation_norm,
     estimate_gap,
     matvec,
     regular_baseline,
-    self_adjointize_check,
     top_norm,
-    truncated_norm_bound,
     truncation_components,
 )
 
@@ -104,6 +100,32 @@ def test_build_validation(small):
     broken = [b for b in blocks if b.gamma[0] != blocks[1].gamma[0]]
     with pytest.raises(ValueError):
         build_cover_operator(broken, hom)
+    # the blocks are Bolza (genus-2) translates; a genus-3 tuple labels
+    # nothing on that surface
+    with pytest.raises(ValueError):
+        build_cover_operator(blocks, sample_uniform_hom(4, 3, seed=0))
+
+
+def test_block_family_rejects_adjoint_mismatch(small):
+    _, blocks = small
+    assert isinstance(blocks, BlockFamily)
+    assert (blocks.m, blocks.t, blocks.genus) == (blocks[0].matrix.shape[0], T_RADIUS, 2)
+    word = next(b.gamma[0] for b in blocks if b.gamma[0])
+    skewed = [
+        dataclasses.replace(b, matrix=b.matrix * 1.01) if b.gamma[0] == word else b
+        for b in blocks
+    ]
+    with pytest.raises(ValueError, match="adjoint"):
+        BlockFamily(skewed)
+
+
+def test_family_is_reused_per_cover(small):
+    _, blocks = small
+    op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=0))
+    assert op.blocks is blocks
+    plain = build_cover_operator(list(blocks), sample_uniform_hom(4, 2, seed=0))
+    assert isinstance(plain.blocks, BlockFamily) and plain.blocks is not blocks
+    assert plain.blocks.rowsum_ceiling == blocks.rowsum_ceiling
 
 
 def test_operator_is_immutable(small):
@@ -120,8 +142,9 @@ def test_empty_fiber_at_n_one(small):
     op = build_cover_operator(blocks, hom, fiber="mean-zero")
     assert op.dimension == 0
     assert matvec(op, np.zeros(0)).shape == (0,)
-    with pytest.raises(ValueError):
-        top_norm(op)
+    for solve in (top_norm, estimate_gap, lambda o: truncation_components(o, 2)):
+        with pytest.raises(ValueError, match="empty fiber"):
+            solve(op)
 
 
 def test_matvec_shape_check(small):
@@ -339,7 +362,8 @@ def test_truncation_exact_at_full_rank(small):
     grid, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=2))
     full = top_norm(op, seed=0)
-    assert truncated_norm_bound(op, grid.m, seed=0) == pytest.approx(full, abs=1e-10)
+    comp = truncation_components(op, grid.m, seed=0)
+    assert comp["bound"] == pytest.approx(full, abs=1e-10)
 
 
 def test_truncation_bound_brackets_norm(small):
@@ -385,25 +409,3 @@ def test_cayley_rayleigh_monotone_below_peak(real):
     r6 = cayley_ball_rayleigh(real, 1.0, radius=6.0)
     assert r4 <= r6 + 1e-10  # nested variational families
     assert r6 <= peak + 1e-6
-
-
-# ---------------------------------------------------------------- dilation
-
-
-def test_dilation_norm_matches_svd():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((23, 14))
-    assert dilation_norm(A, seed=0) == pytest.approx(
-        np.linalg.svd(A, compute_uv=False)[0], abs=1e-8
-    )
-    S = rng.standard_normal((15, 15))
-    S = S + S.T
-    want = np.abs(np.linalg.eigvalsh(S)).max()
-    assert dilation_norm(S, seed=0) == pytest.approx(want, abs=1e-8)
-    assert dilation_norm(np.zeros((6, 6)), seed=0) == 0.0
-
-
-def test_self_adjointize_check_on_random_homs(small):
-    _, blocks = small
-    homs = [sample_uniform_hom(3, 2, seed=s) for s in range(10)]
-    assert self_adjointize_check(blocks, homs)

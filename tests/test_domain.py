@@ -10,9 +10,6 @@ from covergap.domain import (
     assemble_block,
     assemble_support_blocks,
     build_grid,
-    export_blocks,
-    hs_norm_bound_check,
-    load_blocks,
     svd_truncate,
 )
 from covergap.surface_group import (
@@ -131,19 +128,6 @@ def test_sparse_dense_switch(real, grid):
     assert dens >= 0.25
 
 
-def test_hs_norm_bound_check(real, grid):
-    by_t = {}
-    for t in (0.5, 1.0, 1.5):
-        ss = support_set(real, t)
-        by_t[t] = assemble_support_blocks(ss, t, grid)
-    C = hs_norm_bound_check(by_t)
-    assert C > 0
-    for t, blocks in by_t.items():
-        assert max(b.hs_norm for b in blocks) <= C * math.exp(t) + 1e-12
-    with pytest.raises(ValueError):
-        hs_norm_bound_check({1.0: by_t[1.0]})
-
-
 def test_zero_blocks_dropped(real, grid):
     # at t = 0 only the identity translate can pair any node with itself
     ss = support_set(real, 0.0)
@@ -189,19 +173,3 @@ def test_svd_rejects_bad_rank(real, grid):
     b = assemble_block(g, 1.0, grid)
     with pytest.raises(ValueError):
         svd_truncate(b, 0)
-
-
-# ------------------------------------------------------------------ export
-
-def test_export_load_roundtrip(real, grid, support, tmp_path):
-    blocks = [assemble_block(g, 1.0, grid) for g in support.elements[:3]]
-    jp, dp = tmp_path / "blocks.json", tmp_path / "blocks.bin"
-    export_blocks(blocks, jp, dp)
-    back = load_blocks(jp, dp)
-    assert len(back) == 3
-    for orig, copy in zip(blocks, back):
-        assert copy.gamma[0] == orig.gamma[0]
-        assert np.array_equal(copy.gamma[1].m, orig.gamma[1].m)
-        assert np.array_equal(copy.dense(), orig.dense())
-        assert copy.hs_norm == orig.hs_norm
-        assert copy.t == orig.t

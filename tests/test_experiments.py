@@ -47,6 +47,7 @@ def test_config_defaults_validate():
     "bad",
     [
         {"genus": 1},
+        {"genus": 3},
         {"t": 0.0},
         {"t": 5.0},
         {"grid_m": 10},

@@ -31,7 +31,6 @@ from covergap.symmetric_group import (
     make_hom_tuple,
     partitions,
     sample_uniform_hom,
-    std_action,
     transitivity,
 )
 
@@ -469,38 +468,3 @@ def test_evaluate_word_convention():
     assert evaluate_word(t, ()).is_identity()
     relator = (1, 2, -1, -2, 3, 4, -3, -4)
     assert evaluate_word(t, relator).is_identity()
-
-
-def test_std_action_matrix_and_matvec_agree():
-    rng = np.random.default_rng(0)
-    t = sample_uniform_hom(7, 2, seed=9)
-    for word in ((1,), (2, -1), (3, 4, -2)):
-        act = std_action(t, word)
-        M = act.as_matrix()
-        for _ in range(5):
-            x = rng.standard_normal(7)
-            assert np.allclose(act.matvec(x), M @ x, atol=1e-13)
-
-
-def test_std_action_is_mean_zero_and_orthogonal_there():
-    t = sample_uniform_hom(9, 2, seed=2)
-    act = std_action(t, (1, 2))
-    M = act.as_matrix()
-    n = 9
-    proj = np.eye(n) - np.ones((n, n)) / n
-    assert abs(M @ np.ones(n)).max() < 1e-13  # constants are killed
-    assert np.allclose(M @ M.T, proj, atol=1e-12)  # isometry on mean-zero
-    x = np.arange(n, dtype=float)
-    y = act.matvec(x)
-    assert abs(y.sum()) < 1e-10
-    assert np.allclose(np.linalg.norm(y), np.linalg.norm(proj @ x), atol=1e-12)
-
-
-def test_std_action_respects_composition():
-    t = sample_uniform_hom(6, 2, seed=11)
-    w1, w2 = (1, -2), (3, 4, 1)
-    M12 = std_action(t, w1 + w2).as_matrix()
-    assert np.allclose(
-        M12, std_action(t, w1).as_matrix() @ std_action(t, w2).as_matrix(),
-        atol=1e-13,
-    )
