@@ -294,7 +294,7 @@ def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> Spectr
 
 def _factored_product(tb):
     """X -> B^(r) X through the rank-r factors, never forming B^(r)."""
-    Ls, R =tb.left_factors * tb.singular_values, tb.right_factors
+    Ls, R = tb.left_factors * tb.singular_values, tb.right_factors
     return lambda X: Ls @ (R @ X)
 
 

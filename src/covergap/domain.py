@@ -8,6 +8,7 @@ sqrt(w_k), which keeps the global operator exactly symmetric, and truncated
 by SVD with the Hilbert-Schmidt certificate sigma_{r+1} <= hs / sqrt(r).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -118,6 +119,16 @@ class OperatorBlock:
             return self.matrix.toarray()
         return self.matrix
 
+    @functools.cached_property
+    def svd(self):
+        """Thin SVD (U, s, Vt) of the dense block, computed once and shared
+        by every truncation rank; the factors are read-only so that no rank
+        can corrupt what the others read."""
+        factors = np.linalg.svd(self.dense(), full_matrices=False)
+        for f in factors:
+            f.flags.writeable = False
+        return factors
+
     @property
     def is_sparse(self) -> bool:
         return issparse(self.matrix)
@@ -217,13 +228,13 @@ class TruncatedBlock:
 
 
 def svd_truncate(block: OperatorBlock, r: int) -> TruncatedBlock:
-    """Best rank-r approximation; the discarded top singular value is the
-    spectral-norm error and is certified <= hs_norm / sqrt(r) because
+    """Best rank-r approximation, sliced from the block's cached SVD; the
+    discarded top singular value is the spectral-norm error and is
+    certified <= hs_norm / sqrt(r) because
     (r+1) sigma_{r+1}^2 <= sum sigma_j^2 = hs_norm^2."""
     if r < 1:
         raise ValueError("rank must be at least 1")
-    A = block.dense()
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = block.svd
     bound = s[r] if r < len(s) else 0.0
     cert = block.hs_norm / math.sqrt(r)
     if bound > cert * (1.0 + 1e-9) + 1e-12:

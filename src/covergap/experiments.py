@@ -9,6 +9,7 @@ to the JSON sidecar only, never into the data files.
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -17,6 +18,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from importlib.metadata import PackageNotFoundError
+from importlib.metadata import version as _pkg_version
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,12 +43,25 @@ from .symmetric_group import (
     sample_uniform_hom,
 )
 
-try:
-    from importlib.metadata import version as _pkg_version
 
-    CODE_VERSION = _pkg_version("covergap")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    CODE_VERSION = "unknown"
+@functools.cache
+def _code_version() -> str:
+    """The installed package version; from a source checkout, where no
+    package metadata exists, "src-sha256:" plus a sha256 over the sorted
+    names and bytes of the package's .py files, the recipe perfbench
+    records as src_sha256, so a sidecar can be matched to a bench run."""
+    try:
+        return _pkg_version("covergap")
+    except PackageNotFoundError:
+        pass
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            digest.update(name.encode())
+            with open(os.path.join(pkg, name), "rb") as f:
+                digest.update(f.read())
+    return "src-sha256:" + digest.hexdigest()
 
 
 class UsageError(ValueError):
@@ -180,7 +196,7 @@ class GapRecord:
     lambda_hat: Optional[float]
     lambda_lower_bound: float
     krylov_residual: float
-    wall_time: float  # sidecar-only; data files stay byte-deterministic
+    wall_time: float  # summarized per n in the sidecar, never in data files
 
     def row(self):
         return [
@@ -224,7 +240,7 @@ def _write_meta(path: str, cfg: ExperimentConfig, wall: float,
                 extra: Optional[dict] = None, partial: bool = False) -> str:
     payload = {
         "config": dataclasses.asdict(cfg),
-        "code_version": CODE_VERSION,
+        "code_version": _code_version(),
         "wall_time_seconds": wall,
         "partial": partial,
     }
@@ -309,6 +325,17 @@ def _collect_gap_records(cfg: ExperimentConfig, blocks, threads: int):
     return records, failure
 
 
+def _sample_seconds(records) -> dict:
+    """Per-n count, median and maximum of the per-sample build+solve time;
+    records arrive sorted by (n, index)."""
+    out = {}
+    for n, group in itertools.groupby(records, key=lambda r: r.n):
+        secs = [r.wall_time for r in group]
+        out[str(n)] = {"count": len(secs), "p50": float(np.median(secs)),
+                       "max": max(secs)}
+    return out
+
+
 def _transitive_slice(cfg: ExperimentConfig, records, n: int):
     """The per-n transitive records entering summaries (first samples_per_n)."""
     out = [r for r in records if r.n == n and r.transitive]
@@ -359,7 +386,9 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     wall = time.perf_counter() - t_start
     meta_path = _write_meta(
         _outpath(cfg, "gap_sweep_meta.json"), cfg, wall,
-        extra={"records": len(records)}, partial=failure is not None,
+        extra={"records": len(records),
+               "sample_seconds": _sample_seconds(records)},
+        partial=failure is not None,
     )
     if failure is not None:
         raise ComputeError(f"gap sweep incomplete: {failure}")
@@ -397,7 +426,8 @@ def cmd_strong_convergence(cfg: ExperimentConfig, threads: int = 1) -> dict:
     wall = time.perf_counter() - t_start
     meta_path = _write_meta(
         _outpath(cfg, "strong_convergence_meta.json"), cfg, wall,
-        extra={"h_peak": peak, "nonincreasing": trend},
+        extra={"h_peak": peak, "nonincreasing": trend,
+               "sample_seconds": _sample_seconds(records)},
         partial=failure is not None,
     )
     if failure is not None:
@@ -422,10 +452,10 @@ def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
         raise ComputeError(f"no transitive tuple found at n={n}")
     op = build_cover_operator(blocks, hom)
     full = estimate_gap(op, seed=cfg.seed).op_norm
+    ranks = [r for r in cfg.truncation_r_list if r <= grid.m]
+    skipped = [r for r in cfg.truncation_r_list if r > grid.m]
     rows = []
-    for r in cfg.truncation_r_list:
-        if r > grid.m:
-            continue
+    for r in ranks:
         comp = truncation_components(op, r, seed=cfg.seed)
         observed = abs(comp["truncated_top"] - full)
         rows.append([
@@ -438,12 +468,11 @@ def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
          "hs_reference", "truncated_bound", "full_norm"],
         rows, cfg.format,
     )
-    ranks = [int(r[1]) for r in rows]
     slope = _fit_loglog(ranks, [float(r[4]) for r in rows])
     wall = time.perf_counter() - t_start
     meta_path = _write_meta(
         _outpath(cfg, "truncation_study_meta.json"), cfg, wall,
-        extra={"hs_reference_loglog_slope": slope},
+        extra={"hs_reference_loglog_slope": slope, "skipped_ranks": skipped},
     )
     return {"data": data_path, "meta": meta_path, "slope": slope, "rows": rows}
 

@@ -13,7 +13,12 @@ import pytest
 
 from covergap.hyperbolic import ball_area
 from covergap.surface_group import build_bolza_realization, support_set
-from covergap.domain import BlockFamily, assemble_support_blocks, build_grid
+from covergap.domain import (
+    BlockFamily,
+    assemble_support_blocks,
+    build_grid,
+    svd_truncate,
+)
 from covergap.selberg import SpectralParameter, selberg_h
 from covergap.symmetric_group import (
     HomTuple,
@@ -55,8 +60,9 @@ def medium(real):
     return grid, assemble_support_blocks(support_set(real, T_RADIUS), T_RADIUS, grid)
 
 
-def _dense_operator(op):
-    """kron-assembled dense matrix of the operator, same coordinates."""
+def _dense_operator(op, r=None):
+    """kron-assembled dense matrix of the operator, same coordinates; with
+    a rank r, of its rank-r truncation."""
     n = op.n
     mats = []
     for b, idx in zip(op.blocks, op.perm_images):
@@ -64,7 +70,8 @@ def _dense_operator(op):
         # column j of the fiber factor picks source column idx[j]
         for j in range(n):
             P[idx[j], j] = 1.0
-        mats.append(np.kron(b.dense(), P.T))
+        A = b.dense() if r is None else svd_truncate(b, r).dense()
+        mats.append(np.kron(A, P.T))
     M = sum(mats)
     if op.fiber == "mean-zero":
         Q = _mean_zero_basis(n)
@@ -384,6 +391,7 @@ def test_truncation_bound_brackets_norm(small):
 
 
 def test_truncated_top_close_to_full_dense_oracle(small):
+    # the factored apply matches the dense truncated operator, and
     # |top(T_r) - top(T)| <= sum sigma_{r+1}, dense eigensolver on both
     _, blocks = small
     for seed in range(5):
@@ -392,6 +400,8 @@ def test_truncated_top_close_to_full_dense_oracle(small):
         full = np.linalg.eigvalsh(M).max()
         for r in (2, 8):
             comp = truncation_components(op, r, seed=0)
+            truncated = np.linalg.eigvalsh(_dense_operator(op, r)).max()
+            assert comp["truncated_top"] == pytest.approx(truncated, rel=1e-9)
             assert abs(comp["truncated_top"] - full) <= comp["sigma_error_total"] + 1e-9
 
 

@@ -168,6 +168,18 @@ def test_svd_spectral_error_is_next_singular_value(real, grid):
         assert err == pytest.approx(tb.op_error_bound, abs=1e-10)
 
 
+def test_svd_factors_are_shared_and_read_only(real, grid):
+    # every rank slices one cached SVD, so a write through one truncation
+    # would corrupt all the others
+    g = (real.side_pairing_words[2], real.side_pairings[2])
+    b = assemble_block(g, 1.0, grid)
+    tb = svd_truncate(b, 3)
+    assert np.shares_memory(tb.left_factors, svd_truncate(b, 8).left_factors)
+    for arr in (tb.left_factors, tb.singular_values, tb.right_factors):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_svd_rejects_bad_rank(real, grid):
     g = (real.side_pairing_words[0], real.side_pairings[0])
     b = assemble_block(g, 1.0, grid)

@@ -20,6 +20,7 @@ from covergap.experiments import (
     ExperimentConfig,
     GAP_HEADER,
     UsageError,
+    _assemble,
     _draw_homs,
     _write_table,
     cmd_gap_sweep,
@@ -177,6 +178,11 @@ def test_gap_sweep_files_and_summary(sweep):
     assert meta["config"]["grid_m"] == 50
     assert meta["wall_time_seconds"] > 0
     assert meta["records"] == 6
+    assert meta["code_version"] != "unknown"
+    per_n = meta["sample_seconds"]
+    assert sum(v["count"] for v in per_n.values()) == len(res["records"])
+    for v in per_n.values():
+        assert 0 < v["p50"] <= v["max"]
 
 
 def test_gap_sweep_rerun_is_byte_identical(sweep, tmp_path):
@@ -213,11 +219,24 @@ def test_strong_convergence_fractions(tmp_path):
     assert len(rows) == 4  # two degrees x two epsilons
     for row in rows:
         assert int(row[3]) <= int(row[4])
+    meta = json.load(open(res["meta"]))
+    counts = [v["count"] for v in meta["sample_seconds"].values()]
+    assert sum(counts) == len(res["records"])
 
 
-def test_truncation_study_certificates(tmp_path):
-    cfg = _tiny_cfg(tmp_path, truncation_r_list=[1, 4, 32])
+def test_truncation_study_certificates(tmp_path, monkeypatch):
+    cfg = _tiny_cfg(tmp_path, truncation_r_list=[1, 4, 32, 64])
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     res = cmd_truncation_study(cfg)
+    assert len(calls) == len(_assemble(cfg)[2])  # one SVD per block, not per rank
+    assert json.load(open(res["meta"]))["skipped_ranks"] == [64]
     assert len(res["rows"]) == 3
     for _, r, certified, observed, hs_ref, bound, full in res["rows"]:
         assert float(observed) <= float(certified) + 1e-9
