@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", dest="output_dir", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sample-level parallelism")
+                       help="accepted for compatibility; has no effect, "
+                            "sweeps run serially")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--t", type=float, help="kernel radius")
         p.add_argument("--grid-m", type=int, dest="grid_m",

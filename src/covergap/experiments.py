@@ -1,10 +1,11 @@
 """Batch experiment drivers: seeded sampling campaigns with CSV/JSON output.
 
 Every command takes an ExperimentConfig, derives one RNG stream per sample
-from the master seed, runs the work (optionally across threads), and writes
-rows in deterministic (n, index) order so identical configs give
-byte-identical data files regardless of scheduling. Wall-clock numbers go
-to the JSON sidecar only, never into the data files.
+from the master seed, runs the work serially, and writes rows in
+deterministic (n, index) order so identical configs give byte-identical
+data files. Every cmd_* driver accepts a `threads` keyword for
+compatibility; it has no effect. Wall-clock numbers go to the JSON sidecar
+only, never into the data files.
 """
 
 import csv
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib.metadata import PackageNotFoundError
 from importlib.metadata import version as _pkg_version
@@ -291,16 +291,21 @@ def _assemble(cfg: ExperimentConfig):
     return real, grid, blocks
 
 
-def _collect_gap_records(cfg: ExperimentConfig, blocks, threads: int):
-    draws = []
-    for n in cfg.n_list:
-        draws.extend(_draw_homs(cfg, n))
-
-    def job(d):
-        n, index, s, hom = d
+def _collect_gap_records(cfg: ExperimentConfig, blocks):
+    """One GapRecord per draw, in (n, index) order. A failing sample does
+    not stop the batch: the first failure is returned with the records of
+    every other sample."""
+    draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
+    records, failure = [], None
+    for n, index, s, hom in draws:
         t0 = time.perf_counter()
-        est = estimate_gap(build_cover_operator(blocks, hom), seed=s)
-        return GapRecord(
+        try:
+            est = estimate_gap(build_cover_operator(blocks, hom), seed=s)
+        except Exception as exc:  # keep the partial batch
+            if failure is None:
+                failure = exc
+            continue
+        records.append(GapRecord(
             n=n,
             index=index,
             seed=s,
@@ -310,17 +315,7 @@ def _collect_gap_records(cfg: ExperimentConfig, blocks, threads: int):
             lambda_lower_bound=est.lambda_lower_bound,
             krylov_residual=est.krylov_residual,
             wall_time=time.perf_counter() - t0,
-        )
-
-    records, failure = [], None
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        futures = [ex.submit(job, d) for d in draws]
-        for fut in futures:
-            try:
-                records.append(fut.result())
-            except Exception as exc:  # keep the partial batch
-                if failure is None:
-                    failure = exc
+        ))
     records.sort(key=lambda r: (r.n, r.index))
     return records, failure
 
@@ -356,7 +351,7 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Per-sample gap records plus a per-n median-deficit summary."""
     t_start = time.perf_counter()
     _, _, blocks = _assemble(cfg)
-    records, failure = _collect_gap_records(cfg, blocks, threads)
+    records, failure = _collect_gap_records(cfg, blocks)
     data_path = _write_table(
         _outpath(cfg, "gap_sweep.csv"), GAP_HEADER,
         [r.row() for r in records], cfg.format,
@@ -400,7 +395,7 @@ def cmd_strong_convergence(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Exceedance fractions of op_norm > (1+eps) h_peak(t), per (n, eps)."""
     t_start = time.perf_counter()
     _, _, blocks = _assemble(cfg)
-    records, failure = _collect_gap_records(cfg, blocks, threads)
+    records, failure = _collect_gap_records(cfg, blocks)
     peak = h_peak(cfg.t)
     rows = []
     fractions = {eps: [] for eps in cfg.epsilon_list}

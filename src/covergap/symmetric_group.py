@@ -4,9 +4,11 @@ sampling of surface-relation tuples.
 The sampler draws (A_1, B_1, ..., A_g, B_g) with prod [A_i, B_i] = e exactly
 uniformly, by resolving conjugacy classes one commutator at a time with
 exact big-integer class weights, then realizing each commutator pair through
-a class-rejection step and a uniform centralizer coset element. Character
-values come from the Murnaghan-Nakayama recursion and are verified against
-orthogonality when a table is built.
+a class-rejection step and a uniform centralizer coset element. The weights
+are plain Python integers: every 1/d_lambda in the character sums is
+replaced by the integer codimension n!/d_lambda. Character values come from
+the Murnaghan-Nakayama recursion and are verified against orthogonality when
+a table is built.
 """
 
 import json
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
+
+import numpy as np
 
 # -------------------------------------------------------------- permutations
 
@@ -38,6 +42,10 @@ class Permutation:
 
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        # pickle and deepcopy would restore the slot through __setattr__
+        return (Permutation, (self.images0, True))
 
     @property
     def n(self) -> int:
@@ -203,20 +211,36 @@ def _character_table_cached(n: int) -> CharacterTable:
     return table
 
 
+def _column_gram(chi) -> np.ndarray:
+    """X^T X for the table X = chi (rows lambda, columns mu), in int64.
+
+    Exact for any table whose entries satisfy |chi| <= sqrt(n!), which
+    _verify_table checks first: each product is then at most n!, and for
+    n <= MAX_N = 16 a column sum of p(16) = 231 such terms stays below
+    231 * 16! ~ 4.8e15, far inside int64. For a true table the sums are
+    even smaller, |sum_lam chi_lam(mu) chi_lam(nu)| <= sqrt(z_mu z_nu) <= 16!
+    ~ 2.1e13 by Cauchy-Schwarz.
+    """
+    x = np.array(chi, dtype=np.int64)
+    return x.T @ x
+
+
 def _verify_table(tab: CharacterTable) -> None:
-    n, parts, sizes, chi = tab.n, tab.partitions, tab.class_sizes, tab.chi
+    n, sizes, chi = tab.n, tab.class_sizes, tab.chi
     fact = math.factorial(n)
     if any(v != 1 for v in chi[0]):
         raise AssertionError("trivial character row is not all ones")
     if sum(d * d for d in tab.dimensions) != fact:
         raise AssertionError("sum of squared dimensions != n!")
-    ncls = len(parts)
-    for mu in range(ncls):
-        for nu in range(mu, ncls):
-            s = sum(chi[l][mu] * chi[l][nu] for l in range(ncls)) * sizes[mu]
-            want = fact if mu == nu else 0
-            if s != want:
-                raise AssertionError(f"column orthogonality fails at {mu},{nu}")
+    root = math.isqrt(fact)
+    if any(abs(v) > root for row in chi for v in row):
+        raise AssertionError("character value exceeds sqrt(n!)")
+    # column orthogonality: sum_lam chi_lam(mu) chi_lam(nu) = z_mu delta_mu,nu
+    want = np.diag([fact // s for s in sizes]).astype(np.int64)
+    bad = np.argwhere(np.triu(_column_gram(chi) != want))
+    if len(bad):
+        mu, nu = bad[0]
+        raise AssertionError(f"column orthogonality fails at {mu},{nu}")
 
 
 def count_homs(n: int, g: int) -> int:
@@ -246,24 +270,32 @@ class _SamplerTables:
         self.sizes = self.tab.class_sizes
         self.fact = math.factorial(n)
         self.dims = self.tab.dimensions
+        if any(self.fact % d for d in self.dims):
+            raise ArithmeticError(f"a character degree does not divide {n}!")
+        # n!/d_lambda, so that each 1/d_lambda becomes codim/n! in integers
+        self.codims = tuple(self.fact // d for d in self.dims)
         # per class, the character vector over lambda
         self.chi_by_class = list(zip(*self.tab.chi))
 
     def triple_count(self, e_idx: int, c_idx: int, z_idx: int) -> int:
-        """#{(y, x) in E x C : y x = z} for one fixed z in class Z."""
+        """#{(y, x) in E x C : y x = z} for one fixed z in class Z:
+        |E||C| sum chi_E chi_C chi_Z codim / (n!)^2."""
         s = sum(
-            Fraction(a * b * c, d)
-            for a, b, c, d in zip(
+            a * b * c * w
+            for a, b, c, w in zip(
                 self.chi_by_class[e_idx],
                 self.chi_by_class[c_idx],
                 self.chi_by_class[z_idx],
-                self.dims,
+                self.codims,
             )
         )
-        val = Fraction(self.sizes[e_idx] * self.sizes[c_idx], self.fact) * s
-        if not (val.denominator == 1 and val >= 0):
-            raise ArithmeticError(f"class triple count {val} is not a natural number")
-        return int(val)
+        val, rem = divmod(self.sizes[e_idx] * self.sizes[c_idx] * s, self.fact**2)
+        if rem or val < 0:
+            raise ArithmeticError(
+                f"class triple count {val} + {rem}/{self.fact**2} "
+                "is not a natural number"
+            )
+        return val
 
 
 @lru_cache(maxsize=None)
@@ -274,16 +306,12 @@ def _sampler_tables(n: int) -> _SamplerTables:
 @lru_cache(maxsize=None)
 def _f_k(n: int, class_idx: int, k: int) -> int:
     """Number of 2k-tuples whose commutator product equals one fixed
-    representative of the class: (n!)^{2k-1} sum chi(c) / d^{2k-1}."""
+    representative of the class: (n!)^{2k-1} sum chi(c) / d^{2k-1}
+    = sum chi(c) codim^{2k-1}."""
     st = _sampler_tables(n)
-    s = sum(
-        Fraction(c, d ** (2 * k - 1))
-        for c, d in zip(st.chi_by_class[class_idx], st.dims)
+    return sum(
+        c * w ** (2 * k - 1) for c, w in zip(st.chi_by_class[class_idx], st.codims)
     )
-    val = Fraction(st.fact) ** (2 * k - 1) * s
-    if not val.denominator == 1:
-        raise ArithmeticError(f"tuple count {val} is not an integer")
-    return int(val)
 
 
 @lru_cache(maxsize=None)

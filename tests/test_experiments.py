@@ -14,6 +14,7 @@ import pytest
 
 from covergap.hyperbolic import ball_area
 from covergap.selberg import h_peak
+import covergap.experiments as experiments
 from covergap.symmetric_group import count_homs
 from covergap.experiments import (
     ComputeError,
@@ -191,6 +192,31 @@ def test_gap_sweep_rerun_is_byte_identical(sweep, tmp_path):
     res2 = cmd_gap_sweep(cfg2, threads=1)  # different thread count on purpose
     assert open(res["data"], "rb").read() == open(res2["data"], "rb").read()
     assert open(res["summary"], "rb").read() == open(res2["summary"], "rb").read()
+
+
+def test_gap_sweep_keeps_partial_batch(sweep, tmp_path, monkeypatch):
+    # one failing sample must not stop the others: every other row is
+    # written in (n, index) order, the sidecar says partial, and the driver
+    # raises ComputeError at the end
+    cfg, res = sweep
+    bad_seed = derived_seed(cfg.seed, 2, 1)
+    real = experiments.estimate_gap
+
+    def flaky(op, seed=None, **kw):
+        if seed == bad_seed:
+            raise RuntimeError("injected failure")
+        return real(op, seed=seed, **kw)
+
+    monkeypatch.setattr(experiments, "estimate_gap", flaky)
+    cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path))
+    with pytest.raises(ComputeError, match="injected failure"):
+        cmd_gap_sweep(cfg2)
+    full = open(res["data"], "rb").read().decode().split("\r\n")
+    got = open(tmp_path / "gap_sweep.csv", "rb").read().decode().split("\r\n")
+    assert got == full[:2] + full[3:]  # header, (2, 0), then (2, 2) onward
+    meta = json.load(open(tmp_path / "gap_sweep_meta.json"))
+    assert meta["partial"] is True
+    assert meta["records"] == 5
 
 
 def test_draw_homs_require_transitive(tmp_path):

@@ -6,9 +6,13 @@ character. Sampler uniformity is checked by chi-square against fully
 enumerated solution sets.
 """
 
+import copy
 import itertools
 import math
+import operator
+import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +23,13 @@ from covergap.symmetric_group import (
     HomTuple,
     MAX_N,
     Permutation,
+    _column_gram,
     _commutator_pair,
     _f_k,
+    _identity_target_weights,
     _pair_class_weights,
+    _sampler_tables,
+    _verify_table,
     character_table,
     centralizer_order,
     class_size,
@@ -110,6 +118,19 @@ def test_permutation_validation_and_immutability():
         p.images0 = (0, 1)
     with pytest.raises(ValueError):
         Permutation([2, 1]) * Permutation([2, 1, 3])
+
+
+def test_permutation_and_tuple_pickle_and_deepcopy():
+    p = Permutation([2, 1, 3])
+    t = sample_uniform_hom(6, 2, seed=3)
+    for obj in (p, t):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert back == obj
+    back = pickle.loads(pickle.dumps(t))
+    assert all(isinstance(g, Permutation) for g in back.gens)
+    assert back.relation_ok and back.transitive == t.transitive
+    with pytest.raises(AttributeError):
+        copy.deepcopy(p).images0 = (0, 1, 2)
 
 
 def test_commutator_identities():
@@ -227,6 +248,34 @@ def test_row_orthogonality():
             assert s == (fact if a == b else 0)
 
 
+def test_verify_table_names_the_broken_column_pair():
+    tab = character_table(5)
+    _verify_table(tab)
+    chi = [list(row) for row in tab.chi]
+    chi[2][1] += 1  # an interior entry: row 0 and the degrees stay intact
+    broken = CharacterTable(n=5, partitions=tab.partitions,
+                            class_sizes=tab.class_sizes,
+                            chi=tuple(tuple(r) for r in chi))
+    with pytest.raises(AssertionError,
+                       match=r"column orthogonality fails at \d+,\d+") as err:
+        _verify_table(broken)
+    pair = err.value.args[0].rsplit(" ", 1)[1].split(",")
+    assert "1" in pair
+
+
+def test_int64_gram_is_exact_at_max_n():
+    # slow reference: the same Gram matrix in Python integers
+    tab = character_table(MAX_N)
+    cols = list(zip(*tab.chi))
+    gram = _column_gram(tab.chi)
+    fact = math.factorial(MAX_N)
+    for i, ci in enumerate(cols):
+        for j in range(i, len(cols)):
+            exact = sum(map(operator.mul, ci, cols[j]))
+            assert int(gram[i, j]) == exact == int(gram[j, i])
+            assert exact == (fact // tab.class_sizes[i] if i == j else 0)
+
+
 def test_table_bounds():
     with pytest.raises(ValueError):
         character_table(0)
@@ -286,6 +335,43 @@ def test_commuting_pair_count():
     # genus 1: number of commuting pairs is (number of classes) * n!
     for n in (3, 4):
         assert count_homs(n, 1) == len(partitions(n)) * math.factorial(n)
+
+
+def _fraction_triple_count(st, e, c, z):
+    """The Fraction form of the class triple count, as a dense reference."""
+    s = sum(
+        Fraction(a * b * x, d)
+        for a, b, x, d in zip(st.chi_by_class[e], st.chi_by_class[c],
+                              st.chi_by_class[z], st.dims)
+    )
+    val = Fraction(st.sizes[e] * st.sizes[c], st.fact) * s
+    assert val.denominator == 1 and val >= 0
+    return int(val)
+
+
+def _fraction_f_k(st, i, k):
+    s = sum(Fraction(x, d ** (2 * k - 1))
+            for x, d in zip(st.chi_by_class[i], st.dims))
+    val = Fraction(st.fact) ** (2 * k - 1) * s
+    assert val.denominator == 1
+    return int(val)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_integer_weights_equal_fraction_weights(n):
+    st = _sampler_tables(n)
+    ncls = len(st.types)
+    for e, c, z in itertools.product(range(ncls), repeat=3):
+        assert st.triple_count(e, c, z) == _fraction_triple_count(st, e, c, z)
+    for i in range(ncls):
+        for k in (1, 2):
+            assert _f_k(n, i, k) == _fraction_f_k(st, i, k)
+    for ci, ctype in enumerate(st.types):
+        want = tuple(_fraction_triple_count(st, k, k, ci) * (st.fact // st.sizes[k])
+                     for k in range(ncls))
+        assert _pair_class_weights(n, ctype) == want
+    want = tuple(st.sizes[i] * _fraction_f_k(st, i, 1) ** 2 for i in range(ncls))
+    assert _identity_target_weights(n, 2) == want
 
 
 def test_pair_class_weights_total():
