@@ -7,7 +7,6 @@ action on the fiber. Its top eigenvalue feeds the inverse Selberg
 transform to produce a lower bound on the first new Laplacian eigenvalue.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,6 +32,7 @@ from .symmetric_group import HomTuple, evaluate_word
 
 MEAN_ZERO = "mean-zero"
 FULL = "full"
+KRYLOV_TOL = 1e-8  # Lanczos stops when the top residual is <= KRYLOV_TOL * scale
 
 
 def _mean_zero_basis(n: int) -> np.ndarray:
@@ -138,23 +138,20 @@ class KrylovConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class LanczosResult:
     top: float
-    bottom: float
     top_residual: float
-    bottom_residual: float
     iterations: int
 
 
-def _lanczos_extremes(apply, dim: int, seed, tol: float = 1e-8,
-                      maxiter: Optional[int] = None) -> LanczosResult:
-    """Extreme eigenvalues of a symmetric operator by Lanczos with full
+def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
+    """Top eigenvalue of a symmetric operator by Lanczos with full
     reorthogonalization and a deterministic seeded start vector.
 
-    Converges on the top Ritz pair (residual beta |u_last| <= tol * scale);
-    the bottom estimate is reported with its own residual as a diagnostic.
+    Stops when the top Ritz residual beta |u_last| is at most KRYLOV_TOL
+    times the largest |Ritz value|.
     """
     if dim < 1:
         raise ValueError("operator has an empty fiber")
-    cap = min(maxiter if maxiter is not None else 400, dim)
+    cap = min(maxiter, dim)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -173,25 +170,21 @@ def _lanczos_extremes(apply, dim: int, seed, tol: float = 1e-8,
             w = w - V[: j + 1].T @ (V[: j + 1] @ w)
         b = float(np.linalg.norm(w))
         theta, U = eigh_tridiagonal(np.array(alphas), np.array(betas))
-        top, bottom = float(theta[-1]), float(theta[0])
+        top = float(theta[-1])
         res_top = b * abs(float(U[-1, -1]))
-        res_bot = b * abs(float(U[-1, 0]))
-        scale = max(abs(top), abs(bottom))
+        scale = max(abs(top), abs(float(theta[0])))
         exhausted = j + 1 == dim
-        if res_top <= tol * scale or b <= 1e-14 * max(1.0, scale) or exhausted:
-            return LanczosResult(top, bottom, res_top, res_bot, j + 1)
+        if res_top <= KRYLOV_TOL * scale or b <= 1e-14 * max(1.0, scale) or exhausted:
+            return LanczosResult(top, res_top, j + 1)
         betas.append(b)
         beta_prev = b
         V[j + 1] = w / b
     raise KrylovConvergenceError(top, res_top, cap)
 
 
-def top_norm(op: CoverOperator, seed=0, tol: float = 1e-8,
-             maxiter: Optional[int] = None) -> float:
+def top_norm(op: CoverOperator, seed=0) -> float:
     """Largest eigenvalue of the symmetric cover operator."""
-    res = _lanczos_extremes(lambda x: matvec(op, x), op.dimension, seed,
-                            tol=tol, maxiter=maxiter)
-    return res.top
+    return _lanczos_top(lambda x: matvec(op, x), op.dimension, seed).top
 
 
 # ------------------------------------------------------------- estimation
@@ -216,26 +209,8 @@ class SpectralEstimate:
     krylov_residual: float
     metadata: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "op_norm": self.op_norm,
-                "peak_baseline": self.peak_baseline,
-                "param": {
-                    "kind": self.param.kind,
-                    "value": self.param.value,
-                    "clamped": self.param.clamped,
-                },
-                "lambda_lower_bound": self.lambda_lower_bound,
-                "lambda_exact_if_below_quarter": self.lambda_exact_if_below_quarter,
-                "linearized_lower_bound": self.linearized_lower_bound,
-                "krylov_residual": self.krylov_residual,
-                "metadata": self.metadata,
-            }
-        )
 
-
-def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> SpectralEstimate:
+def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
     """Invert the top norm of a mean-zero-fiber operator to a gap bound.
 
     A norm above the lambda = 0 transform value (the ball area) cannot be
@@ -248,8 +223,8 @@ def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> Spectr
     """
     if op.fiber != MEAN_ZERO:
         raise ValueError("gap estimation needs the mean-zero fiber")
-    t = op.t if t is None else t
-    ext = _lanczos_extremes(lambda x: matvec(op, x), op.dimension, seed)
+    t = op.t
+    ext = _lanczos_top(lambda x: matvec(op, x), op.dimension, seed)
     v = ext.top
     peak = selberg_h(t, SpectralParameter.real(0.0)).value
     ball = selberg_h(t, SpectralParameter.imaginary(0.5)).value
@@ -281,8 +256,6 @@ def estimate_gap(op: CoverOperator, t: Optional[float] = None, seed=0) -> Spectr
             "m": op.m,
             "seed": seed,
             "transitive": op.hom.transitive,
-            "most_negative": ext.bottom,
-            "most_negative_residual": ext.bottom_residual,
             "iterations": ext.iterations,
             "rowsum_ceiling": ceiling,
         },
@@ -303,7 +276,7 @@ def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
     truncs = [svd_truncate(b, r) for b in op.blocks]
     sigma_total = sum(tb.op_error_bound for tb in truncs)
     products = [_factored_product(tb) for tb in truncs]
-    res = _lanczos_extremes(lambda x: _apply(op, products, x), op.dimension, seed)
+    res = _lanczos_top(lambda x: _apply(op, products, x), op.dimension, seed)
     hs_ref = sum(b.hs_norm for b in op.blocks) / math.sqrt(r)
     return {
         "r": r,
@@ -317,9 +290,10 @@ def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
 
 # --------------------------------------------------------------- baseline
 
+_BASELINE_GRID_TARGET = 50  # quadrature nodes of the Cayley-ball section
 
-def cayley_ball_rayleigh(real, t: float, radius: float = 6.0,
-                         grid_target: int = 50, seed=0) -> float:
+
+def cayley_ball_rayleigh(real, t: float, radius: float = 6.0) -> float:
     """Top eigenvalue of the finite section of the group-translation analog
     of the cover operator, on grid (x) ball-of-words coordinates.
 
@@ -327,7 +301,7 @@ def cayley_ball_rayleigh(real, t: float, radius: float = 6.0,
     section is a compression, so its top eigenvalue cannot exceed the peak
     transform value.
     """
-    grid = build_grid(real, grid_target)
+    grid = build_grid(real, _BASELINE_GRID_TARGET)
     blocks = assemble_support_blocks(support_set(real, t), t, grid)
     ball = lattice_points(real, radius)
     words = [tuple(w) for w in ball.words()]
@@ -353,21 +327,14 @@ def cayley_ball_rayleigh(real, t: float, radius: float = 6.0,
             Y[:, G] += mat.dot(X[:, H])
         return Y.ravel()
 
-    return _lanczos_extremes(apply, m * nb, seed).top
+    return _lanczos_top(apply, m * nb, 0).top
 
 
-def regular_baseline(t: float, radius: float = 6.0, grid_target: int = 50,
-                     probe: bool = True, seed=0) -> float:
-    """Peak transform value h_t(0), the group-translation operator norm.
-
-    With probe on, a Cayley-ball Rayleigh quotient is computed and checked
-    against the peak from below.
-    """
+def regular_baseline(t: float) -> float:
+    """Peak transform value h_t(0), the group-translation operator norm,
+    checked from below against the Cayley-ball Rayleigh quotient."""
     peak = selberg_h(t, SpectralParameter.real(0.0)).value
-    if probe:
-        emp = cayley_ball_rayleigh(build_bolza_realization(), t,
-                                   radius=radius, grid_target=grid_target,
-                                   seed=seed)
-        if not emp <= peak + 1e-6:
-            raise RuntimeError(f"variational bound {emp} above peak {peak}")
+    emp = cayley_ball_rayleigh(build_bolza_realization(), t)
+    if not emp <= peak + 1e-6:
+        raise RuntimeError(f"variational bound {emp} above peak {peak}")
     return peak

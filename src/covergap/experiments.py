@@ -17,10 +17,10 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError
 from importlib.metadata import version as _pkg_version
-from typing import Optional, Tuple
+from typing import Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.stats import chi2
@@ -34,7 +34,7 @@ from .selberg import (
     plane_density,
     selberg_h,
 )
-from .surface_group import build_bolza_realization, lattice_points, support_set
+from .surface_group import MAX_R, build_bolza_realization, lattice_points, support_set
 from .symmetric_group import (
     MAX_N,
     Permutation,
@@ -125,6 +125,9 @@ class ExperimentConfig:
             self.radius_list
         ):
             raise UsageError("radius_list must be nonnegative and ascending")
+        if any(R > MAX_R for R in self.radius_list):
+            raise UsageError(
+                f"radius_list entries must not exceed the enumeration cap {MAX_R}")
         if not 2 <= self.n_max <= 4:
             raise UsageError("n_max must be 2, 3, or 4 (exhaustive regime)")
         if self.gof_draws < 1000:
@@ -134,36 +137,49 @@ class ExperimentConfig:
         return self
 
 
-_LIST_FIELDS = {
-    "n_list": int,
-    "truncation_r_list": int,
-    "epsilon_list": float,
-    "t_list": float,
-    "real_r_list": float,
-    "imag_a_list": float,
-    "radius_list": float,
-}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _checked_scalar(key: str, val, kind):
+    """val as a `kind` value: an int field takes an int or an integral
+    float, a float field an int or a float, a bool or str field only its
+    own type; a bool is never a number."""
+    if kind in (bool, str):
+        if isinstance(val, kind):
+            return val
+    elif isinstance(val, (int, float)) and not isinstance(val, bool):
+        if kind is float:
+            return float(val)
+        if isinstance(val, int):
+            return val
+        if val.is_integer():
+            return int(val)
+    raise UsageError(f"{key} must be {kind.__name__}, got {val!r}")
+
+
+def _checked_value(key: str, val):
+    """val checked against the ExperimentConfig annotation of `key`; tuple
+    fields take a list whose items follow the scalar rule."""
+    hint = _FIELD_TYPES[key]
+    if get_origin(hint) is not tuple:
+        return _checked_scalar(key, val, hint)
+    if not isinstance(val, (list, tuple)):
+        raise UsageError(f"{key} must be a list, got {val!r}")
+    item = get_args(hint)[0]
+    return tuple(_checked_scalar(key, x, item) for x in val)
 
 
 def make_config(file_values: Optional[dict] = None,
                 overrides: Optional[dict] = None) -> ExperimentConfig:
     """Merge config-file values with flag overrides (flags win)."""
     merged = {}
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for source in (file_values or {}, overrides or {}):
         for key, val in source.items():
-            if key not in names:
+            if key not in _FIELD_TYPES:
                 raise UsageError(f"unknown config key {key!r}")
-            if val is None:
-                continue
-            if key in _LIST_FIELDS:
-                val = tuple(_LIST_FIELDS[key](x) for x in val)
-            merged[key] = val
-    try:
-        cfg = ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise UsageError(str(exc))
-    return cfg.validate()
+            if val is not None:
+                merged[key] = _checked_value(key, val)
+    return ExperimentConfig(**merged).validate()
 
 
 def load_config_file(path: str) -> dict:

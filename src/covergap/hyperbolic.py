@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DET_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HPoint:

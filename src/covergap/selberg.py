@@ -88,14 +88,17 @@ def _integrate_fixed(f, t: float, n: int) -> float:
     return float(root * np.dot(w, vals))
 
 
-def _integrate(f, t: float, tol: float = 1e-12):
+_QUAD_TOL = 1e-12  # _integrate stops once doubling the order moves less
+
+
+def _integrate(f, t: float):
     """Order-doubling wrapper; returns (value, |last change|)."""
     prev = _integrate_fixed(f, t, 16)
     n = 32
     while n <= 2048:
         cur = _integrate_fixed(f, t, n)
         err = abs(cur - prev)
-        if err < tol:
+        if err < _QUAD_TOL:
             return cur, err
         prev = cur
         n *= 2

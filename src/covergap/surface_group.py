@@ -8,7 +8,6 @@ of lattice points and operator support sets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -273,14 +272,10 @@ class SupportSet:
     def isometries(self):
         return [M for _, M in self.elements]
 
-    def to_json(self) -> str:
-        recs = []
-        for (w, M), d in zip(self.elements, self.displacements):
-            recs.append({"word": list(w), "matrix": M.m.ravel().tolist(), "displacement": d})
-        return json.dumps({"radius_used": self.radius_used, "elements": recs}, indent=1)
-
 
 _QUANT = 1e-6
+MAX_R = 12.0  # displacement cap of lattice_points and support_set
+_PER_SIDE = 64  # boundary samples per polygon side in support_set
 
 
 def _sign_normalized_flat(m: np.ndarray) -> np.ndarray:
@@ -341,7 +336,7 @@ def _displacement_cosh(mats: np.ndarray) -> np.ndarray:
     return 1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y)
 
 
-def lattice_points(real: FuchsianRealization, R: float, max_R: float = 12.0) -> SupportSet:
+def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
     """All gamma with d(base, gamma base) <= R, by breadth-first search over
     the side-pairing moves.
 
@@ -353,8 +348,8 @@ def lattice_points(real: FuchsianRealization, R: float, max_R: float = 12.0) -> 
     """
     if R < 0:
         raise ValueError("R must be nonnegative")
-    if R > max_R:
-        raise ValueError(f"R={R} exceeds the enumeration cap {max_R}")
+    if R > MAX_R:
+        raise ValueError(f"R={R} exceeds the enumeration cap {MAX_R}")
 
     pres = real.presentation
     moves = np.stack([P.m for P in real.side_pairings])
@@ -402,7 +397,7 @@ def lattice_points(real: FuchsianRealization, R: float, max_R: float = 12.0) -> 
     return SupportSet(elements=elements, radius_used=R, displacements=displacements)
 
 
-def _boundary_samples(real: FuchsianRealization, per_side: int = 64):
+def _boundary_samples(real: FuchsianRealization):
     """Uniform sample of the polygon boundary (vertices included) plus the
     maximum arclength gap between consecutive samples.
 
@@ -417,13 +412,13 @@ def _boundary_samples(real: FuchsianRealization, per_side: int = 64):
     for j in range(k):
         v, w = verts[j], verts[(j + 1) % k]
         side = distance(v, w)
-        gap = max(gap, side / per_side)
-        for i in range(per_side):
-            pts.append(geodesic_point(v, w, i / per_side))
+        gap = max(gap, side / _PER_SIDE)
+        for i in range(_PER_SIDE):
+            pts.append(geodesic_point(v, w, i / _PER_SIDE))
     return np.array([[p.x, p.y] for p in pts]), gap
 
 
-def support_set(real: FuchsianRealization, t: float, max_R: float = 12.0) -> SupportSet:
+def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     """Elements whose translated domain comes within distance t of the domain,
     i.e. exactly those that can contribute a nonzero kernel block.
 
@@ -437,7 +432,7 @@ def support_set(real: FuchsianRealization, t: float, max_R: float = 12.0) -> Sup
     if t < 0:
         raise ValueError("t must be nonnegative")
     radius = 2.0 * real.circumradius + t + 1e-6
-    cand = lattice_points(real, radius, max_R=max_R)
+    cand = lattice_points(real, radius)
 
     S, gap = _boundary_samples(real)
     X0 = S[:, 0]

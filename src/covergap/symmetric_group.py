@@ -11,7 +11,6 @@ the Murnaghan-Nakayama recursion and are verified against orthogonality when
 a table is built.
 """
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -194,10 +193,10 @@ class CharacterTable:
 MAX_N = 16
 
 
-def character_table(n: int, cap: int = MAX_N) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """Full integer character table of S_n, orthogonality-verified."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"n must be in [1, {cap}]")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in [1, {MAX_N}]")
     return _character_table_cached(n)
 
 
@@ -475,24 +474,6 @@ class HomTuple:
     transitive: bool
     seed: object = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "genus": self.genus,
-                "gens": [list(p.images) for p in self.gens],
-                "relation_ok": self.relation_ok,
-                "transitive": self.transitive,
-                "seed": self.seed,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "HomTuple":
-        d = json.loads(text)
-        gens = tuple(Permutation(imgs) for imgs in d["gens"])
-        return make_hom_tuple(d["n"], d["genus"], gens, seed=d.get("seed"))
-
 
 def _relation_holds(gens) -> bool:
     n = gens[0].n
@@ -531,11 +512,6 @@ def make_hom_tuple(n, genus, gens, seed=None) -> HomTuple:
         transitive=_orbits_cover_all(n, gens),
         seed=seed,
     )
-
-
-def transitivity(t: HomTuple) -> bool:
-    """Union-find over the generator action on {1..n}."""
-    return _orbits_cover_all(t.n, t.gens)
 
 
 def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:

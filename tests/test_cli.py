@@ -56,6 +56,31 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("body, code", [
+    ({"n_list": 4}, 2),
+    ({"n_list": "4,8"}, 2),
+    ({"t": "abc"}, 2),
+    ({"samples_per_n": "3"}, 2),
+    ({"require_transitive": "no"}, 2),
+    ({"seed": "x"}, 2),
+    ({"grid_m": 400.5}, 2),
+    ({"seed": True}, 2),
+    ({"t": 1}, 0),  # an int is a valid float
+])
+def test_config_value_types_exit_code(tmp_path, capsys, body, code):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(body))
+    rc = main(["selberg-table", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == code
+    assert ("usage error" in capsys.readouterr().err) == (code == 2)
+
+
+def test_radius_above_enumeration_cap_exit_code(tmp_path, capsys):
+    rc = main(["lattice-count", "--out", str(tmp_path), "--radius-list", "0,13"])
+    assert rc == 2
+    assert "enumeration cap" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # statistical failure path: alpha so close to 1 that the sampler's
     # chi-square p-value cannot clear it
@@ -67,7 +92,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     ])
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
-    assert json.load(open(tmp_path / "sampler_validate.json"))["pass"] is False
+    assert json.loads((tmp_path / "sampler_validate.json").read_text())["pass"] is False
 
 
 def test_gap_sweep_threads_byte_identical(tmp_path, capsys):
@@ -93,7 +118,7 @@ def test_json_format_output(tmp_path, capsys):
         "--radius-list", "0,4", "--t-list", "1.0",
     ])
     assert rc == 0
-    recs = json.load(open(tmp_path / "lattice_count.json"))
+    recs = json.loads((tmp_path / "lattice_count.json").read_text())
     assert isinstance(recs, list) and recs
     assert {"kind", "parameter", "count", "C_hat"} <= set(recs[0])
 

@@ -5,7 +5,6 @@ and the ball-area identity for the constant eigenvector on the full fiber.
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -26,10 +25,11 @@ from covergap.symmetric_group import (
     make_hom_tuple,
     sample_uniform_hom,
 )
+import covergap.cover_spectrum as cover_spectrum
 from covergap.cover_spectrum import (
     CoverOperator,
     KrylovConvergenceError,
-    _lanczos_extremes,
+    _lanczos_top,
     _mean_zero_basis,
     build_cover_operator,
     cayley_ball_rayleigh,
@@ -199,14 +199,13 @@ def test_lanczos_against_dense_symmetric():
         S = rng.standard_normal((dim, dim))
         S = (S + S.T) / 2
         w = np.linalg.eigvalsh(S)
-        res = _lanczos_extremes(lambda x: S @ x, dim, seed=0)
+        res = _lanczos_top(lambda x: S @ x, dim, seed=0)
         assert abs(res.top - w[-1]) <= 1e-8 * max(1, abs(w[-1]))
-        assert abs(res.bottom - w[0]) <= 1e-6 * max(1, abs(w[0]))
 
 
 def test_lanczos_zero_operator():
-    res = _lanczos_extremes(lambda x: np.zeros_like(x), 12, seed=0)
-    assert res.top == 0.0 and res.bottom == 0.0
+    res = _lanczos_top(lambda x: np.zeros_like(x), 12, seed=0)
+    assert res.top == 0.0
 
 
 def test_lanczos_iteration_cap_raises_with_payload():
@@ -214,7 +213,7 @@ def test_lanczos_iteration_cap_raises_with_payload():
     S = rng.standard_normal((200, 200))
     S = (S + S.T) / 2
     with pytest.raises(KrylovConvergenceError) as exc:
-        _lanczos_extremes(lambda x: S @ x, 200, seed=0, maxiter=3)
+        _lanczos_top(lambda x: S @ x, 200, seed=0, maxiter=3)
     assert math.isfinite(exc.value.best_estimate)
     assert exc.value.residual > 0
     assert exc.value.iterations == 3
@@ -290,10 +289,22 @@ def test_estimate_gap_good_cover(small):
     if est.op_norm <= est.peak_baseline:
         assert est.lambda_exact_if_below_quarter is None
         assert est.lambda_lower_bound == pytest.approx(0.25, abs=1e-6)
-    rec = json.loads(est.to_json())
-    assert rec["op_norm"] == est.op_norm
-    assert rec["metadata"]["n"] == 4 and rec["metadata"]["m"] == op.m
-    assert rec["metadata"]["transitive"] == op.hom.transitive
+    assert est.metadata["n"] == 4 and est.metadata["m"] == op.m
+    assert est.metadata["transitive"] == op.hom.transitive
+
+
+def test_estimate_gap_iterations_count_matvecs(small, monkeypatch):
+    _, blocks = small
+    op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return matvec(*args)
+
+    monkeypatch.setattr(cover_spectrum, "matvec", counted)
+    est = estimate_gap(op, seed=1)
+    assert est.metadata["iterations"] == len(calls) > 0
 
 
 def test_estimate_gap_trivial_cover_sees_zero(medium):

@@ -8,6 +8,7 @@ sample counts; the point here is plumbing, not spectral accuracy.
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from covergap.hyperbolic import ball_area
 from covergap.selberg import h_peak
 import covergap.experiments as experiments
+from covergap.surface_group import MAX_R
 from covergap.symmetric_group import count_homs
 from covergap.experiments import (
     ComputeError,
@@ -65,6 +67,7 @@ def test_config_defaults_validate():
         {"real_r_list": (-0.5,)},
         {"imag_a_list": (0.7,)},
         {"radius_list": (4.0, 2.0)},
+        {"radius_list": (0.0, MAX_R + 1.0)},
         {"n_max": 9},
         {"gof_draws": 10},
         {"gof_alpha": 1.0},
@@ -109,14 +112,14 @@ def test_derived_seed_stable_and_distinct():
 
 def test_write_table_csv_is_crlf(tmp_path):
     path = _write_table(str(tmp_path / "x.csv"), ["a", "b"], [[1, "y"]], "csv")
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw == b"a,b\r\n1,y\r\n"
 
 
 def test_write_table_json_swaps_extension(tmp_path):
     path = _write_table(str(tmp_path / "x.csv"), ["a"], [[2], [3]], "json")
     assert path.endswith("x.json")
-    assert json.load(open(path)) == [{"a": 2}, {"a": 3}]
+    assert json.loads(Path(path).read_text()) == [{"a": 2}, {"a": 3}]
 
 
 # ---------------------------------------------------------------- gap sweep
@@ -165,16 +168,16 @@ def test_gap_sweep_disconnected_sample_reads_zero(sweep):
 
 def test_gap_sweep_files_and_summary(sweep):
     cfg, res = sweep
-    raw = open(res["data"], "rb").read()
+    raw = Path(res["data"]).read_bytes()
     lines = raw.decode().split("\r\n")
     assert lines[0] == ",".join(GAP_HEADER)
     assert len(lines) == 8 and lines[-1] == ""  # header + 6 rows + trailer
-    summary = json.load(open(res["summary"]))
+    summary = json.loads(Path(res["summary"]).read_text())
     assert set(summary["per_n"]) == {"2", "3"}
     assert summary["per_n"]["2"]["median_deficit"] == 0.0
     assert summary["per_n"]["2"]["transitive_samples"] == 3
     assert summary["h_peak"] == pytest.approx(h_peak(cfg.t))
-    meta = json.load(open(res["meta"]))
+    meta = json.loads(Path(res["meta"]).read_text())
     assert meta["partial"] is False
     assert meta["config"]["grid_m"] == 50
     assert meta["wall_time_seconds"] > 0
@@ -190,8 +193,8 @@ def test_gap_sweep_rerun_is_byte_identical(sweep, tmp_path):
     cfg, res = sweep
     cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path))
     res2 = cmd_gap_sweep(cfg2, threads=1)  # different thread count on purpose
-    assert open(res["data"], "rb").read() == open(res2["data"], "rb").read()
-    assert open(res["summary"], "rb").read() == open(res2["summary"], "rb").read()
+    assert Path(res["data"]).read_bytes() == Path(res2["data"]).read_bytes()
+    assert Path(res["summary"]).read_bytes() == Path(res2["summary"]).read_bytes()
 
 
 def test_gap_sweep_keeps_partial_batch(sweep, tmp_path, monkeypatch):
@@ -211,10 +214,10 @@ def test_gap_sweep_keeps_partial_batch(sweep, tmp_path, monkeypatch):
     cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path))
     with pytest.raises(ComputeError, match="injected failure"):
         cmd_gap_sweep(cfg2)
-    full = open(res["data"], "rb").read().decode().split("\r\n")
-    got = open(tmp_path / "gap_sweep.csv", "rb").read().decode().split("\r\n")
+    full = Path(res["data"]).read_bytes().decode().split("\r\n")
+    got = (tmp_path / "gap_sweep.csv").read_bytes().decode().split("\r\n")
     assert got == full[:2] + full[3:]  # header, (2, 0), then (2, 2) onward
-    meta = json.load(open(tmp_path / "gap_sweep_meta.json"))
+    meta = json.loads((tmp_path / "gap_sweep_meta.json").read_text())
     assert meta["partial"] is True
     assert meta["records"] == 5
 
@@ -241,11 +244,11 @@ def test_strong_convergence_fractions(tmp_path):
     assert res["fractions"][10.0] == [0.0, 0.0]
     assert res["trend"]["10.0"] is True
     rows = [ln.split(",") for ln in
-            open(res["data"], "rb").read().decode().split("\r\n")[1:-1]]
+            Path(res["data"]).read_bytes().decode().split("\r\n")[1:-1]]
     assert len(rows) == 4  # two degrees x two epsilons
     for row in rows:
         assert int(row[3]) <= int(row[4])
-    meta = json.load(open(res["meta"]))
+    meta = json.loads(Path(res["meta"]).read_text())
     counts = [v["count"] for v in meta["sample_seconds"].values()]
     assert sum(counts) == len(res["records"])
 
@@ -262,7 +265,7 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     res = cmd_truncation_study(cfg)
     assert len(calls) == len(_assemble(cfg)[2])  # one SVD per block, not per rank
-    assert json.load(open(res["meta"]))["skipped_ranks"] == [64]
+    assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == [64]
     assert len(res["rows"]) == 3
     for _, r, certified, observed, hs_ref, bound, full in res["rows"]:
         assert float(observed) <= float(certified) + 1e-9
@@ -299,7 +302,7 @@ def test_sampler_validate_tiny(tmp_path):
     assert rep["enumerated"] == rep["count_homs"] == count_homs(2, 2) == 16
     assert rep["count_match"] and rep["pass"]
     assert res["report"]["pass"] is True
-    assert json.load(open(res["data"]))["pass"] is True
+    assert json.loads(Path(res["data"]).read_text())["pass"] is True
 
 
 def test_sampler_validate_statistical_failure_raises(tmp_path):
@@ -308,7 +311,7 @@ def test_sampler_validate_statistical_failure_raises(tmp_path):
     cfg = _tiny_cfg(tmp_path, n_max=2, gof_draws=2000, gof_alpha=0.999999)
     with pytest.raises(ComputeError):
         cmd_sampler_validate(cfg)
-    report = json.load(open(tmp_path / "sampler_validate.json"))
+    report = json.loads((tmp_path / "sampler_validate.json").read_text())
     assert report["pass"] is False
 
 

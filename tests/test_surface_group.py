@@ -1,7 +1,6 @@
 """Tests for the genus-2 word machinery, the octagon realization, lattice
 enumeration, and kernel support sets."""
 
-import json
 import math
 import random
 
@@ -10,6 +9,7 @@ import pytest
 
 from covergap.hyperbolic import HPoint, distance
 from covergap.surface_group import (
+    MAX_R,
     SurfacePresentation,
     build_bolza_realization,
     concat,
@@ -282,6 +282,11 @@ def test_lattice_monotone_and_frozen_counts(real):
     assert counts[5] == 793
 
 
+def test_lattice_enumeration_cap(real):
+    with pytest.raises(ValueError, match=f"enumeration cap {MAX_R}"):
+        lattice_points(real, MAX_R + 0.5)
+
+
 def test_lattice_against_unpruned_enumeration(real):
     # oracle: all products of side pairings to depth 7, no pruning, dedup by
     # rounded sign-normalized entries; compare the displacement <= R slices
@@ -382,13 +387,3 @@ def test_support_t0_elements_touch_domain(real):
         dy = X[:, 1][:, None] - gy[None, :]
         cmin = (1.0 + (dx * dx + dy * dy) / (2.0 * X[:, 1][:, None] * gy[None, :])).min()
         assert math.acosh(max(1.0, cmin)) < 0.2
-
-
-def test_support_json_roundtrip(real):
-    ss = support_set(real, 0.5)
-    data = json.loads(ss.to_json())
-    assert data["radius_used"] == ss.radius_used
-    assert len(data["elements"]) == len(ss)
-    rec = data["elements"][0]
-    assert tuple(rec["word"]) == ss.elements[0][0]
-    assert np.allclose(np.array(rec["matrix"]).reshape(2, 2), ss.elements[0][1].m)
