@@ -22,7 +22,6 @@ from .selberg import (
     selberg_h,
 )
 from .surface_group import (
-    build_bolza_realization,
     concat,
     dehn_reduce,
     lattice_points,
@@ -95,15 +94,17 @@ def build_cover_operator(blocks, hom: HomTuple, fiber: str = MEAN_ZERO) -> Cover
 
 def _apply(op: CoverOperator, products, x: np.ndarray) -> np.ndarray:
     """sum_gamma (A_gamma X) with fiber columns permuted by phi(gamma), in
-    the operator's fiber coordinates; products[k](X) computes A_gamma X for
-    the k-th block."""
+    the operator's fiber coordinates; products(X) returns A_gamma X for
+    every block in family order, and the gathered partials are added in
+    that order."""
     if op.fiber == MEAN_ZERO:
         X = x.reshape(op.m, op.n - 1) @ op.basis.T
     else:
         X = x.reshape(op.m, op.n)
-    Y = np.zeros_like(X)
-    for product, idx in zip(products, op.perm_images):
-        Y += product(X)[:, idx]
+    parts = products(X)
+    Y = parts[0][:, op.perm_images[0]]
+    for Z, idx in zip(parts[1:], op.perm_images[1:]):
+        Y += Z[:, idx]
     if op.fiber == MEAN_ZERO:
         Y = Y @ op.basis
     return Y.ravel()
@@ -116,7 +117,7 @@ def matvec(op: CoverOperator, x) -> np.ndarray:
         raise ValueError(f"expected shape ({op.dimension},), got {x.shape}")
     if op.dimension == 0:
         return np.zeros(0)
-    return _apply(op, [b.matrix.dot for b in op.blocks], x)
+    return _apply(op, op.blocks.block_products, x)
 
 
 # ------------------------------------------------------------------ Krylov
@@ -276,7 +277,9 @@ def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
     truncs = [svd_truncate(b, r) for b in op.blocks]
     sigma_total = sum(tb.op_error_bound for tb in truncs)
     products = [_factored_product(tb) for tb in truncs]
-    res = _lanczos_top(lambda x: _apply(op, products, x), op.dimension, seed)
+    res = _lanczos_top(
+        lambda x: _apply(op, lambda X: [p(X) for p in products], x),
+        op.dimension, seed)
     hs_ref = sum(b.hs_norm for b in op.blocks) / math.sqrt(r)
     return {
         "r": r,
@@ -328,13 +331,3 @@ def cayley_ball_rayleigh(real, t: float, radius: float = 6.0) -> float:
         return Y.ravel()
 
     return _lanczos_top(apply, m * nb, 0).top
-
-
-def regular_baseline(t: float) -> float:
-    """Peak transform value h_t(0), the group-translation operator norm,
-    checked from below against the Cayley-ball Rayleigh quotient."""
-    peak = selberg_h(t, SpectralParameter.real(0.0)).value
-    emp = cayley_ball_rayleigh(build_bolza_realization(), t)
-    if not emp <= peak + 1e-6:
-        raise RuntimeError(f"variational bound {emp} above peak {peak}")
-    return peak

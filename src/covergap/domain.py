@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix, issparse, vstack
 
 from .hyperbolic import HPoint, distance, geodesic_point, mobius_apply, pairwise_cosh_distance
 from .surface_group import (
@@ -205,6 +205,24 @@ class BlockFamily(tuple):
         self.m, self.t = m, t
         self.rowsum_ceiling = float(np.max(s / u))
         return self
+
+    @functools.cached_property
+    def stacked(self):
+        """The sparse blocks vstacked in family order as one (k m) x m CSR
+        matrix, or None if every block is dense; built on first use."""
+        sparse = [b.matrix for b in self if b.is_sparse]
+        return vstack(sparse, format="csr") if sparse else None
+
+    def block_products(self, X: np.ndarray) -> list:
+        """A_gamma X for every block, in family order, each bit-identical to
+        b.matrix.dot(X): the sparse blocks come from one product with
+        `stacked`, whose rows sum their entries in the blocks' own order,
+        and a dense block keeps its own dot, since CSR would sum it in
+        another order."""
+        parts = iter(())
+        if self.stacked is not None:
+            parts = iter((self.stacked @ X).reshape(-1, self.m, X.shape[1]))
+        return [next(parts) if b.is_sparse else b.matrix.dot(X) for b in self]
 
 
 def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:

@@ -34,7 +34,13 @@ from .selberg import (
     plane_density,
     selberg_h,
 )
-from .surface_group import MAX_R, build_bolza_realization, lattice_points, support_set
+from .surface_group import (
+    MAX_R,
+    build_bolza_realization,
+    lattice_points,
+    support_radius,
+    support_set,
+)
 from .symmetric_group import (
     MAX_N,
     Permutation,
@@ -117,6 +123,10 @@ class ExperimentConfig:
             raise UsageError("epsilons must be positive")
         if any(t <= 0 for t in self.t_list):
             raise UsageError("t_list entries must be positive")
+        if any(support_radius(t) > MAX_R for t in self.t_list):
+            raise UsageError(
+                "t_list entries must keep the support search radius within "
+                f"the enumeration cap {MAX_R}")
         if any(r < 0 for r in self.real_r_list):
             raise UsageError("real spectral parameters must be nonnegative")
         if any(not 0 <= a <= 0.5 for a in self.imag_a_list):

@@ -177,6 +177,7 @@ def _disk_to_halfplane(wx: float, wy: float) -> HPoint:
 
 # words expressing the octagon side pairings g0..g3 in the standard letters
 _PAIRING_WORDS = [(-2, 3, 4), (-1, -2, 3, 4), (3,), (-4,)]
+BOLZA_CIRCUMRADIUS = math.acosh(3.0 + 2.0 * math.sqrt(2.0))
 
 
 def build_bolza_realization() -> FuchsianRealization:
@@ -192,7 +193,7 @@ def build_bolza_realization() -> FuchsianRealization:
     2 arccosh(1 + sqrt 2).
     """
     rho = math.acosh(1.0 + math.sqrt(2.0))          # apothem
-    circum = math.acosh(3.0 + 2.0 * math.sqrt(2.0))  # circumradius
+    circum = BOLZA_CIRCUMRADIUS
 
     g = [
         Isometry(_rot_about_i(k * math.pi / 4.0)
@@ -418,6 +419,11 @@ def _boundary_samples(real: FuchsianRealization):
     return np.array([[p.x, p.y] for p in pts]), gap
 
 
+def support_radius(t: float, circumradius: float = BOLZA_CIRCUMRADIUS) -> float:
+    """Displacement out to which support_set enumerates candidates at t."""
+    return 2.0 * circumradius + t + 1e-6
+
+
 def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     """Elements whose translated domain comes within distance t of the domain,
     i.e. exactly those that can contribute a nonzero kernel block.
@@ -431,7 +437,7 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    radius = 2.0 * real.circumradius + t + 1e-6
+    radius = support_radius(t, real.circumradius)
     cand = lattice_points(real, radius)
 
     S, gap = _boundary_samples(real)

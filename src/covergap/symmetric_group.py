@@ -153,27 +153,31 @@ def class_size(n: int, ctype: Tuple[int, ...]) -> int:
 # -------------------------------------------------------- Murnaghan-Nakayama
 
 
+def _beta_mask(lam: Tuple[int, ...], beads: int) -> int:
+    """The beta-set of lam with `beads` beads, bead i at lam_i + beads-1-i,
+    as a bit mask."""
+    padded = tuple(lam) + (0,) * (beads - len(lam))
+    return sum(1 << (part + beads - 1 - i) for i, part in enumerate(padded))
+
+
 @lru_cache(maxsize=None)
-def _mn_character(lam: Tuple[int, ...], mu: Tuple[int, ...]) -> int:
-    """chi_lambda at class mu via border-strip removal on beta numbers."""
+def _mn_character(mask: int, mu: Tuple[int, ...]) -> int:
+    """chi_lambda at class mu by Murnaghan-Nakayama on the beta-set mask of
+    lambda, removing the largest part of mu first. A border strip of length
+    r is a bead at b with position b - r free; its height is the number of
+    beads strictly between the two positions."""
     if not mu:
-        return 1 if not lam else 0
-    r = mu[0]
-    rest = mu[1:]
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
-    bset = set(beta)
+        return 1
+    r, rest = mu[0], mu[1:]
+    between = (1 << (r - 1)) - 1
+    cand = mask & ~(mask << r) & ~((1 << r) - 1)
     total = 0
-    for b in beta:
-        low = b - r
-        if low < 0 or low in bset:
-            continue
-        height = sum(1 for c in beta if low < c < b)
-        new = sorted((c if c != b else low for c in beta), reverse=True)
-        newlam = tuple(
-            p for p in (v - (k - 1 - i) for i, v in enumerate(new)) if p > 0
-        )
-        total += (-1) ** height * _mn_character(newlam, rest)
+    while cand:
+        bead = cand & -cand
+        cand ^= bead
+        low = bead.bit_length() - 1 - r
+        term = _mn_character(mask ^ bead ^ (1 << low), rest)
+        total += -term if ((mask >> (low + 1)) & between).bit_count() & 1 else term
     return total
 
 
@@ -204,7 +208,11 @@ def character_table(n: int) -> CharacterTable:
 def _character_table_cached(n: int) -> CharacterTable:
     parts = partitions(n)
     sizes = tuple(class_size(n, mu) for mu in parts)
-    chi = tuple(tuple(_mn_character(lam, mu) for mu in parts) for lam in parts)
+    chi = tuple(
+        tuple(_mn_character(_beta_mask(lam, n), mu) for mu in parts) for lam in parts
+    )
+    # every mask in the table of S_n has n beads, so no entry serves another n
+    _mn_character.cache_clear()
     table = CharacterTable(n=n, partitions=parts, class_sizes=sizes, chi=chi)
     _verify_table(table)
     return table

@@ -81,6 +81,13 @@ def test_radius_above_enumeration_cap_exit_code(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+def test_t_list_past_enumeration_cap_exit_code(tmp_path, capsys):
+    # support_set would search out to about 4.9 + 8 > 12
+    rc = main(["lattice-count", "--out", str(tmp_path), "--t-list", "8"])
+    assert rc == 2
+    assert "enumeration cap" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # statistical failure path: alpha so close to 1 that the sampler's
     # chi-square p-value cannot clear it

@@ -5,11 +5,13 @@ and the ball-area identity for the constant eigenvector on the full fiber.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import covergap.domain as domain
 from covergap.hyperbolic import ball_area
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
@@ -35,7 +37,6 @@ from covergap.cover_spectrum import (
     cayley_ball_rayleigh,
     estimate_gap,
     matvec,
-    regular_baseline,
     top_norm,
     truncation_components,
 )
@@ -52,6 +53,15 @@ def real():
 def small(real):
     grid = build_grid(real, 50)
     return grid, assemble_support_blocks(support_set(real, T_RADIUS), T_RADIUS, grid)
+
+
+@pytest.fixture(scope="module")
+def dense_t2(real):
+    # at t = 2 on the coarsest grid the identity block is stored dense
+    grid = build_grid(real, 50)
+    blocks = assemble_support_blocks(support_set(real, 2.0), 2.0, grid)
+    assert sum(not b.is_sparse for b in blocks) == 1
+    return grid, blocks
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +88,21 @@ def _dense_operator(op, r=None):
         E = np.kron(np.eye(op.m), Q)
         M = E.T @ M @ E
     return M
+
+
+def _block_loop_matvec(op, x):
+    """The per-block loop that matvec replaced: one product per block, its
+    columns gathered and added to a zero start in family order."""
+    if op.fiber == "mean-zero":
+        X = x.reshape(op.m, op.n - 1) @ op.basis.T
+    else:
+        X = x.reshape(op.m, op.n)
+    Y = np.zeros_like(X)
+    for b, idx in zip(op.blocks, op.perm_images):
+        Y += b.matrix.dot(X)[:, idx]
+    if op.fiber == "mean-zero":
+        Y = Y @ op.basis
+    return Y.ravel()
 
 
 # ------------------------------------------------------------ construction
@@ -177,17 +202,52 @@ def test_matvec_symmetry_both_fibers(small):
             assert dev <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
-def test_matvec_matches_dense_kron(small):
-    _, blocks = small
+def test_matvec_matches_dense_kron(small, dense_t2):
     hom = sample_uniform_hom(3, 2, seed=9)
     rng = np.random.default_rng(1)
-    for fiber in ("mean-zero", "full"):
+    families = (small[1], dense_t2[1])
+    for blocks, fiber in itertools.product(families, ("mean-zero", "full")):
         op = build_cover_operator(blocks, hom, fiber=fiber)
         M = _dense_operator(op)
         assert np.abs(M - M.T).max() < 1e-12
         for _ in range(5):
             x = rng.standard_normal(op.dimension)
             assert np.allclose(matvec(op, x), M @ x, atol=1e-11)
+
+
+@pytest.mark.parametrize("family", ["small", "dense_t2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_matvec_bit_identical_to_block_loop(request, family, n):
+    _, blocks = request.getfixturevalue(family)
+    hom = sample_uniform_hom(n, 2, seed=n)
+    rng = np.random.default_rng(n)
+    for fiber in ("mean-zero", "full"):
+        op = build_cover_operator(blocks, hom, fiber=fiber)
+        for _ in range(3):
+            x = rng.standard_normal(op.dimension)
+            assert np.array_equal(matvec(op, x), _block_loop_matvec(op, x))
+
+
+def test_stacked_matrix_built_once_and_not_by_truncation(small, monkeypatch):
+    _, blocks = small
+    family = BlockFamily(list(blocks))
+    builds = []
+    vstack = domain.vstack
+
+    def counted_vstack(*args, **kwargs):
+        builds.append(1)
+        return vstack(*args, **kwargs)
+
+    monkeypatch.setattr(domain, "vstack", counted_vstack)
+    op = build_cover_operator(family, sample_uniform_hom(4, 2, seed=2))
+    truncation_components(op, 4, seed=0)
+    assert builds == [] and "stacked" not in vars(family)
+    for seed in (0, 1):
+        op = build_cover_operator(family, sample_uniform_hom(3, 2, seed=seed))
+        matvec(op, np.ones(op.dimension))
+        matvec(op, np.ones(op.dimension))
+    assert len(builds) == 1
+    assert family.stacked.shape == (len(family) * family.m, family.m)
 
 
 # ----------------------------------------------------------------- Lanczos
@@ -417,11 +477,6 @@ def test_truncated_top_close_to_full_dense_oracle(small):
 
 
 # --------------------------------------------------------------- baseline
-
-
-def test_regular_baseline_value_and_probe():
-    peak = selberg_h(1.0, SpectralParameter.real(0.0)).value
-    assert regular_baseline(1.0) == pytest.approx(peak, abs=1e-12)
 
 
 def test_cayley_rayleigh_monotone_below_peak(real):

@@ -64,6 +64,7 @@ def test_config_defaults_validate():
         {"format": "xml"},
         {"epsilon_list": (0.0,)},
         {"t_list": (-1.0,)},
+        {"t_list": (8.0,)},
         {"real_r_list": (-0.5,)},
         {"imag_a_list": (0.7,)},
         {"radius_list": (4.0, 2.0)},

@@ -13,6 +13,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -190,6 +191,41 @@ def _hook_dimension(n, lam):
             leg = sum(1 for k in range(i + 1, len(lam)) if lam[k] > j)
             hooks *= arm + leg + 1
     return math.factorial(n) // hooks
+
+
+@lru_cache(maxsize=None)
+def _beta_list_character(lam, mu):
+    """chi_lambda at class mu by border-strip removal on a list of beta
+    numbers, the recursion the bit-mask table replaced, kept as the
+    reference."""
+    if not mu:
+        return 1 if not lam else 0
+    r = mu[0]
+    rest = mu[1:]
+    k = len(lam)
+    beta = [lam[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        low = b - r
+        if low < 0 or low in bset:
+            continue
+        height = sum(1 for c in beta if low < c < b)
+        new = sorted((c if c != b else low for c in beta), reverse=True)
+        newlam = tuple(
+            p for p in (v - (k - 1 - i) for i, v in enumerate(new)) if p > 0
+        )
+        total += (-1) ** height * _beta_list_character(newlam, rest)
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bitmask_table_equals_beta_list_recursion(n):
+    parts = partitions(n)
+    want = tuple(
+        tuple(_beta_list_character(lam, mu) for mu in parts) for lam in parts
+    )
+    assert character_table(n).chi == want
 
 
 def test_s3_table_exact():
