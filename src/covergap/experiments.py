@@ -317,11 +317,10 @@ def _assemble(cfg: ExperimentConfig):
     return real, grid, blocks
 
 
-def _collect_gap_records(cfg: ExperimentConfig, blocks):
+def _collect_gap_records(draws, blocks):
     """One GapRecord per draw, in (n, index) order. A failing sample does
     not stop the batch: the first failure is returned with the records of
     every other sample."""
-    draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
     records, failure = [], None
     for n, index, s, hom in draws:
         t0 = time.perf_counter()
@@ -344,6 +343,29 @@ def _collect_gap_records(cfg: ExperimentConfig, blocks):
         ))
     records.sort(key=lambda r: (r.n, r.index))
     return records, failure
+
+
+_STAGES = ("setup", "sampling", "solve", "write")
+
+
+def _gap_sweep(cfg: ExperimentConfig):
+    """Set-up, draws and solves of one gap sweep: the records, the first
+    failure, and the clock readings at the start and at the end of each of
+    the first three _STAGES."""
+    marks = [time.perf_counter()]
+    _, _, blocks = _assemble(cfg)
+    marks.append(time.perf_counter())
+    draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
+    marks.append(time.perf_counter())
+    records, failure = _collect_gap_records(draws, blocks)
+    marks.append(time.perf_counter())
+    return records, failure, marks
+
+
+def _stage_seconds(marks) -> dict:
+    """Seconds of each of _STAGES between consecutive clock readings; they
+    sum to the span from the first reading to the last."""
+    return {name: b - a for name, a, b in zip(_STAGES, marks, marks[1:])}
 
 
 def _sample_seconds(records) -> dict:
@@ -375,9 +397,7 @@ def _fit_loglog(xs, ys):
 
 def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Per-sample gap records plus a per-n median-deficit summary."""
-    t_start = time.perf_counter()
-    _, _, blocks = _assemble(cfg)
-    records, failure = _collect_gap_records(cfg, blocks)
+    records, failure, marks = _gap_sweep(cfg)
     data_path = _write_table(
         _outpath(cfg, "gap_sweep.csv"), GAP_HEADER,
         [r.row() for r in records], cfg.format,
@@ -404,11 +424,12 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     with open(summary_path, "w") as f:
         json.dump(summary, f, indent=1, sort_keys=True)
         f.write("\n")
-    wall = time.perf_counter() - t_start
+    marks.append(time.perf_counter())
     meta_path = _write_meta(
-        _outpath(cfg, "gap_sweep_meta.json"), cfg, wall,
+        _outpath(cfg, "gap_sweep_meta.json"), cfg, marks[-1] - marks[0],
         extra={"records": len(records),
-               "sample_seconds": _sample_seconds(records)},
+               "sample_seconds": _sample_seconds(records),
+               "stage_seconds": _stage_seconds(marks)},
         partial=failure is not None,
     )
     if failure is not None:
@@ -419,9 +440,7 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
 def cmd_strong_convergence(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Exceedance fractions of op_norm > (1+eps) h_peak(t), per (n, eps)."""
-    t_start = time.perf_counter()
-    _, _, blocks = _assemble(cfg)
-    records, failure = _collect_gap_records(cfg, blocks)
+    records, failure, marks = _gap_sweep(cfg)
     peak = h_peak(cfg.t)
     rows = []
     fractions = {eps: [] for eps in cfg.epsilon_list}
@@ -433,22 +452,22 @@ def cmd_strong_convergence(cfg: ExperimentConfig, threads: int = 1) -> dict:
             frac = hits / len(chosen) if chosen else float("nan")
             fractions[eps].append(frac)
             rows.append([n, _fmt(eps), _fmt(thr), hits, len(chosen), _fmt(frac)])
-    trend = {
-        _fmt(eps): all(
-            b <= a + 1e-12 for a, b in zip(fractions[eps], fractions[eps][1:])
-        )
-        for eps in cfg.epsilon_list
-    }
+    # a degree without transitive samples has fraction NaN and no say
+    trend = {}
+    for eps in cfg.epsilon_list:
+        seen = [f for f in fractions[eps] if not math.isnan(f)]
+        trend[_fmt(eps)] = all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
     data_path = _write_table(
         _outpath(cfg, "strong_convergence.csv"),
         ["n", "epsilon", "threshold", "exceed_count", "samples", "fraction"],
         rows, cfg.format,
     )
-    wall = time.perf_counter() - t_start
+    marks.append(time.perf_counter())
     meta_path = _write_meta(
-        _outpath(cfg, "strong_convergence_meta.json"), cfg, wall,
+        _outpath(cfg, "strong_convergence_meta.json"), cfg, marks[-1] - marks[0],
         extra={"h_peak": peak, "nonincreasing": trend,
-               "sample_seconds": _sample_seconds(records)},
+               "sample_seconds": _sample_seconds(records),
+               "stage_seconds": _stage_seconds(marks)},
         partial=failure is not None,
     )
     if failure is not None:

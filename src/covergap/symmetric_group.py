@@ -6,9 +6,10 @@ uniformly, by resolving conjugacy classes one commutator at a time with
 exact big-integer class weights, then realizing each commutator pair through
 a class-rejection step and a uniform centralizer coset element. The weights
 are plain Python integers: every 1/d_lambda in the character sums is
-replaced by the integer codimension n!/d_lambda. Character values come from
-the Murnaghan-Nakayama recursion and are verified against orthogonality when
-a table is built.
+replaced by the integer codimension n!/d_lambda. Character tables come from
+the Murnaghan-Nakayama rule applied a whole table at a time, as signed
+border-strip-removal matrices times smaller tables, and are verified against
+orthogonality when a table is built.
 """
 
 import math
@@ -19,6 +20,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 # -------------------------------------------------------------- permutations
 
@@ -161,24 +163,62 @@ def _beta_mask(lam: Tuple[int, ...], beads: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mn_character(mask: int, mu: Tuple[int, ...]) -> int:
-    """chi_lambda at class mu by Murnaghan-Nakayama on the beta-set mask of
-    lambda, removing the largest part of mu first. A border strip of length
-    r is a bead at b with position b - r free; its height is the number of
-    beads strictly between the two positions."""
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
+def _beta_index(k: int) -> dict:
+    """Index in partitions(k) of each partition's beta-set mask with k
+    beads, keyed in partitions(k) order."""
+    return {_beta_mask(lam, k): i for i, lam in enumerate(partitions(k))}
+
+
+def _strip_matrix(k: int, r: int) -> csr_matrix:
+    """The signed border-strip-removal matrix R_{k,r}: rows are the
+    partitions lam of k, columns the partitions nu of k - r, and the entry is
+    (-1)^height when removing one border strip of length r takes lam to nu.
+
+    On the beta-set mask of lam, a strip is a bead at b with b - r free, and
+    its height is the number of beads strictly between. nu has at most
+    k - r parts, so its r lowest beads sit at 0..r-1 and shifting them out
+    leaves its mask with k - r beads."""
+    cols = _beta_index(k - r)
     between = (1 << (r - 1)) - 1
-    cand = mask & ~(mask << r) & ~((1 << r) - 1)
-    total = 0
-    while cand:
-        bead = cand & -cand
-        cand ^= bead
-        low = bead.bit_length() - 1 - r
-        term = _mn_character(mask ^ bead ^ (1 << low), rest)
-        total += -term if ((mask >> (low + 1)) & between).bit_count() & 1 else term
-    return total
+    data, indices, indptr = [], [], [0]
+    for mask in _beta_index(k):
+        cand = mask & ~(mask << r) & ~((1 << r) - 1)
+        while cand:
+            bead = cand & -cand
+            cand ^= bead
+            low = bead.bit_length() - 1 - r
+            indices.append(cols[(mask ^ bead ^ (1 << low)) >> r])
+            data.append(-1 if ((mask >> (low + 1)) & between).bit_count() & 1 else 1)
+        indptr.append(len(indices))
+    return csr_matrix((np.array(data, dtype=np.int64), indices, indptr),
+                      shape=(len(indptr) - 1, len(cols)))
+
+
+@lru_cache(maxsize=None)
+def _table_array(k: int) -> np.ndarray:
+    """The character table of S_k as a read-only int64 array, rows lambda
+    and columns mu in partitions(k) order.
+
+    The columns mu with largest part r are one contiguous block, and their
+    remainders nu = mu[1:] are, in the same order, the partitions of k - r
+    with largest part at most r: a suffix of partitions(k - r). By
+    Murnaghan-Nakayama the block is R_{k,r} @ T_{k-r}[:, suffix]. int64 is
+    exact: every entry satisfies |chi| <= sqrt(k!) (column orthogonality),
+    and each output is a signed sum of at most k entries (one per bead),
+    which stays below 2^63 for every k <= 31."""
+    parts = partitions(k)
+    # k = 0 keeps the ones, the table [[1]] of S_0; for k > 0 the blocks
+    # overwrite every column
+    out = np.ones((len(parts), len(parts)), dtype=np.int64)
+    start = 0
+    for r in range(k, 0, -1):
+        rest = partitions(k - r)
+        first = next(j for j, nu in enumerate(rest) if not nu or nu[0] <= r)
+        stop = start + len(rest) - first
+        out[:, start:stop] = _strip_matrix(k, r) @ _table_array(k - r)[:, first:]
+        start = stop
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,11 +248,9 @@ def character_table(n: int) -> CharacterTable:
 def _character_table_cached(n: int) -> CharacterTable:
     parts = partitions(n)
     sizes = tuple(class_size(n, mu) for mu in parts)
-    chi = tuple(
-        tuple(_mn_character(_beta_mask(lam, n), mu) for mu in parts) for lam in parts
-    )
-    # every mask in the table of S_n has n beads, so no entry serves another n
-    _mn_character.cache_clear()
+    # .tolist() gives Python ints: the sampler multiplies character values
+    # and codimensions beyond int64
+    chi = tuple(map(tuple, _table_array(n).tolist()))
     table = CharacterTable(n=n, partitions=parts, class_sizes=sizes, chi=chi)
     _verify_table(table)
     return table

@@ -188,6 +188,14 @@ def test_gap_sweep_files_and_summary(sweep):
     assert sum(v["count"] for v in per_n.values()) == len(res["records"])
     for v in per_n.values():
         assert 0 < v["p50"] <= v["max"]
+    _check_stage_seconds(meta)
+
+
+def _check_stage_seconds(meta):
+    stages = meta["stage_seconds"]
+    assert set(stages) == {"setup", "sampling", "solve", "write"}
+    assert all(v >= 0 for v in stages.values())
+    assert sum(stages.values()) == pytest.approx(meta["wall_time_seconds"], rel=0.05)
 
 
 def test_gap_sweep_rerun_is_byte_identical(sweep, tmp_path):
@@ -252,6 +260,36 @@ def test_strong_convergence_fractions(tmp_path):
     meta = json.loads(Path(res["meta"]).read_text())
     counts = [v["count"] for v in meta["sample_seconds"].values()]
     assert sum(counts) == len(res["records"])
+    _check_stage_seconds(meta)
+
+
+def test_strong_convergence_trend_skips_degrees_without_samples(tmp_path,
+                                                                 monkeypatch):
+    # a degree with no transitive sample reads fraction NaN: it must not
+    # turn the trend false, and a rise between the other degrees still must
+    cfg = _tiny_cfg(tmp_path, n_list=[2, 3, 4], epsilon_list=[10.0, 100.0])
+    real = experiments._transitive_slice
+    high = 20 * h_peak(cfg.t)
+
+    def sliced(cfg, records, n):
+        chosen = real(cfg, records, n)
+        if n == 3:
+            return []
+        if n == 4:
+            return [dataclasses.replace(r, op_norm=high) for r in chosen]
+        return chosen
+
+    monkeypatch.setattr(experiments, "_transitive_slice", sliced)
+    res = cmd_strong_convergence(cfg)
+    assert res["fractions"][100.0][0] == 0.0 == res["fractions"][100.0][2]
+    assert math.isnan(res["fractions"][100.0][1])
+    assert res["fractions"][10.0][2] == 1.0
+    assert res["trend"] == {"10.0": False, "100.0": True}
+    meta = json.loads(Path(res["meta"]).read_text())
+    assert meta["nonincreasing"] == res["trend"]
+    rows = [ln.split(",") for ln in
+            Path(res["data"]).read_bytes().decode().split("\r\n")[1:-1]]
+    assert [r[4:] for r in rows if r[0] == "3"] == [["0", "nan"]] * 2
 
 
 def test_truncation_study_certificates(tmp_path, monkeypatch):

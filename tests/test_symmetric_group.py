@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import covergap.symmetric_group as symmetric_group
 from covergap.symmetric_group import (
     CharacterTable,
     MAX_N,
     Permutation,
+    _beta_mask,
     _column_gram,
     _commutator_pair,
     _f_k,
@@ -196,8 +198,7 @@ def _hook_dimension(n, lam):
 @lru_cache(maxsize=None)
 def _beta_list_character(lam, mu):
     """chi_lambda at class mu by border-strip removal on a list of beta
-    numbers, the recursion the bit-mask table replaced, kept as the
-    reference."""
+    numbers, one entry at a time, kept as the reference for n <= 10."""
     if not mu:
         return 1 if not lam else 0
     r = mu[0]
@@ -226,6 +227,62 @@ def test_bitmask_table_equals_beta_list_recursion(n):
         tuple(_beta_list_character(lam, mu) for mu in parts) for lam in parts
     )
     assert character_table(n).chi == want
+
+
+@lru_cache(maxsize=None)
+def _bitmask_character(mask, mu):
+    """chi_lambda at class mu by Murnaghan-Nakayama on the beta-set mask of
+    lambda, one entry at a time with the largest part of mu removed first:
+    the per-entry recursion the strip-matrix tables replaced, kept as the
+    reference above n = 10."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    between = (1 << (r - 1)) - 1
+    cand = mask & ~(mask << r) & ~((1 << r) - 1)
+    total = 0
+    while cand:
+        bead = cand & -cand
+        cand ^= bead
+        low = bead.bit_length() - 1 - r
+        term = _bitmask_character(mask ^ bead ^ (1 << low), rest)
+        total += -term if ((mask >> (low + 1)) & between).bit_count() & 1 else term
+    return total
+
+
+@pytest.mark.parametrize("n", range(11, MAX_N + 1))
+def test_strip_matrix_table_equals_bitmask_recursion(n):
+    parts = partitions(n)
+    want = tuple(
+        tuple(_bitmask_character(_beta_mask(lam, n), mu) for mu in parts)
+        for lam in parts
+    )
+    _bitmask_character.cache_clear()  # every key holds n beads
+    chi = character_table(n).chi
+    assert chi == want
+    if n == MAX_N:
+        # the sampler's products of three values and a codimension need
+        # Python ints, which never wrap
+        assert all(type(v) is int for row in chi for v in row)
+
+
+def test_table_build_is_one_public_call(monkeypatch):
+    # perfbench times the table as the character_table span; the recursion
+    # over smaller tables must not add spans
+    calls = []
+    public = symmetric_group.character_table
+
+    def counted(n):
+        calls.append(n)
+        return public(n)
+
+    monkeypatch.setattr(symmetric_group, "character_table", counted)
+    for cached in (symmetric_group._sampler_tables,
+                   symmetric_group._character_table_cached,
+                   symmetric_group._table_array):
+        cached.cache_clear()
+    symmetric_group._sampler_tables(12)
+    assert calls == [12]
 
 
 def test_s3_table_exact():
