@@ -76,19 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "seed", "output_dir", "format", "t", "grid_m", "genus", "n_list",
-    "samples_per_n", "truncation_r_list", "epsilon_list", "t_list",
-    "real_r_list", "imag_a_list", "radius_list", "n_max", "gof_draws",
-    "require_transitive",
-)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        overrides = {k: getattr(args, k) for k in _CONFIG_KEYS}
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config", "threads")}
         cfg = make_config(file_values, overrides)
         result = _COMMANDS[args.command](cfg, threads=args.threads)
     except UsageError as exc:

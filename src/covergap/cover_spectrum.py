@@ -14,18 +14,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .domain import BlockFamily, assemble_support_blocks, build_grid, svd_truncate
+from .domain import BlockFamily, svd_truncate
 from .selberg import (
     SpectralParameter,
     gap_lower_bound_coefficient,
     invert_h,
     selberg_h,
-)
-from .surface_group import (
-    concat,
-    dehn_reduce,
-    lattice_points,
-    support_set,
 )
 from .symmetric_group import HomTuple, evaluate_word
 
@@ -289,45 +283,3 @@ def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
         "hs_reference": hs_ref,
         "bound": res.top + sigma_total,
     }
-
-
-# --------------------------------------------------------------- baseline
-
-_BASELINE_GRID_TARGET = 50  # quadrature nodes of the Cayley-ball section
-
-
-def cayley_ball_rayleigh(real, t: float, radius: float = 6.0) -> float:
-    """Top eigenvalue of the finite section of the group-translation analog
-    of the cover operator, on grid (x) ball-of-words coordinates.
-
-    This is a variational lower bound for the plane operator norm: the
-    section is a compression, so its top eigenvalue cannot exceed the peak
-    transform value.
-    """
-    grid = build_grid(real, _BASELINE_GRID_TARGET)
-    blocks = assemble_support_blocks(support_set(real, t), t, grid)
-    ball = lattice_points(real, radius)
-    words = [tuple(w) for w in ball.words()]
-    index = {w: i for i, w in enumerate(words)}
-    pres = real.presentation
-    terms = []
-    for b in blocks:
-        G, H = [], []
-        for gi, wg in enumerate(words):
-            wh = tuple(dehn_reduce(concat(b.gamma[0], wg), pres))
-            hi = index.get(wh)
-            if hi is not None:
-                G.append(gi)
-                H.append(hi)
-        if G:
-            terms.append((b.matrix, np.array(G), np.array(H)))
-    m, nb = grid.m, len(words)
-
-    def apply(x):
-        X = x.reshape(m, nb)
-        Y = np.zeros_like(X)
-        for mat, G, H in terms:
-            Y[:, G] += mat.dot(X[:, H])
-        return Y.ravel()
-
-    return _lanczos_top(apply, m * nb, 0).top

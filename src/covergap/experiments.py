@@ -247,13 +247,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
 def _write_table(path: str, header, rows, fmt: str) -> str:
     if fmt == "json":
         path = os.path.splitext(path)[0] + ".json"
-        recs = [dict(zip(header, r)) for r in rows]
-        with open(path, "w") as f:
-            json.dump(recs, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(path, [dict(zip(header, r)) for r in rows])
         return path
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\r\n")
@@ -272,9 +275,7 @@ def _write_meta(path: str, cfg: ExperimentConfig, wall: float,
     }
     if extra:
         payload.update(extra)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_json(path, payload)
     return path
 
 
@@ -421,9 +422,7 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
         "h_peak": h_peak(cfg.t),
     }
     summary_path = _outpath(cfg, "gap_sweep_summary.json")
-    with open(summary_path, "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_json(summary_path, summary)
     marks.append(time.perf_counter())
     meta_path = _write_meta(
         _outpath(cfg, "gap_sweep_meta.json"), cfg, marks[-1] - marks[0],
@@ -602,9 +601,7 @@ def cmd_sampler_validate(cfg: ExperimentConfig, threads: int = 1) -> dict:
         }
     report["pass"] = overall
     path = _outpath(cfg, "sampler_validate.json")
-    with open(path, "w") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_json(path, report)
     wall = time.perf_counter() - t_start
     meta_path = _write_meta(_outpath(cfg, "sampler_validate_meta.json"), cfg, wall)
     if not overall:

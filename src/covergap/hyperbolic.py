@@ -172,8 +172,14 @@ def pairwise_cosh_distance(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     dx = P[:, 0, None] - Q[None, :, 0]
     dy = P[:, 1, None] - Q[None, :, 1]
-    yy = P[:, 1, None] * Q[None, :, 1]
-    return 1.0 + (dx * dx + dy * dy) / (2.0 * yy)
+    # in place, so fewer (k, l) temporaries are alive at once; the roundings
+    # are those of 1 + (dx^2 + dy^2) / (2 (P_y Q_y)), as doubling is exact
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx /= (2.0 * P[:, 1, None]) * Q[None, :, 1]
+    dx += 1.0
+    return dx
 
 
 def mobius_apply(matrix: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from .hyperbolic import (
     Isometry,
     distance,
     geodesic_point,
+    mobius_apply,
+    pairwise_cosh_distance,
 )
 
 Word = tuple  # of signed ints
@@ -274,67 +276,55 @@ class SupportSet:
         return [M for _, M in self.elements]
 
 
-_QUANT = 1e-6
 MAX_R = 12.0  # displacement cap of lattice_points and support_set
 _PER_SIDE = 64  # boundary samples per polygon side in support_set
 
 
-def _sign_normalized_flat(m: np.ndarray) -> np.ndarray:
-    flat = m.ravel()
-    for e in flat:
-        if abs(e) > 1e-9:
-            return flat if e > 0 else -flat
-    return flat
-
-
-def _keys(flat: np.ndarray):
-    k1 = tuple(int(math.floor(e / _QUANT)) for e in flat)
-    k2 = tuple(int(math.floor(e / _QUANT + 0.5)) for e in flat)
-    return k1, k2
-
-
-class _Dedup:
-    """Projective matrix dedup: two offset quantization grids plus a distance
-    check, with an exact word-identity fallback for near-collisions."""
-
-    def __init__(self, presentation):
-        self.pres = presentation
-        self.flats = []
-        self.words = []
-        self.grid1 = {}
-        self.grid2 = {}
-
-    def find(self, flat, word):
-        k1, k2 = _keys(flat)
-        candidates = list(self.grid1.get(k1, ())) + list(self.grid2.get(k2, ()))
-        for idx in candidates:
-            if np.abs(self.flats[idx] - flat).max() < 1e-7:
-                return idx
-        # a near-miss in the distance test does not prove distinctness;
-        # settle borderline cases with the exact word criterion
-        for idx in candidates:
-            if not dehn_reduce(concat(inverse_word(self.words[idx]), word), self.pres):
-                return idx
-        return None
-
-    def insert(self, flat, word) -> int:
-        idx = len(self.flats)
-        self.flats.append(flat)
-        self.words.append(word)
-        k1, k2 = _keys(flat)
-        self.grid1.setdefault(k1, []).append(idx)
-        self.grid2.setdefault(k2, []).append(idx)
-        return idx
-
-
-def _displacement_cosh(mats: np.ndarray) -> np.ndarray:
-    """cosh d(i, M i) for a stacked (n, 2, 2) array of matrices."""
+def _orbit_points(mats: np.ndarray):
+    """x and y of gamma i for each matrix of a stacked (n, 2, 2) array."""
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, d = mats[:, 1, 0], mats[:, 1, 1]
     den = c * c + d * d
-    x = (b * d + a * c) / den
-    y = 1.0 / den
-    return 1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y)
+    return (b * d + a * c) / den, 1.0 / den
+
+
+def _cell(x: float, y: float):
+    """Unit cell of x + iy in hyperboloid coordinates (X1, X2)."""
+    return math.floor(x / y), math.floor((x * x + y * y - 1.0) / (2.0 * y))
+
+
+class _OrbitIndex:
+    """Group elements keyed on the _cell of their orbit point gamma i.
+
+    A lookup scans the 3x3 block of cells around the query. The Euclidean
+    (X1, X2) distance bounds the hyperbolic one from above, since
+    ds^2 = dX1^2 + dX2^2 - dX0^2 on the hyperboloid; points in the block are
+    less than 2 sqrt 2 apart, and distinct orbit points of the octagon group
+    at least 2 * apothem = 3.057. So a hit is the same element.
+    """
+
+    def __init__(self):
+        self.points = []
+        self.cells = {}
+
+    def find(self, x: float, y: float):
+        """Index of the element with orbit point x + iy, or None."""
+        i, j = _cell(x, y)
+        for key in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+            idx = self.cells.get(key)
+            if idx is not None:
+                px, py = self.points[idx]
+                # 2 (cosh d - 1), about d^2: the same point within d = 1e-6
+                if ((x - px) ** 2 + (y - py) ** 2) / (y * py) > 1e-12:
+                    raise RuntimeError(
+                        f"distinct orbit points {x} + {y}i and {px} + {py}i "
+                        "lie within one 3x3 block of cells")
+                return idx
+        return None
+
+    def add(self, x: float, y: float):
+        self.cells[_cell(x, y)] = len(self.points)
+        self.points.append((x, y))
 
 
 def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
@@ -358,37 +348,36 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
     prune_cosh = math.cosh(R + real.circumradius + 0.1)
     keep_cosh = math.cosh(R) * (1.0 + 1e-12) + 1e-12
 
-    dedup = _Dedup(pres)
+    index = _OrbitIndex()
     mats = [np.eye(2)]
     words = [()]
     disps = [1.0]  # cosh displacement
-    dedup.insert(_sign_normalized_flat(np.eye(2)), ())
+    index.add(0.0, 1.0)
 
     level = [0]
     while level:
         stack = np.stack([mats[i] for i in level])
         prods = np.einsum("nij,gjk->ngik", stack, moves)
-        coshd = _displacement_cosh(prods.reshape(-1, 2, 2)).reshape(len(level), -1)
+        x, y = _orbit_points(prods.reshape(-1, 2, 2))
+        coshd = 1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y)
+        coshd, x, y = (v.reshape(len(level), -1).tolist() for v in (coshd, x, y))
         next_level = []
         for li, src in enumerate(level):
             for gidx in range(len(moves)):
-                if coshd[li, gidx] > prune_cosh:
+                if coshd[li][gidx] > prune_cosh:
                     continue
+                if index.find(x[li][gidx], y[li][gidx]) is not None:
+                    continue
+                index.add(x[li][gidx], y[li][gidx])
                 m = prods[li, gidx]
                 # renormalize drift before it accumulates
                 det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
                 if abs(det - 1.0) > 1e-12:
                     m = m / math.sqrt(det)
-                word = free_reduce(words[src] + move_words[gidx])
-                flat = _sign_normalized_flat(m)
-                if dedup.find(flat, word) is not None:
-                    continue
-                dedup.insert(flat, word)
-                idx = len(mats)
+                next_level.append(len(mats))
                 mats.append(m)
-                words.append(word)
-                disps.append(float(coshd[li, gidx]))
-                next_level.append(idx)
+                words.append(free_reduce(words[src] + move_words[gidx]))
+                disps.append(coshd[li][gidx])
         level = next_level
 
     order = [i for i in range(len(mats)) if disps[i] <= keep_cosh]
@@ -441,33 +430,22 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     cand = lattice_points(real, radius)
 
     S, gap = _boundary_samples(real)
-    X0 = S[:, 0]
-    Y0 = S[:, 1]
     cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
 
-    accept = []
-    for w, M in cand.elements:
-        a, b, c, d = M.m.ravel()
-        den = (c * X0 + d) ** 2 + (c * Y0) ** 2
-        gx = ((a * X0 + b) * (c * X0 + d) + a * c * Y0 * Y0) / den
-        gy = Y0 / den
-        dx = X0[:, None] - gx[None, :]
-        dy = Y0[:, None] - gy[None, :]
-        cmin = (1.0 + (dx * dx + dy * dy) / (2.0 * Y0[:, None] * gy[None, :])).min()
-        accept.append((not w) or cmin <= cosh_t)
+    accept = [(not w) or pairwise_cosh_distance(S, mobius_apply(M.m, S)).min() <= cosh_t
+              for w, M in cand.elements]
 
     # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair
     # predicate is symmetric in exact arithmetic, make it so in floats too
-    index_of = {}
-    for i, (w, M) in enumerate(cand.elements):
-        index_of[tuple(_keys(_sign_normalized_flat(M.m))[0])] = i
-    for i, (w, M) in enumerate(cand.elements):
-        if not accept[i]:
-            continue
-        inv_key = tuple(_keys(_sign_normalized_flat(M.inverse().m))[0])
-        j = index_of.get(inv_key)
-        if j is not None:
-            accept[j] = True
+    index = _OrbitIndex()
+    for x, y in zip(*_orbit_points(np.stack([M.m for M in cand.isometries()]))):
+        index.add(x, y)
+    inverses = _orbit_points(np.stack([M.inverse().m for M in cand.isometries()]))
+    for i, (x, y) in enumerate(zip(*inverses)):
+        if accept[i]:
+            j = index.find(x, y)
+            if j is not None:
+                accept[j] = True
 
     elements = [e for e, a in zip(cand.elements, accept) if a]
     displacements = [d for d, a in zip(cand.displacements, accept) if a]

@@ -23,6 +23,37 @@ def test_selberg_table_end_to_end(tmp_path, capsys):
     assert (tmp_path / "selberg_table_meta.json").exists()
 
 
+def test_every_config_flag_reaches_the_config(tmp_path, capsys):
+    # flag, text, value read back from the sidecar's config
+    flags = {
+        "seed": ("--seed", "7", 7),
+        "output_dir": ("--out", str(tmp_path), str(tmp_path)),
+        "format": ("--format", "json", "json"),
+        "t": ("--t", "0.75", 0.75),
+        "grid_m": ("--grid-m", "60", 60),
+        "genus": ("--genus", "2", 2),
+        "n_list": ("--n-list", "3,5", [3, 5]),
+        "samples_per_n": ("--samples-per-n", "3", 3),
+        "truncation_r_list": ("--truncation-r-list", "2,8", [2, 8]),
+        "epsilon_list": ("--eps-list", "0.05", [0.05]),
+        "t_list": ("--t-list", "0.5", [0.5]),
+        "real_r_list": ("--real-r-list", "0,1.5", [0.0, 1.5]),
+        "imag_a_list": ("--imag-a-list", "0.25", [0.25]),
+        "radius_list": ("--radius-list", "1,3", [1.0, 3.0]),
+        "n_max": ("--n-max", "3", 3),
+        "gof_draws": ("--gof-draws", "5000", 5000),
+        "require_transitive": ("--require-transitive", None, True),
+    }
+    argv = ["selberg-table"]
+    for flag, text, _ in flags.values():
+        argv += [flag] if text is None else [flag, text]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "selberg_table_meta.json").read_text())["config"]
+    assert set(config) - set(flags) == {"gof_alpha"}  # the one file-only key
+    assert {key: config[key] for key in flags} == {
+        key: value for key, (_, _, value) in flags.items()}
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({

@@ -34,7 +34,6 @@ from covergap.cover_spectrum import (
     _lanczos_top,
     _mean_zero_basis,
     build_cover_operator,
-    cayley_ball_rayleigh,
     estimate_gap,
     matvec,
     top_norm,
@@ -474,14 +473,3 @@ def test_truncated_top_close_to_full_dense_oracle(small):
             truncated = np.linalg.eigvalsh(_dense_operator(op, r)).max()
             assert comp["truncated_top"] == pytest.approx(truncated, rel=1e-9)
             assert abs(comp["truncated_top"] - full) <= comp["sigma_error_total"] + 1e-9
-
-
-# --------------------------------------------------------------- baseline
-
-
-def test_cayley_rayleigh_monotone_below_peak(real):
-    peak = selberg_h(1.0, SpectralParameter.real(0.0)).value
-    r4 = cayley_ball_rayleigh(real, 1.0, radius=4.0)
-    r6 = cayley_ball_rayleigh(real, 1.0, radius=6.0)
-    assert r4 <= r6 + 1e-10  # nested variational families
-    assert r6 <= peak + 1e-6

@@ -15,7 +15,6 @@ from covergap.hyperbolic import (
     mobius_apply,
     pairwise_cosh_distance,
 )
-from covergap.surface_group import _sign_normalized_flat
 
 
 def random_point(rng):
@@ -152,7 +151,6 @@ def test_sign_normalization_and_projective_equality():
     M = random_isometry(np.random.default_rng(4))
     neg = Isometry(-M.m)
     assert M.same_as(neg)
-    assert np.array_equal(_sign_normalized_flat(M.m), _sign_normalized_flat(neg.m))
     assert not M.same_as(M @ M) or M.is_identity()
 
 

@@ -1,6 +1,7 @@
 """Tests for the genus-2 word machinery, the octagon realization, lattice
 enumeration, and kernel support sets."""
 
+import itertools
 import math
 import random
 
@@ -10,6 +11,9 @@ import pytest
 from covergap.hyperbolic import HPoint, distance
 from covergap.surface_group import (
     MAX_R,
+    _cell,
+    _orbit_points,
+    _OrbitIndex,
     SurfacePresentation,
     build_bolza_realization,
     concat,
@@ -330,6 +334,51 @@ def test_lattice_against_unpruned_enumeration(real):
         L = lattice_points(real, R)
         got = {tuple(k) for k in keys(np.array([M.m for M in L.isometries()]))}
         assert got == want
+
+
+def test_lattice_at_cap_has_distinct_orbit_points(real):
+    # at the cap, matrix-entry quantization once let 10 elements in twice;
+    # scan 3x3 blocks of side-5 cells in (X1, X2), which hold every pair
+    # less than 5 apart there (a duplicate pair is about 1e-10 apart, and
+    # neighbours of one orbit level 2 sinh(apothem) = 4.39)
+    L = lattice_points(real, MAX_R)
+    assert len(L) == 40905
+    x, y = _orbit_points(np.array([M.m for M in L.isometries()]))
+    X1, X2 = x / y, (x * x + y * y - 1.0) / (2.0 * y)
+    cells = {}
+    for k, key in enumerate(zip(np.floor(X1 / 5.0).astype(int),
+                                np.floor(X2 / 5.0).astype(int))):
+        cells.setdefault(key, []).append(k)
+    nearest = math.inf
+    for (i, j), members in cells.items():
+        block = [q for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                 for q in cells.get((i + di, j + dj), ())]
+        for p in members:
+            for q in block:
+                if q != p:
+                    eps = ((x[p] - x[q]) ** 2 + (y[p] - y[q]) ** 2) / (2.0 * y[p] * y[q])
+                    nearest = min(nearest, math.acosh(1.0 + eps))
+    assert 2.0 * real.apothem - 1e-6 <= nearest < 2.0 * real.apothem + 1e-6
+
+
+def test_orbit_index_finds_perturbed_elements(real):
+    mats = np.array([M.m for M in lattice_points(real, 6.0).isometries()])
+    index = _OrbitIndex()
+    for x, y in zip(*_orbit_points(mats)):
+        index.add(x, y)
+    for sign in (1.0, -1.0):
+        for signs in itertools.product((-1.0, 1.0), repeat=4):
+            noisy = sign * mats * (1.0 + 1e-9 * np.reshape(signs, (2, 2)))
+            for k, (x, y) in enumerate(zip(*_orbit_points(noisy))):
+                assert index.find(x, y) == k
+                i, j = _cell(x, y)
+                hits = {index.cells.get((i + di, j + dj))
+                        for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+                assert hits - {None} == {k}
+    # a point 1e-3 from an element, inside its cell block: not a duplicate
+    x, y = _orbit_points(mats[5:6])
+    with pytest.raises(RuntimeError, match="distinct orbit points"):
+        index.find(x[0] + 1e-3 * y[0], y[0])
 
 
 # ---------------------------------------------------------------- support
