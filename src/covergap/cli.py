@@ -49,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", dest="output_dir", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect, "
-                            "sweeps run serially")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--t", type=float, help="kernel radius")
         p.add_argument("--grid-m", type=int, dest="grid_m",
@@ -81,9 +78,9 @@ def main(argv=None) -> int:
     try:
         file_values = load_config_file(args.config) if args.config else {}
         overrides = {k: v for k, v in vars(args).items()
-                     if k not in ("command", "config", "threads")}
+                     if k not in ("command", "config")}
         cfg = make_config(file_values, overrides)
-        result = _COMMANDS[args.command](cfg, threads=args.threads)
+        result = _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,10 @@
 Every command takes an ExperimentConfig, derives one RNG stream per sample
 from the master seed, runs the work serially, and writes rows in
 deterministic (n, index) order so identical configs give byte-identical
-data files. Every cmd_* driver accepts a `threads` keyword for
-compatibility; it has no effect. Wall-clock numbers go to the JSON sidecar
-only, never into the data files.
+data files. Wall-clock numbers go to the JSON sidecar only, never into the
+data files. cmd_gap_sweep and cmd_truncation_study still accept an ignored
+`threads` keyword, because the benchmark harness (perfbench/child.py)
+passes it.
 """
 
 import csv
@@ -78,6 +79,10 @@ class ComputeError(RuntimeError):
     """Numerical failure mid-run; maps to exit code 1, output flagged partial."""
 
 
+def _strictly_ascending(xs) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     genus: int = 2
@@ -106,8 +111,8 @@ class ExperimentConfig:
             raise UsageError("t must lie in (0, 4]")
         if self.grid_m < 50:
             raise UsageError("grid_m must be at least 50")
-        if not self.n_list or list(self.n_list) != sorted(self.n_list):
-            raise UsageError("n_list must be nonempty and ascending")
+        if not self.n_list or not _strictly_ascending(self.n_list):
+            raise UsageError("n_list must be nonempty and strictly ascending")
         for n in self.n_list:
             if not 2 <= n <= MAX_N:
                 raise UsageError(f"cover degree {n} outside [2, {MAX_N}]")
@@ -115,14 +120,14 @@ class ExperimentConfig:
             raise UsageError("samples_per_n must be positive")
         if not self.truncation_r_list or any(r < 1 for r in self.truncation_r_list):
             raise UsageError("truncation ranks must be positive")
-        if list(self.truncation_r_list) != sorted(self.truncation_r_list):
-            raise UsageError("truncation ranks must be ascending")
+        if not _strictly_ascending(self.truncation_r_list):
+            raise UsageError("truncation ranks must be strictly ascending")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
         if any(e <= 0 for e in self.epsilon_list):
             raise UsageError("epsilons must be positive")
-        if any(t <= 0 for t in self.t_list):
-            raise UsageError("t_list entries must be positive")
+        if not self.t_list or any(t <= 0 for t in self.t_list):
+            raise UsageError("t_list must be nonempty with positive entries")
         if any(support_radius(t) > MAX_R for t in self.t_list):
             raise UsageError(
                 "t_list entries must keep the support search radius within "
@@ -131,10 +136,10 @@ class ExperimentConfig:
             raise UsageError("real spectral parameters must be nonnegative")
         if any(not 0 <= a <= 0.5 for a in self.imag_a_list):
             raise UsageError("imaginary spectral parameters must lie in [0, 1/2]")
-        if any(R < 0 for R in self.radius_list) or list(self.radius_list) != sorted(
+        if any(R < 0 for R in self.radius_list) or not _strictly_ascending(
             self.radius_list
         ):
-            raise UsageError("radius_list must be nonnegative and ascending")
+            raise UsageError("radius_list must be nonnegative and strictly ascending")
         if any(R > MAX_R for R in self.radius_list):
             raise UsageError(
                 f"radius_list entries must not exceed the enumeration cap {MAX_R}")
@@ -437,7 +442,7 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
             "records": records, "summary_dict": summary}
 
 
-def cmd_strong_convergence(cfg: ExperimentConfig, threads: int = 1) -> dict:
+def cmd_strong_convergence(cfg: ExperimentConfig) -> dict:
     """Exceedance fractions of op_norm > (1+eps) h_peak(t), per (n, eps)."""
     records, failure, marks = _gap_sweep(cfg)
     peak = h_peak(cfg.t)
@@ -480,15 +485,8 @@ def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
     t_start = time.perf_counter()
     _, grid, blocks = _assemble(cfg)
     n = cfg.n_list[-1]
-    hom = None
-    for index in range(cfg.samples_per_n + 16):
-        cand = sample_uniform_hom(n, cfg.genus,
-                                  seed=derived_seed(cfg.seed, n, index))
-        if cand.transitive:
-            hom = cand
-            break
-    if hom is None:
-        raise ComputeError(f"no transitive tuple found at n={n}")
+    first = dataclasses.replace(cfg, samples_per_n=1, require_transitive=True)
+    hom = _draw_homs(first, n)[-1][3]
     op = build_cover_operator(blocks, hom)
     full = estimate_gap(op, seed=cfg.seed).op_norm
     ranks = [r for r in cfg.truncation_r_list if r <= grid.m]
@@ -516,7 +514,7 @@ def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
     return {"data": data_path, "meta": meta_path, "slope": slope, "rows": rows}
 
 
-def cmd_selberg_table(cfg: ExperimentConfig, threads: int = 1) -> dict:
+def cmd_selberg_table(cfg: ExperimentConfig) -> dict:
     """Transform values over a (t, parameter) grid, plot-ready."""
     t_start = time.perf_counter()
     rows = []
@@ -570,7 +568,7 @@ def _enumerate_hom_tuples(n: int):
     return tuples
 
 
-def cmd_sampler_validate(cfg: ExperimentConfig, threads: int = 1) -> dict:
+def cmd_sampler_validate(cfg: ExperimentConfig) -> dict:
     """Exhaustive-enumeration and chi-square checks of the uniform sampler."""
     t_start = time.perf_counter()
     report = {"alpha": cfg.gof_alpha, "draws": cfg.gof_draws, "per_n": {}}
@@ -609,7 +607,7 @@ def cmd_sampler_validate(cfg: ExperimentConfig, threads: int = 1) -> dict:
     return {"report": report, "data": path, "meta": meta_path}
 
 
-def cmd_lattice_count(cfg: ExperimentConfig, threads: int = 1) -> dict:
+def cmd_lattice_count(cfg: ExperimentConfig) -> dict:
     """Orbit-point counts per radius and support sizes per kernel radius."""
     t_start = time.perf_counter()
     real = build_bolza_realization()

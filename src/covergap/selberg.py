@@ -10,6 +10,7 @@ square-root zero at u = t; substituting u = t - s^2 removes it, after which
 Gauss-Legendre with order doubling converges to near machine precision.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,18 +57,11 @@ class TransformValue:
     quadrature_error_estimate: float
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_nodes(n: int):
-    # cached Legendre nodes/weights on [0, 1]
-    x, w = _NODE_CACHE.get(n, (None, None))
-    if x is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        x = 0.5 * (x + 1.0)
-        w = 0.5 * w
-        _NODE_CACHE[n] = (x, w)
-    return x, w
-
-
-_NODE_CACHE: dict = {}
+    """Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _integrate_fixed(f, t: float, n: int) -> float:
@@ -131,9 +125,10 @@ def invert_h(t: float, v: float) -> SpectralParameter:
     """Imaginary parameter a with h_t(ia) = v, by bisection on [0, 1/2].
 
     a -> h_t(ia) is strictly increasing from h_peak(t) to the ball area, so
-    the solution is unique. v below the peak (a discretized norm can dip
-    under the continuum baseline) clamps to a = 0; v above the ball area by
-    more than a tolerance is inconsistent input and raises.
+    the solution is unique. v at or below the peak (a discretized norm can
+    dip under the continuum baseline) returns a = 0 without bisecting, and
+    is marked clamped only more than a tolerance below it; v above the ball
+    area by more than the tolerance is inconsistent input and raises.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -147,7 +142,7 @@ def invert_h(t: float, v: float) -> SpectralParameter:
             f"value {v} exceeds the lambda=0 transform {hi_val}: "
             "inconsistent with a ball kernel of this radius"
         )
-    if v < lo_val:
+    if v <= lo_val:
         if v < lo_val - tol:
             return SpectralParameter("imaginary", 0.0, clamped=True)
         return SpectralParameter.imaginary(0.0)

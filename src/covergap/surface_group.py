@@ -45,13 +45,6 @@ def inverse_word(w: Word) -> Word:
     return tuple(-l for l in reversed(w))
 
 
-def concat(*ws) -> Word:
-    total = []
-    for w in ws:
-        total.extend(w)
-    return free_reduce(total)
-
-
 @dataclass(frozen=True)
 class SurfacePresentation:
     """<a1, b1, ..., a_g, b_g | prod [a_i, b_i]> for genus g >= 2."""

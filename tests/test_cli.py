@@ -119,6 +119,18 @@ def test_t_list_past_enumeration_cap_exit_code(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lattice-count", "--t-list", ""], "t_list must be nonempty"),
+    (["selberg-table", "--t-list", ""], "t_list must be nonempty"),
+    (["gap-sweep", "--n-list", "2,2", "--samples-per-n", "2"],
+     "n_list must be nonempty and strictly ascending"),
+])
+def test_bad_list_exit_code(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # statistical failure path: alpha so close to 1 that the sampler's
     # chi-square p-value cannot clear it
@@ -133,16 +145,16 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert json.loads((tmp_path / "sampler_validate.json").read_text())["pass"] is False
 
 
-def test_gap_sweep_threads_byte_identical(tmp_path, capsys):
+def test_gap_sweep_rejects_threads_and_repeats_byte_identical(tmp_path, capsys):
+    argv = ["gap-sweep", "--seed", "9", "--grid-m", "50", "--n-list", "2,3",
+            "--samples-per-n", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x"), "--threads", "2"])
+    assert exc.value.code == 2
     outs = []
-    for threads, sub in (("1", "a"), ("8", "b")):
+    for sub in ("a", "b"):
         out = tmp_path / sub
-        rc = main([
-            "gap-sweep", "--out", str(out), "--seed", "9",
-            "--grid-m", "50", "--n-list", "2,3", "--samples-per-n", "4",
-            "--threads", threads,
-        ])
-        assert rc == 0
+        assert main(argv + ["--out", str(out)]) == 0
         outs.append(out)
     a, b = outs
     assert (a / "gap_sweep.csv").read_bytes() == (b / "gap_sweep.csv").read_bytes()

@@ -22,14 +22,12 @@ from covergap.domain import (
 )
 from covergap.selberg import SpectralParameter, selberg_h
 from covergap.symmetric_group import (
-    HomTuple,
     Permutation,
     make_hom_tuple,
     sample_uniform_hom,
 )
 import covergap.cover_spectrum as cover_spectrum
 from covergap.cover_spectrum import (
-    CoverOperator,
     KrylovConvergenceError,
     _lanczos_top,
     _mean_zero_basis,

@@ -17,7 +17,7 @@ from covergap.hyperbolic import ball_area
 from covergap.selberg import h_peak
 import covergap.experiments as experiments
 from covergap.surface_group import MAX_R
-from covergap.symmetric_group import count_homs
+from covergap.symmetric_group import count_homs, sample_uniform_hom
 from covergap.experiments import (
     ComputeError,
     ExperimentConfig,
@@ -56,18 +56,22 @@ def test_config_defaults_validate():
         {"t": 5.0},
         {"grid_m": 10},
         {"n_list": (3, 2)},
+        {"n_list": (2, 2)},
         {"n_list": (1,)},
         {"n_list": ()},
         {"samples_per_n": 0},
         {"truncation_r_list": (0,)},
         {"truncation_r_list": (4, 1)},
+        {"truncation_r_list": (4, 4)},
         {"format": "xml"},
         {"epsilon_list": (0.0,)},
+        {"t_list": ()},
         {"t_list": (-1.0,)},
         {"t_list": (8.0,)},
         {"real_r_list": (-0.5,)},
         {"imag_a_list": (0.7,)},
         {"radius_list": (4.0, 2.0)},
+        {"radius_list": (4.0, 4.0)},
         {"radius_list": (0.0, MAX_R + 1.0)},
         {"n_max": 9},
         {"gof_draws": 10},
@@ -245,7 +249,7 @@ def test_draw_homs_require_transitive(tmp_path):
 
 def test_strong_convergence_fractions(tmp_path):
     cfg = _tiny_cfg(tmp_path, epsilon_list=[0.02, 10.0])
-    res = cmd_strong_convergence(cfg, threads=2)
+    res = cmd_strong_convergence(cfg)
     for eps, fracs in res["fractions"].items():
         for f in fracs:
             assert 0.0 <= f <= 1.0
@@ -313,6 +317,30 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
     assert last[1] == 32  # full rank on the 32-node grid
     assert float(last[2]) == 0.0 and float(last[3]) < 1e-9
     assert res["slope"] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_truncation_study_uses_first_transitive_draw(tmp_path, monkeypatch):
+    # at seed 9 the n = 2 draw at index 0 is not transitive, index 1 is
+    first = [derived_seed(9, 2, i) for i in range(2)]
+    assert [sample_uniform_hom(2, 2, seed=s).transitive for s in first] == \
+        [False, True]
+    used = []
+    build = experiments.build_cover_operator
+
+    def recording_build(blocks, hom):
+        used.append(hom)
+        return build(blocks, hom)
+
+    monkeypatch.setattr(experiments, "build_cover_operator", recording_build)
+    data = []
+    for samples in (1, 50):
+        cfg = _tiny_cfg(tmp_path / str(samples), n_list=[2], seed=9,
+                        samples_per_n=samples, truncation_r_list=[1, 4])
+        data.append(Path(cmd_truncation_study(cfg)["data"]).read_bytes())
+    assert data[0] == data[1]  # the study ignores samples_per_n
+    expected = sample_uniform_hom(2, 2, seed=first[1]).gens
+    assert [[p.images0 for p in h.gens] for h in used] == \
+        [[p.images0 for p in expected]] * 2
 
 
 def test_selberg_table_values(tmp_path):

@@ -126,6 +126,14 @@ def test_invert_boundaries():
     assert p.value == pytest.approx(0.5, abs=1e-8)
 
 
+def test_invert_at_peak_is_exact_zero():
+    # the peak itself maps to a = 0 exactly, not to a bisection endpoint
+    for t in (0.5, 1.0, 2.0):
+        p = invert_h(t, h_peak(t))
+        assert p.value == 0.0 and p.kind == "imaginary"
+        assert not p.clamped
+
+
 def test_invert_clamps_below_peak():
     p = invert_h(1.0, h_peak(1.0) - 0.1)
     assert p.value == 0.0
