@@ -43,10 +43,6 @@ class QuadratureGrid:
         if self.xy is None:
             self.xy = np.array([[p.x, p.y] for p in self.points])
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 def _triangle_area(A: HPoint, B: HPoint, C: HPoint) -> float:
     """Angle deficit pi - alpha - beta - gamma via the law of cosines."""
@@ -234,8 +230,6 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
 
 @dataclass
 class TruncatedBlock:
-    gamma: tuple
-    r: int
     left_factors: np.ndarray
     singular_values: np.ndarray
     right_factors: np.ndarray
@@ -262,8 +256,6 @@ def svd_truncate(block: OperatorBlock, r: int) -> TruncatedBlock:
         )
     keep = min(r, len(s))
     return TruncatedBlock(
-        gamma=block.gamma,
-        r=r,
         left_factors=U[:, :keep],
         singular_values=s[:keep],
         right_factors=Vt[:keep],

@@ -83,6 +83,10 @@ def _strictly_ascending(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
 
+def _distinct(xs) -> bool:
+    return len(set(xs)) == len(xs)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     genus: int = 2
@@ -124,18 +128,21 @@ class ExperimentConfig:
             raise UsageError("truncation ranks must be strictly ascending")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
-        if any(e <= 0 for e in self.epsilon_list):
-            raise UsageError("epsilons must be positive")
-        if not self.t_list or any(t <= 0 for t in self.t_list):
-            raise UsageError("t_list must be nonempty with positive entries")
+        for key in ("epsilon_list", "t_list"):
+            xs = getattr(self, key)
+            if not xs or not _distinct(xs) or any(x <= 0 for x in xs):
+                raise UsageError(f"{key} must be nonempty with distinct positive entries")
         if any(support_radius(t) > MAX_R for t in self.t_list):
             raise UsageError(
                 "t_list entries must keep the support search radius within "
                 f"the enumeration cap {MAX_R}")
-        if any(r < 0 for r in self.real_r_list):
-            raise UsageError("real spectral parameters must be nonnegative")
-        if any(not 0 <= a <= 0.5 for a in self.imag_a_list):
-            raise UsageError("imaginary spectral parameters must lie in [0, 1/2]")
+        if not _distinct(self.real_r_list) or any(r < 0 for r in self.real_r_list):
+            raise UsageError("real spectral parameters must be distinct and nonnegative")
+        imag = self.imag_a_list
+        if not _distinct(imag) or any(not 0 <= a <= 0.5 for a in imag):
+            raise UsageError("imaginary spectral parameters must be distinct, in [0, 1/2]")
+        if not self.real_r_list and not self.imag_a_list:
+            raise UsageError("real_r_list and imag_a_list must not both be empty")
         if any(R < 0 for R in self.radius_list) or not _strictly_ascending(
             self.radius_list
         ):
@@ -549,10 +556,7 @@ def _enumerate_hom_tuples(n: int):
     """All genus-2 tuples (A,B,C,D) with [A,B][C,D] = e, as image keys."""
     if math.factorial(n) ** 2 > 2_000_000:
         raise ComputeError("enumeration memory cap exceeded")
-    perms = [
-        Permutation(p, zero_based=True)
-        for p in itertools.permutations(range(n))
-    ]
+    perms = [Permutation(p) for p in itertools.permutations(range(n))]
     pairs_by_comm = {}
     for a in perms:
         for b in perms:

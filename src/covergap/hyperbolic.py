@@ -100,15 +100,8 @@ class Isometry:
     def __setattr__(self, *a):
         raise AttributeError("Isometry is immutable")
 
-    @property
-    def trace(self) -> float:
-        return float(self.m[0, 0] + self.m[1, 1])
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.m @ other.m)
-
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        return self.compose(other)
+        return Isometry(self.m @ other.m)
 
     def inverse(self) -> "Isometry":
         a, b, c, d = self.m.ravel()

@@ -52,8 +52,6 @@ class SpectralParameter:
 @dataclass(frozen=True)
 class TransformValue:
     value: float
-    t: float
-    param: SpectralParameter
     quadrature_error_estimate: float
 
 
@@ -104,7 +102,7 @@ def selberg_h(t: float, p: SpectralParameter) -> TransformValue:
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
-        return TransformValue(0.0, 0.0, p, 0.0)
+        return TransformValue(0.0, 0.0)
     if p.kind == "imaginary":
         a = p.value
         f = lambda u: np.cosh(a * u)
@@ -112,7 +110,7 @@ def selberg_h(t: float, p: SpectralParameter) -> TransformValue:
         r = p.value
         f = lambda u: np.cos(r * u)
     val, err = _integrate(f, t)
-    return TransformValue(FOUR_SQRT2 * val, t, p, FOUR_SQRT2 * err)
+    return TransformValue(FOUR_SQRT2 * val, FOUR_SQRT2 * err)
 
 
 def h_peak(t: float) -> float:

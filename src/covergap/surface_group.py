@@ -63,10 +63,6 @@ class SurfacePresentation:
             r += [a, b, -a, -b]
         return tuple(r)
 
-    @property
-    def n_generators(self) -> int:
-        return 2 * self.genus
-
 
 @lru_cache(maxsize=None)
 def _rotation_table(genus):
@@ -256,14 +252,10 @@ class SupportSet:
     """Group elements paired with their standard-letter words."""
 
     elements: list          # of (Word, Isometry)
-    radius_used: float
     displacements: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.elements)
-
-    def words(self):
-        return [w for w, _ in self.elements]
 
     def isometries(self):
         return [M for _, M in self.elements]
@@ -377,7 +369,7 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
     order.sort(key=lambda i: (disps[i], len(words[i]), words[i]))
     elements = [(dehn_reduce(words[i], pres), Isometry(mats[i])) for i in order]
     displacements = [math.acosh(min(max(disps[i], 1.0), 1e300)) for i in order]
-    return SupportSet(elements=elements, radius_used=R, displacements=displacements)
+    return SupportSet(elements=elements, displacements=displacements)
 
 
 def _boundary_samples(real: FuchsianRealization):
@@ -419,8 +411,7 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    radius = support_radius(t, real.circumradius)
-    cand = lattice_points(real, radius)
+    cand = lattice_points(real, support_radius(t, real.circumradius))
 
     S, gap = _boundary_samples(real)
     cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
@@ -442,4 +433,4 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
 
     elements = [e for e, a in zip(cand.elements, accept) if a]
     displacements = [d for d, a in zip(cand.displacements, accept) if a]
-    return SupportSet(elements=elements, radius_used=radius, displacements=displacements)
+    return SupportSet(elements=elements, displacements=displacements)

@@ -26,19 +26,18 @@ from scipy.sparse import csr_matrix
 
 
 class Permutation:
-    """A bijection of {1..n} in one-line notation.
+    """A bijection of {0..n-1} in one-line notation: images0[i] is the image
+    of i.
 
-    Composition is (p * q)(i) = p(q(i)). Internally zero-based tuples.
+    Composition is (p * q)(i) = p(q(i)).
     """
 
     __slots__ = ("images0",)
 
-    def __init__(self, images, zero_based=False):
-        t = tuple(images)
-        if not zero_based:
-            t = tuple(i - 1 for i in t)
+    def __init__(self, images0):
+        t = tuple(images0)
         if sorted(t) != list(range(len(t))):
-            raise ValueError("not a permutation of 1..n")
+            raise ValueError("not a permutation of 0..n-1")
         object.__setattr__(self, "images0", t)
 
     def __setattr__(self, *a):
@@ -46,34 +45,27 @@ class Permutation:
 
     def __reduce__(self):
         # pickle and deepcopy would restore the slot through __setattr__
-        return (Permutation, (self.images0, True))
+        return (Permutation, (self.images0,))
 
     @property
     def n(self) -> int:
         return len(self.images0)
 
-    @property
-    def images(self) -> Tuple[int, ...]:
-        return tuple(i + 1 for i in self.images0)
-
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(n), zero_based=True)
+        return Permutation(range(n))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError("size mismatch")
         p, q = self.images0, other.images0
-        return Permutation(tuple(p[j] for j in q), zero_based=True)
+        return Permutation(tuple(p[j] for j in q))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, j in enumerate(self.images0):
             inv[j] = i
-        return Permutation(inv, zero_based=True)
-
-    def __call__(self, i: int) -> int:
-        return self.images0[i - 1] + 1
+        return Permutation(inv)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images0 == other.images0
@@ -109,7 +101,7 @@ class Permutation:
         return s * self * s.inverse()
 
     def __repr__(self):
-        return f"Permutation({list(self.images)})"
+        return f"Permutation({list(self.images0)})"
 
 
 def commutator(A: Permutation, B: Permutation) -> Permutation:
@@ -237,52 +229,44 @@ class CharacterTable:
 MAX_N = 16
 
 
+@lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
     """Full integer character table of S_n, orthogonality-verified."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in [1, {MAX_N}]")
-    return _character_table_cached(n)
-
-
-@lru_cache(maxsize=None)
-def _character_table_cached(n: int) -> CharacterTable:
+    X = _table_array(n)
+    _verify_table(n, X)
     parts = partitions(n)
     sizes = tuple(class_size(n, mu) for mu in parts)
     # .tolist() gives Python ints: the sampler multiplies character values
     # and codimensions beyond int64
-    chi = tuple(map(tuple, _table_array(n).tolist()))
-    table = CharacterTable(n=n, partitions=parts, class_sizes=sizes, chi=chi)
-    _verify_table(table)
-    return table
+    chi = tuple(map(tuple, X.tolist()))
+    return CharacterTable(n=n, partitions=parts, class_sizes=sizes, chi=chi)
 
 
-def _column_gram(chi) -> np.ndarray:
-    """X^T X for the table X = chi (rows lambda, columns mu), in int64.
+def _verify_table(n: int, X: np.ndarray) -> None:
+    """Check the int64 character table X of S_n (rows lambda, columns mu in
+    partitions(n) order): the trivial row, the squared degrees, the size of
+    every value and column orthogonality.
 
-    Exact for any table whose entries satisfy |chi| <= sqrt(n!), which
-    _verify_table checks first: each product is then at most n!, and for
+    The Gram product X^T X is exact in int64 once |chi| <= sqrt(n!) holds,
+    which is checked before it: each product is then at most n!, and for
     n <= MAX_N = 16 a column sum of p(16) = 231 such terms stays below
     231 * 16! ~ 4.8e15, far inside int64. For a true table the sums are
     even smaller, |sum_lam chi_lam(mu) chi_lam(nu)| <= sqrt(z_mu z_nu) <= 16!
     ~ 2.1e13 by Cauchy-Schwarz.
     """
-    x = np.array(chi, dtype=np.int64)
-    return x.T @ x
-
-
-def _verify_table(tab: CharacterTable) -> None:
-    n, sizes, chi = tab.n, tab.class_sizes, tab.chi
     fact = math.factorial(n)
-    if any(v != 1 for v in chi[0]):
+    if (X[0] != 1).any():
         raise AssertionError("trivial character row is not all ones")
-    if sum(d * d for d in tab.dimensions) != fact:
+    # the degrees are the last column, the class (1^n); squared as Python ints
+    if sum(d * d for d in X[:, -1].tolist()) != fact:
         raise AssertionError("sum of squared dimensions != n!")
-    root = math.isqrt(fact)
-    if any(abs(v) > root for row in chi for v in row):
+    if np.abs(X).max() > math.isqrt(fact):
         raise AssertionError("character value exceeds sqrt(n!)")
     # column orthogonality: sum_lam chi_lam(mu) chi_lam(nu) = z_mu delta_mu,nu
-    want = np.diag([fact // s for s in sizes]).astype(np.int64)
-    bad = np.argwhere(np.triu(_column_gram(chi) != want))
+    want = np.diag([centralizer_order(mu) for mu in partitions(n)]).astype(np.int64)
+    bad = np.argwhere(np.triu(X.T @ X != want))
     if len(bad):
         mu, nu = bad[0]
         raise AssertionError(f"column orthogonality fails at {mu},{nu}")
@@ -399,14 +383,14 @@ def _canonical_of_type(n: int, ctype: Tuple[int, ...]) -> Permutation:
         for j in range(length):
             img[pos + j] = pos + (j + 1) % length
         pos += length
-    return Permutation(img, zero_based=True)
+    return Permutation(img)
 
 
 def _uniform_in_class(n: int, ctype: Tuple[int, ...], rng) -> Permutation:
     rep = _canonical_of_type(n, ctype)
     s = list(range(n))
     rng.shuffle(s)
-    return rep.conjugate_by(Permutation(s, zero_based=True))
+    return rep.conjugate_by(Permutation(s))
 
 
 def _matching_conjugator(p: Permutation, q: Permutation) -> Permutation:
@@ -421,7 +405,7 @@ def _matching_conjugator(p: Permutation, q: Permutation) -> Permutation:
         for cp, cq in zip(cps, by_len_q[length]):
             for a, b in zip(cp, cq):
                 img[a] = b
-    return Permutation(img, zero_based=True)
+    return Permutation(img)
 
 
 def _uniform_centralizer(p: Permutation, rng) -> Permutation:
@@ -438,7 +422,7 @@ def _uniform_centralizer(p: Permutation, rng) -> Permutation:
             off = rng.randrange(length)
             for j in range(length):
                 img[c[j]] = target[(j + off) % length]
-    return Permutation(img, zero_based=True)
+    return Permutation(img)
 
 
 def _weighted_choice(weights, rng) -> int:
@@ -463,7 +447,7 @@ def _class_elements(n: int, ctype: Tuple[int, ...]):
     rep = _canonical_of_type(n, ctype)
     seen = set()
     for s in itertools.permutations(range(n)):
-        p = rep.conjugate_by(Permutation(s, zero_based=True))
+        p = rep.conjugate_by(Permutation(s))
         if p.images0 not in seen:
             seen.add(p.images0)
             yield p
@@ -518,7 +502,6 @@ class HomTuple:
     gens: Tuple[Permutation, ...]  # (A1, B1, ..., Ag, Bg)
     relation_ok: bool
     transitive: bool
-    seed: object = None
 
 
 def _relation_holds(gens) -> bool:
@@ -546,7 +529,7 @@ def _orbits_cover_all(n: int, gens) -> bool:
     return len({find(i) for i in range(n)}) == 1
 
 
-def make_hom_tuple(n, genus, gens, seed=None) -> HomTuple:
+def make_hom_tuple(n, genus, gens) -> HomTuple:
     gens = tuple(gens)
     if len(gens) != 2 * genus:
         raise ValueError("need 2*genus generator images")
@@ -556,7 +539,6 @@ def make_hom_tuple(n, genus, gens, seed=None) -> HomTuple:
         gens=gens,
         relation_ok=_relation_holds(gens),
         transitive=_orbits_cover_all(n, gens),
-        seed=seed,
     )
 
 
@@ -614,7 +596,7 @@ def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
         target = target * x.inverse()
     pairs.append(_commutator_pair(target, rng))
     flat = tuple(p for ab in reversed(pairs) for p in ab)
-    out = make_hom_tuple(n, g, flat, seed=seed)
+    out = make_hom_tuple(n, g, flat)
     if not out.relation_ok:
         raise RuntimeError("sampled tuple violates the surface relation")
     return out

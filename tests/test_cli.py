@@ -124,6 +124,16 @@ def test_t_list_past_enumeration_cap_exit_code(tmp_path, capsys):
     (["selberg-table", "--t-list", ""], "t_list must be nonempty"),
     (["gap-sweep", "--n-list", "2,2", "--samples-per-n", "2"],
      "n_list must be nonempty and strictly ascending"),
+    # would write four identical rows
+    (["selberg-table", "--t-list", "1,1", "--real-r-list", "0,0",
+      "--imag-a-list", ""], "t_list must be nonempty with distinct"),
+    (["selberg-table", "--real-r-list", "0,0"], "must be distinct"),
+    (["selberg-table", "--real-r-list", "", "--imag-a-list", ""],
+     "must not both be empty"),
+    # would write a header-only table
+    (["strong-convergence", "--eps-list", ""], "epsilon_list must be nonempty"),
+    (["strong-convergence", "--eps-list", "0.1,0.1"],
+     "epsilon_list must be nonempty with distinct"),
 ])
 def test_bad_list_exit_code(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -121,7 +121,7 @@ def test_build_validation(small):
     with pytest.raises(ValueError):
         build_cover_operator([], hom)
     e = Permutation.identity(3)
-    bad = make_hom_tuple(3, 2, (Permutation([2, 3, 1]), Permutation([2, 1, 3]), e, e))
+    bad = make_hom_tuple(3, 2, (Permutation([1, 2, 0]), Permutation([1, 0, 2]), e, e))
     assert not bad.relation_ok
     with pytest.raises(ValueError):
         build_cover_operator(blocks, bad)

@@ -44,7 +44,7 @@ def test_grid_sizes_and_weight_sum(real):
     for target, m in ((400, 392), (1600, 1568)):
         g = build_grid(real, target)
         assert g.m == m == len(g.points) == len(g.weights)
-        assert abs(g.total_weight - 4.0 * math.pi) < 1e-10
+        assert abs(g.weights.sum() - 4.0 * math.pi) < 1e-10
         assert (g.weights > 0).all()
 
 
@@ -77,7 +77,7 @@ def test_identity_block_full_coverage(real, grid):
     b = assemble_block(ident, real.domain_diameter + 0.1, grid)
     sqw = np.sqrt(grid.weights)
     assert np.allclose(b.dense(), np.outer(sqw, sqw), atol=1e-14)
-    assert b.hs_norm == pytest.approx(grid.total_weight, rel=1e-12)
+    assert b.hs_norm == pytest.approx(grid.weights.sum(), rel=1e-12)
     s = np.linalg.svd(b.dense(), compute_uv=False)
     assert s[0] == pytest.approx(4.0 * math.pi, rel=1e-10)
     assert s[1] < 1e-12

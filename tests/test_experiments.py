@@ -65,11 +65,17 @@ def test_config_defaults_validate():
         {"truncation_r_list": (4, 4)},
         {"format": "xml"},
         {"epsilon_list": (0.0,)},
+        {"epsilon_list": ()},
+        {"epsilon_list": (0.1, 0.1)},
         {"t_list": ()},
         {"t_list": (-1.0,)},
         {"t_list": (8.0,)},
+        {"t_list": (1.0, 0.5, 1.0)},
         {"real_r_list": (-0.5,)},
+        {"real_r_list": (0.0, 0.0)},
         {"imag_a_list": (0.7,)},
+        {"imag_a_list": (0.5, 0.1, 0.5)},
+        {"real_r_list": (), "imag_a_list": ()},
         {"radius_list": (4.0, 2.0)},
         {"radius_list": (4.0, 4.0)},
         {"radius_list": (0.0, MAX_R + 1.0)},

@@ -1,0 +1,72 @@
+"""Every public name in covergap is read by the program or the benchmark.
+
+A public module-level function or class, or a public method or property of
+any class in src/covergap, must appear as a name or attribute in the code of
+src/covergap or perfbench; docstrings and comments do not count. Test
+oracles, which only tests read, are listed in ORACLES with the reason they
+stay.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "covergap").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+
+ORACLES = {
+    "top_norm": "AC1's full-fiber top eigenvalue, and the same-grid trivial "
+                "eigenvalue of ROADMAP item 1",
+    "ball_area": "the continuum value that AC1 and AC2 compare with",
+    "ball_kernel": "the scalar kernel k_t whose cosh-scale test assemble_block "
+                   "vectorizes",
+    "evaluate": "the matrix of a word, which the Dehn-reduction and "
+                "side-pairing tests compare with (AC8 reads letter_matrix)",
+    "in_fundamental_domain": "the Dirichlet-domain check of the grid nodes",
+}
+
+
+def _definitions(path):
+    """(name, line, is_member) of the public module-level defs and classes
+    and of the public methods and properties of every class in one file."""
+    tree = ast.parse(path.read_text())
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.lineno, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item.lineno, True
+
+
+def _loaded_names():
+    """The names and the attributes the readers load, in two sets: a member
+    is read only as an attribute, so a local variable of the same name does
+    not count for it."""
+    names, attrs = set(), set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _unread():
+    names, attrs = _loaded_names()
+    for path in SOURCES:
+        for name, line, is_member in _definitions(path):
+            if name not in attrs and (is_member or name not in names):
+                yield name, f"{path.name}:{line} {name}"
+
+
+def test_every_public_name_is_read_or_an_oracle():
+    unread = [where for name, where in _unread() if name not in ORACLES]
+    assert not unread, "public names only tests read: " + ", ".join(unread)
+
+
+def test_every_oracle_is_defined_and_unread():
+    # an entry that the program reads, or that is no longer defined, is stale
+    assert set(ORACLES) == {name for name, _ in _unread()}

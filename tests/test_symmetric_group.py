@@ -25,12 +25,12 @@ from covergap.symmetric_group import (
     MAX_N,
     Permutation,
     _beta_mask,
-    _column_gram,
     _commutator_pair,
     _f_k,
     _identity_target_weights,
     _pair_class_weights,
     _sampler_tables,
+    _table_array,
     _verify_table,
     character_table,
     centralizer_order,
@@ -48,7 +48,7 @@ from covergap.symmetric_group import (
 
 
 def _perm_objects(n):
-    return [Permutation(p, zero_based=True) for p in itertools.permutations(range(n))]
+    return [Permutation(p) for p in itertools.permutations(range(n))]
 
 
 def _comm_table(n):
@@ -72,12 +72,12 @@ def _commutator_counts(n):
 
 def test_composition_convention():
     # (p * q)(i) = p(q(i))
-    p = Permutation([2, 3, 1])  # 1->2, 2->3, 3->1
-    q = Permutation([1, 3, 2])
+    p = Permutation([1, 2, 0])  # 0->1, 1->2, 2->0
+    q = Permutation([0, 2, 1])
     pq = p * q
-    for i in (1, 2, 3):
-        assert pq(i) == p(q(i))
-    assert pq.images == (2, 1, 3)
+    for i in (0, 1, 2):
+        assert pq.images0[i] == p.images0[q.images0[i]]
+    assert pq.images0 == (1, 0, 2)
 
 
 def test_inverse_and_identity():
@@ -86,14 +86,14 @@ def test_inverse_and_identity():
         for _ in range(20):
             imgs = list(range(n))
             rng.shuffle(imgs)
-            p = Permutation(imgs, zero_based=True)
+            p = Permutation(imgs)
             assert (p * p.inverse()).is_identity()
             assert (p.inverse() * p).is_identity()
     assert Permutation.identity(4).is_identity()
 
 
 def test_cycle_structure():
-    p = Permutation([2, 1, 4, 5, 3])
+    p = Permutation([1, 0, 3, 4, 2])
     assert p.cycle_type() == (3, 2)
     assert sorted(len(c) for c in p.cycles()) == [2, 3]
     assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
@@ -111,18 +111,18 @@ def test_conjugation_preserves_type_and_moves_points():
 
 def test_permutation_validation_and_immutability():
     with pytest.raises(ValueError):
-        Permutation([1, 1, 3])
+        Permutation([0, 0, 2])
     with pytest.raises(ValueError):
-        Permutation([0, 1, 2])  # one-based input containing 0
-    p = Permutation([2, 1])
+        Permutation([1, 2, 3])  # one-based input, missing 0
+    p = Permutation([1, 0])
     with pytest.raises(AttributeError):
         p.images0 = (0, 1)
     with pytest.raises(ValueError):
-        Permutation([2, 1]) * Permutation([2, 1, 3])
+        Permutation([1, 0]) * Permutation([1, 0, 2])
 
 
 def test_permutation_and_tuple_pickle_and_deepcopy():
-    p = Permutation([2, 1, 3])
+    p = Permutation([1, 0, 2])
     t = sample_uniform_hom(6, 2, seed=3)
     for obj in (p, t):
         for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
@@ -277,8 +277,7 @@ def test_table_build_is_one_public_call(monkeypatch):
         return public(n)
 
     monkeypatch.setattr(symmetric_group, "character_table", counted)
-    for cached in (symmetric_group._sampler_tables,
-                   symmetric_group._character_table_cached,
+    for cached in (symmetric_group._sampler_tables, public,
                    symmetric_group._table_array):
         cached.cache_clear()
     symmetric_group._sampler_tables(12)
@@ -340,25 +339,35 @@ def test_row_orthogonality():
 
 
 def test_verify_table_names_the_broken_column_pair():
-    tab = character_table(5)
-    _verify_table(tab)
-    chi = [list(row) for row in tab.chi]
-    chi[2][1] += 1  # an interior entry: row 0 and the degrees stay intact
-    broken = CharacterTable(n=5, partitions=tab.partitions,
-                            class_sizes=tab.class_sizes,
-                            chi=tuple(tuple(r) for r in chi))
+    X = _table_array(5)
+    _verify_table(5, X)
+    broken = X.copy()
+    broken[2, 1] += 1  # an interior entry: row 0 and the degrees stay intact
     with pytest.raises(AssertionError,
                        match=r"column orthogonality fails at \d+,\d+") as err:
-        _verify_table(broken)
+        _verify_table(5, broken)
     pair = err.value.args[0].rsplit(" ", 1)[1].split(",")
     assert "1" in pair
+
+
+def test_verify_table_checks_trivial_row_degrees_and_bound():
+    X = _table_array(5)
+    # 11 > isqrt(5!) = 10; column -1 holds the degrees
+    for (i, j), value, message in (((0, 1), 2, "trivial character row"),
+                                   ((2, -1), X[2, -1] + 1, "squared dimensions"),
+                                   ((2, 1), 11, "exceeds sqrt")):
+        broken = X.copy()
+        broken[i, j] = value
+        with pytest.raises(AssertionError, match=message):
+            _verify_table(5, broken)
 
 
 def test_int64_gram_is_exact_at_max_n():
     # slow reference: the same Gram matrix in Python integers
     tab = character_table(MAX_N)
     cols = list(zip(*tab.chi))
-    gram = _column_gram(tab.chi)
+    X = _table_array(MAX_N)
+    gram = X.T @ X
     fact = math.factorial(MAX_N)
     for i, ci in enumerate(cols):
         for j in range(i, len(cols)):
@@ -508,7 +517,7 @@ def test_sampler_always_satisfies_relation():
 def test_commutator_pair_uniform_over_solutions():
     # fix a 3-cycle in S_4, enumerate all (A,B) with [A,B] = c, chi-square
     n = 4
-    c = Permutation([2, 3, 1, 4])
+    c = Permutation([1, 2, 0, 3])
     sols = [
         (a.images0, b.images0)
         for a in _perm_objects(n)
@@ -560,7 +569,7 @@ def test_genus3_class_marginals_match_enumeration():
     comm = _comm_table(n)
     perms = _perm_objects(n)
     keys = [p.images0 for p in perms]
-    comp = {(a, b): (Permutation(a, True) * Permutation(b, True)).images0
+    comp = {(a, b): (Permutation(a) * Permutation(b)).images0
             for a in keys for b in keys}
     inv = {p.images0: p.inverse().images0 for p in perms}
     ctype = {p.images0: p.cycle_type() for p in perms}
@@ -615,10 +624,10 @@ def test_make_hom_tuple_flags():
     e = Permutation.identity(n)
     t = make_hom_tuple(n, 2, (e, e, e, e))
     assert t.relation_ok and not t.transitive
-    cyc = Permutation([2, 3, 4, 1])
+    cyc = Permutation([1, 2, 3, 0])
     t2 = make_hom_tuple(n, 2, (cyc, e, e, e))
     assert t2.relation_ok and t2.transitive
-    a, b = Permutation([2, 3, 1, 4]), Permutation([1, 3, 4, 2])
+    a, b = Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1])
     t3 = make_hom_tuple(n, 1, (a, b))
     assert t3.relation_ok == commutator(a, b).is_identity()
     with pytest.raises(ValueError):
