@@ -16,7 +16,15 @@ from typing import List
 import numpy as np
 from scipy.sparse import csr_matrix, issparse, vstack
 
-from .hyperbolic import HPoint, distance, geodesic_point, mobius_apply, pairwise_cosh_distance
+from .hyperbolic import (
+    HPoint,
+    ball_candidates,
+    disk_tree,
+    distance,
+    geodesic_point,
+    mobius_apply,
+    pairwise_cosh_distance,
+)
 from .surface_group import (
     FuchsianRealization,
     SurfacePresentation,
@@ -42,6 +50,12 @@ class QuadratureGrid:
             raise ValueError("weights must be positive")
         if self.xy is None:
             self.xy = np.array([[p.x, p.y] for p in self.points])
+
+    @functools.cached_property
+    def tree(self):
+        """disk_tree of the nodes, built on first use and shared by every
+        translate's block."""
+        return disk_tree(self.xy)
 
 
 def _triangle_area(A: HPoint, B: HPoint, C: HPoint) -> float:
@@ -136,15 +150,31 @@ class OperatorBlock:
 
 def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     """Indicator-kernel block for one translate, stored sparse below 25%
-    density. The kernel is compared on the cosh scale, matching ball_kernel."""
+    density. The kernel is compared on the cosh scale, matching ball_kernel.
+
+    Only the node pairs that ball_candidates returns for the grid's tree are
+    tested; they include every pair within cosh t, so the kept pairs are
+    exactly those of the full m x m test. Sorted by row and then column they
+    are in CSR order, and the Hilbert-Schmidt norm sums the full m x m array
+    of squares, so both are bit-identical to the dense build.
+    """
     word, M = gamma
     image = mobius_apply(M.m, grid.xy)
-    mask = pairwise_cosh_distance(grid.xy, image) <= math.cosh(t)
+    cosh_t = math.cosh(t)
+    i, j = ball_candidates(grid.tree, image, cosh_t)
+    keep = pairwise_cosh_distance(grid.xy[i, None], image[j, None]).ravel() <= cosh_t
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
     sqw = np.sqrt(grid.weights)
-    mat = sqw[:, None] * mask * sqw[None, :]
+    m = grid.m
+    vals = sqw[i] * sqw[j]
+    mat = np.zeros((m, m))
+    mat[i, j] = vals
     hs = float(np.sqrt((mat * mat).sum()))
-    if mask.mean() < SPARSE_DENSITY:
-        mat = csr_matrix(mat)
+    if len(i) / (m * m) < SPARSE_DENSITY:
+        indptr = np.searchsorted(i, np.arange(m + 1))
+        mat = csr_matrix((vals, j, indptr), shape=(m, m))
     return OperatorBlock(gamma=gamma, matrix=mat, hs_norm=hs, t=t)
 
 

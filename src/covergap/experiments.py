@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise UsageError("truncation ranks must be strictly ascending")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
+        for key in ("t_list", "epsilon_list", "real_r_list", "radius_list"):
+            if not all(map(math.isfinite, getattr(self, key))):
+                raise UsageError(f"{key} entries must be finite")
         for key in ("epsilon_list", "t_list"):
             xs = getattr(self, key)
             if not xs or not _distinct(xs) or any(x <= 0 for x in xs):

@@ -4,16 +4,20 @@ Points, unit-determinant isometries acting by Mobius transformations,
 the distance function, hyperbolic ball areas and the radius-t ball
 indicator kernel k_t(z, w) = 1[d(z, w) <= t].
 
-Everything is kept in the half-plane model; the Poincare disk appears
-only transiently inside the octagon construction (surface_group).
+Everything is kept in the half-plane model. The Poincare disk appears
+only transiently: inside the octagon construction (surface_group) and as
+the chart in which disk_tree and ball_candidates cull pairs before the
+exact half-plane test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -160,19 +164,65 @@ def geodesic_point(z: HPoint, w: HPoint, s: float) -> HPoint:
 # vectorized helpers used by the grid / operator-assembly code
 
 def pairwise_cosh_distance(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """cosh d between every row of P (k,2) and every row of Q (l,2)."""
+    """cosh d between every row of P (..., k, 2) and every row of Q
+    (..., l, 2), shape (..., k, l); the leading axes broadcast.
+
+    So P[i, None] and Q[j, None] give the paired values cosh d(P_i, Q_j)
+    as an (N, 1, 1) array, each with exactly the roundings of its entry in
+    the full (k, l) matrix.
+    """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    dx = P[:, 0, None] - Q[None, :, 0]
-    dy = P[:, 1, None] - Q[None, :, 1]
+    dx = P[..., :, None, 0] - Q[..., None, :, 0]
+    dy = P[..., :, None, 1] - Q[..., None, :, 1]
     # in place, so fewer (k, l) temporaries are alive at once; the roundings
     # are those of 1 + (dx^2 + dy^2) / (2 (P_y Q_y)), as doubling is exact
     dx *= dx
     dy *= dy
     dx += dy
-    dx /= (2.0 * P[:, 1, None]) * Q[None, :, 1]
+    dx /= (2.0 * P[..., :, None, 1]) * Q[..., None, :, 1]
     dx += 1.0
     return dx
+
+
+def _disk(P: np.ndarray):
+    """Cayley images w = (z - i)/(z + i) of half-plane rows, as (k, 2)
+    coordinates, and 1 - |w|^2 = 4 y / |z + i|^2 without cancellation."""
+    x, y = P[:, 0], P[:, 1]
+    den = x * x + (y + 1.0) ** 2
+    return np.stack([(x * x + y * y - 1.0) / den, -2.0 * x / den], axis=1), 4.0 * y / den
+
+
+def disk_tree(P: np.ndarray) -> cKDTree:
+    """KD-tree on the Poincare-disk images, about the base point i, of the
+    half-plane rows P (k, 2); ball_candidates queries it."""
+    return cKDTree(_disk(np.asarray(P, dtype=float))[0])
+
+
+def ball_candidates(tree: cKDTree, Q: np.ndarray, cosh_t: float):
+    """Index pairs (i, j), with j ascending, of tree points i that may lie
+    within cosh distance cosh_t of the rows j of Q (l, 2).
+
+    The pairs are a superset of those whose computed pairwise_cosh_distance
+    is at most cosh_t, so filtering them with it gives exactly the full
+    matrix's pairs. The hyperbolic T-ball about a disk point w, |w| = rho,
+    lies in the Euclidean disk of radius tau (1 - rho^2) / (1 - rho tau)
+    about w, tau = tanh(T/2); its nearest point to the disk centre is that
+    far from w. Float error can only add candidates: cosh T is raised by
+    16 eps cosh T, more than a computed cosh <= cosh_t can hide, and the
+    radius by a relative 1e-9 and by 1e-14, more than the few-ulp absolute
+    error of disk coordinates below 1.
+    """
+    w, one_minus_rho2 = _disk(np.asarray(Q, dtype=float))
+    excess = cosh_t - 1.0 + 16.0 * np.finfo(float).eps * cosh_t
+    tau = math.sqrt(excess / (excess + 2.0))  # tanh(T/2) from cosh T
+    rho = np.hypot(w[:, 0], w[:, 1])
+    r = tau * one_minus_rho2 / (1.0 - rho * tau) * (1.0 + 1e-9) + 1e-14
+    hits = tree.query_ball_point(w, r, return_sorted=False)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    i = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
+                    count=int(counts.sum()))
+    return i, np.repeat(np.arange(len(hits)), counts)
 
 
 def mobius_apply(matrix: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -18,6 +18,8 @@ from .hyperbolic import (
     IDENTITY,
     HPoint,
     Isometry,
+    ball_candidates,
+    disk_tree,
     distance,
     geodesic_point,
     mobius_apply,
@@ -322,8 +324,8 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
     centers all lie within circumradius of the geodesic, so gamma is reached
     without ever leaving that padded ball. Pruning beyond it is safe.
     """
-    if R < 0:
-        raise ValueError("R must be nonnegative")
+    if not math.isfinite(R) or R < 0:
+        raise ValueError(f"R must be finite and nonnegative, got {R}")
     if R > MAX_R:
         raise ValueError(f"R={R} exceeds the enumeration cap {MAX_R}")
 
@@ -403,11 +405,15 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     i.e. exactly those that can contribute a nonzero kernel block.
 
     Candidates are enumerated out to 2*circumradius + t (triangle inequality:
-    the polygon sits inside the circumball), then filtered by the minimum
-    sample-pair distance over a dense boundary sample of the polygon. The
-    threshold is widened by one sample gap so no qualifying element can be
+    the polygon sits inside the circumball). One is accepted iff some pair of
+    a boundary sample and a translated boundary sample lies within the
+    threshold, t widened by one sample gap so no qualifying element can be
     missed; a borderline extra element only contributes a near-empty block.
-    The result is inverse-closed and contains the identity.
+    The sample pairs are culled by a KD-tree search in the disk model
+    (ball_candidates), whose candidates include every pair that passes, and
+    only they are tested on the cosh scale; so the result equals that of
+    testing every sample pair. The result is inverse-closed and contains the
+    identity.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -416,8 +422,12 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     S, gap = _boundary_samples(real)
     cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
 
-    accept = [(not w) or pairwise_cosh_distance(S, mobius_apply(M.m, S)).min() <= cosh_t
-              for w, M in cand.elements]
+    tree = disk_tree(S)
+    accept = []
+    for M in cand.isometries():
+        image = mobius_apply(M.m, S)
+        i, j = ball_candidates(tree, image, cosh_t)
+        accept.append(bool((pairwise_cosh_distance(S[i, None], image[j, None]) <= cosh_t).any()))
 
     # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair
     # predicate is symmetric in exact arithmetic, make it so in floats too

@@ -244,17 +244,25 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n=n, partitions=parts, class_sizes=sizes, chi=chi)
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X^T X of an integer table as a float64 BLAS product."""
+    Xf = X.astype(np.float64)
+    return Xf.T @ Xf
+
+
 def _verify_table(n: int, X: np.ndarray) -> None:
     """Check the int64 character table X of S_n (rows lambda, columns mu in
     partitions(n) order): the trivial row, the squared degrees, the size of
     every value and column orthogonality.
 
-    The Gram product X^T X is exact in int64 once |chi| <= sqrt(n!) holds,
-    which is checked before it: each product is then at most n!, and for
-    n <= MAX_N = 16 a column sum of p(16) = 231 such terms stays below
-    231 * 16! ~ 4.8e15, far inside int64. For a true table the sums are
-    even smaller, |sum_lam chi_lam(mu) chi_lam(nu)| <= sqrt(z_mu z_nu) <= 16!
-    ~ 2.1e13 by Cauchy-Schwarz.
+    The Gram product X^T X is taken in float64, where BLAS runs it, and is
+    exact once |chi| <= sqrt(n!) holds, which is checked before it: each
+    product is then an integer of size at most n!, and for n <= MAX_N = 16
+    every partial sum of p(16) = 231 such terms is an integer below
+    231 * 16! ~ 4.8e15 < 2^53, so no addition rounds in any order. For a
+    true table the sums are even smaller,
+    |sum_lam chi_lam(mu) chi_lam(nu)| <= sqrt(z_mu z_nu) <= 16! ~ 2.1e13 by
+    Cauchy-Schwarz.
     """
     fact = math.factorial(n)
     if (X[0] != 1).any():
@@ -265,8 +273,8 @@ def _verify_table(n: int, X: np.ndarray) -> None:
     if np.abs(X).max() > math.isqrt(fact):
         raise AssertionError("character value exceeds sqrt(n!)")
     # column orthogonality: sum_lam chi_lam(mu) chi_lam(nu) = z_mu delta_mu,nu
-    want = np.diag([centralizer_order(mu) for mu in partitions(n)]).astype(np.int64)
-    bad = np.argwhere(np.triu(X.T @ X != want))
+    want = np.diag([float(centralizer_order(mu)) for mu in partitions(n)])
+    bad = np.argwhere(np.triu(_gram(X) != want))
     if len(bad):
         mu, nu = bad[0]
         raise AssertionError(f"column orthogonality fails at {mu},{nu}")

@@ -134,6 +134,16 @@ def test_t_list_past_enumeration_cap_exit_code(tmp_path, capsys):
     (["strong-convergence", "--eps-list", ""], "epsilon_list must be nonempty"),
     (["strong-convergence", "--eps-list", "0.1,0.1"],
      "epsilon_list must be nonempty with distinct"),
+    # would write a row of nan, or never return: cosh(nan) disables pruning
+    (["selberg-table", "--t-list", "nan"], "t_list entries must be finite"),
+    (["strong-convergence", "--eps-list", "0.1,inf"],
+     "epsilon_list entries must be finite"),
+    (["selberg-table", "--t-list", "1", "--real-r-list", "nan",
+      "--imag-a-list", ""], "real_r_list entries must be finite"),
+    (["selberg-table", "--real-r-list", "0,inf"], "real_r_list entries must be finite"),
+    (["lattice-count", "--radius-list", "nan", "--t-list", "1"],
+     "radius_list entries must be finite"),
+    (["lattice-count", "--radius-list", "1,inf"], "radius_list entries must be finite"),
 ])
 def test_bad_list_exit_code(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -4,13 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from covergap.domain import (
+    SPARSE_DENSITY,
     QuadratureGrid,
     assemble_block,
     assemble_support_blocks,
     build_grid,
     svd_truncate,
+)
+from covergap.hyperbolic import (
+    IDENTITY,
+    HPoint,
+    ball_candidates,
+    mobius_apply,
+    pairwise_cosh_distance,
 )
 from covergap.surface_group import (
     build_bolza_realization,
@@ -60,8 +69,6 @@ def test_grid_rejects_small_target(real):
 
 
 def test_grid_validation():
-    from covergap.hyperbolic import HPoint
-
     with pytest.raises(ValueError):
         QuadratureGrid(points=[HPoint(0, 1)], weights=np.array([1.0, 2.0]), m=1)
     with pytest.raises(ValueError):
@@ -104,8 +111,6 @@ def test_adjoint_relation(real, grid, support):
 def test_hs_norm_matches_double_sum(real, grid):
     g = (real.side_pairing_words[0], real.side_pairings[0])
     b = assemble_block(g, 1.0, grid)
-    from covergap.hyperbolic import mobius_apply, pairwise_cosh_distance
-
     mask = pairwise_cosh_distance(grid.xy, mobius_apply(g[1].m, grid.xy)) <= math.cosh(1.0)
     oracle = math.sqrt(float((np.outer(grid.weights, grid.weights) * mask).sum()))
     assert abs(b.hs_norm - oracle) <= 1e-10
@@ -134,6 +139,69 @@ def test_zero_blocks_dropped(real, grid):
     blocks = assemble_support_blocks(ss, 0.0, grid)
     assert len(blocks) == 1
     assert blocks[0].gamma[0] == ()
+
+
+def _dense_block(gamma, t, grid):
+    """(matrix, hs_norm) from the full m x m mask, the assembly that the
+    culled search replaced."""
+    mask = pairwise_cosh_distance(grid.xy, mobius_apply(gamma[1].m, grid.xy)) <= math.cosh(t)
+    sqw = np.sqrt(grid.weights)
+    mat = sqw[:, None] * mask * sqw[None, :]
+    hs = float(np.sqrt((mat * mat).sum()))
+    if mask.mean() < SPARSE_DENSITY:
+        mat = csr_matrix(mat)
+    return mat, hs
+
+
+@pytest.mark.parametrize("t, target", [(1.0, 400), (2.0, 400), (1.0, 1600)])
+def test_blocks_equal_dense_assembly(real, t, target):
+    grid = build_grid(real, target)
+    dense_seen = False
+    for g in support_set(real, t).elements:
+        b = assemble_block(g, t, grid)
+        mat, hs = _dense_block(g, t, grid)
+        assert b.hs_norm == hs
+        assert b.is_sparse == (not isinstance(mat, np.ndarray))
+        if b.is_sparse:
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(b.matrix, name), getattr(mat, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        else:
+            dense_seen = True
+            assert b.matrix.tobytes() == mat.tobytes()
+    # t = 2 on 392 nodes has the one dense block, the identity's
+    assert dense_seen == (t == 2.0)
+
+
+def test_threshold_pair_kept_and_pair_above_dropped():
+    # z1 sits where the computed cosh d(z0, z1) equals cosh t exactly, z2 a
+    # few ulps farther; the widened search returns both pairs, and the
+    # cosh-scale test alone keeps the first and drops the second
+    t = 1.0
+    c = math.cosh(t)
+
+    def cosh_to(y):
+        return pairwise_cosh_distance([[0.0, 1.0]], [[0.0, y]])[0, 0]
+
+    y = math.exp(t)
+    while cosh_to(y) < c:
+        y = np.nextafter(y, np.inf)
+    while cosh_to(y) > c:
+        y = np.nextafter(y, 0.0)
+    assert cosh_to(y) == c
+    y_above = y
+    while cosh_to(y_above) < c + 2 * np.spacing(c):
+        y_above = np.nextafter(y_above, np.inf)
+    assert cosh_to(y_above) <= c + 8 * np.spacing(c)
+
+    pts = [HPoint(0.0, 1.0), HPoint(0.0, float(y)), HPoint(0.0, float(y_above))]
+    grid = QuadratureGrid(points=pts, weights=np.ones(3), m=3)
+    i, j = ball_candidates(grid.tree, grid.xy, c)
+    assert {(0, 1), (0, 2)} <= set(zip(i.tolist(), j.tolist()))
+    D = assemble_block(((), IDENTITY), t, grid).dense()
+    assert D[0, 1] == 1.0
+    assert D[0, 2] == 0.0
 
 
 # -------------------------------------------------------------- truncation

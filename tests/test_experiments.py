@@ -79,6 +79,11 @@ def test_config_defaults_validate():
         {"radius_list": (4.0, 2.0)},
         {"radius_list": (4.0, 4.0)},
         {"radius_list": (0.0, MAX_R + 1.0)},
+        {"t_list": (math.nan,)},
+        {"epsilon_list": (math.inf,)},
+        {"real_r_list": (math.nan,)},
+        {"real_r_list": (0.0, math.inf)},
+        {"radius_list": (math.nan,)},
         {"n_max": 9},
         {"gof_draws": 10},
         {"gof_alpha": 1.0},

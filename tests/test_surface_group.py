@@ -8,9 +8,10 @@ import random
 import numpy as np
 import pytest
 
-from covergap.hyperbolic import HPoint, distance
+from covergap.hyperbolic import HPoint, distance, mobius_apply, pairwise_cosh_distance
 from covergap.surface_group import (
     MAX_R,
+    _boundary_samples,
     _cell,
     _orbit_points,
     _OrbitIndex,
@@ -291,6 +292,13 @@ def test_lattice_enumeration_cap(real):
         lattice_points(real, MAX_R + 0.5)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_lattice_rejects_non_finite_radius(real, R):
+    # cosh(nan) would disable the pruning and the search would never end
+    with pytest.raises(ValueError, match="finite"):
+        lattice_points(real, R)
+
+
 def test_lattice_against_unpruned_enumeration(real):
     # oracle: all products of side pairings to depth 7, no pruning, dedup by
     # rounded sign-normalized entries; compare the displacement <= R slices
@@ -437,3 +445,34 @@ def test_support_t0_elements_touch_domain(real):
         dy = X[:, 1][:, None] - gy[None, :]
         cmin = (1.0 + (dx * dx + dy * dy) / (2.0 * X[:, 1][:, None] * gy[None, :])).min()
         assert math.acosh(max(1.0, cmin)) < 0.2
+
+
+def _dense_support_set(real, t):
+    """support_set with the full boundary-sample matrix of every candidate
+    and its minimum, the filter that the culled search replaced."""
+    cand = lattice_points(real, support_radius(t, real.circumradius))
+    S, gap = _boundary_samples(real)
+    cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
+    accept = [(not w) or pairwise_cosh_distance(S, mobius_apply(M.m, S)).min() <= cosh_t
+              for w, M in cand.elements]
+    index = _OrbitIndex()
+    for x, y in zip(*_orbit_points(np.stack([M.m for M in cand.isometries()]))):
+        index.add(x, y)
+    inverses = _orbit_points(np.stack([M.inverse().m for M in cand.isometries()]))
+    for i, (x, y) in enumerate(zip(*inverses)):
+        if accept[i]:
+            j = index.find(x, y)
+            if j is not None:
+                accept[j] = True
+    return [(e, d) for e, d, a in zip(cand.elements, cand.displacements, accept) if a]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 2.5])
+def test_support_set_equals_dense_filter(real, t):
+    # same elements in the same order, same matrices and displacements
+    got = support_set(real, t)
+    want = _dense_support_set(real, t)
+    assert [w for w, _ in got.elements] == [w for (w, _), _ in want]
+    assert [M.m.tobytes() for M in got.isometries()] == \
+        [M.m.tobytes() for (_, M), _ in want]
+    assert got.displacements == [d for _, d in want]

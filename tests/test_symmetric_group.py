@@ -27,6 +27,7 @@ from covergap.symmetric_group import (
     _beta_mask,
     _commutator_pair,
     _f_k,
+    _gram,
     _identity_target_weights,
     _pair_class_weights,
     _sampler_tables,
@@ -362,12 +363,13 @@ def test_verify_table_checks_trivial_row_degrees_and_bound():
             _verify_table(5, broken)
 
 
-def test_int64_gram_is_exact_at_max_n():
+def test_float64_gram_is_exact_at_max_n():
     # slow reference: the same Gram matrix in Python integers
     tab = character_table(MAX_N)
     cols = list(zip(*tab.chi))
     X = _table_array(MAX_N)
-    gram = X.T @ X
+    gram = _gram(X)
+    assert gram.dtype == np.float64
     fact = math.factorial(MAX_N)
     for i, ci in enumerate(cols):
         for j in range(i, len(cols)):
