@@ -266,20 +266,26 @@ def _factored_product(tb):
     return lambda X: Ls @ (R @ X)
 
 
-def truncation_components(op: CoverOperator, r: int, seed=0) -> dict:
-    """Truncated-operator norm plus the error-budget pieces for rank r."""
-    truncs = [svd_truncate(b, r) for b in op.blocks]
-    sigma_total = sum(tb.op_error_bound for tb in truncs)
-    products = [_factored_product(tb) for tb in truncs]
-    res = _lanczos_top(
-        lambda x: _apply(op, lambda X: [p(X) for p in products], x),
-        op.dimension, seed)
-    hs_ref = sum(b.hs_norm for b in op.blocks) / math.sqrt(r)
-    return {
-        "r": r,
-        "truncated_top": res.top,
-        "sigma_error_total": sigma_total,
-        "certified_gap": 2.0 * sigma_total,
-        "hs_reference": hs_ref,
-        "bound": res.top + sigma_total,
-    }
+def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
+    """Truncated-operator norm plus the error-budget pieces, one record per
+    rank in ranks, from one SVD per block shared by every rank."""
+    if not ranks:
+        return []
+    per_block = [svd_truncate(b, ranks) for b in op.blocks]
+    hs_total = sum(b.hs_norm for b in op.blocks)
+    records = []
+    for r, truncs in zip(ranks, zip(*per_block)):
+        sigma_total = sum(tb.op_error_bound for tb in truncs)
+        products = [_factored_product(tb) for tb in truncs]
+        res = _lanczos_top(
+            lambda x: _apply(op, lambda X: [p(X) for p in products], x),
+            op.dimension, seed)
+        records.append({
+            "r": r,
+            "truncated_top": res.top,
+            "sigma_error_total": sigma_total,
+            "certified_gap": 2.0 * sigma_total,
+            "hs_reference": hs_total / math.sqrt(r),
+            "bound": res.top + sigma_total,
+        })
+    return records

@@ -129,16 +129,6 @@ class OperatorBlock:
             return self.matrix.toarray()
         return self.matrix
 
-    @functools.cached_property
-    def svd(self):
-        """Thin SVD (U, s, Vt) of the dense block, computed once and shared
-        by every truncation rank; the factors are read-only so that no rank
-        can corrupt what the others read."""
-        factors = np.linalg.svd(self.dense(), full_matrices=False)
-        for f in factors:
-            f.flags.writeable = False
-        return factors
-
     @property
     def is_sparse(self) -> bool:
         return issparse(self.matrix)
@@ -269,25 +259,35 @@ class TruncatedBlock:
         return (self.left_factors * self.singular_values) @ self.right_factors
 
 
-def svd_truncate(block: OperatorBlock, r: int) -> TruncatedBlock:
-    """Best rank-r approximation, sliced from the block's cached SVD; the
+def svd_truncate(block: OperatorBlock, ranks) -> list:
+    """Best rank-r approximation for every r in ranks, from one SVD of the
+    block. Only the top max(ranks) columns of U and rows of Vt are kept,
+    as read-only copies that every rank slices, so the full factors are
+    freed at once and no rank can corrupt what the others read. The
     discarded top singular value is the spectral-norm error and is
     certified <= hs_norm / sqrt(r) because
     (r+1) sigma_{r+1}^2 <= sum sigma_j^2 = hs_norm^2."""
-    if r < 1:
-        raise ValueError("rank must be at least 1")
-    U, s, Vt = block.svd
-    bound = s[r] if r < len(s) else 0.0
-    cert = block.hs_norm / math.sqrt(r)
-    if bound > cert * (1.0 + 1e-9) + 1e-12:
-        raise RuntimeError(
-            f"sigma_{r + 1} = {bound} exceeds hs/sqrt(r) = {cert}: "
-            "inconsistent SVD or hs_norm"
-        )
-    keep = min(r, len(s))
-    return TruncatedBlock(
-        left_factors=U[:, :keep],
-        singular_values=s[:keep],
-        right_factors=Vt[:keep],
-        op_error_bound=bound,
-    )
+    if min(ranks, default=0) < 1:
+        raise ValueError("ranks must be nonempty and at least 1")
+    U, s, Vt = np.linalg.svd(block.dense(), full_matrices=False)
+    top = min(max(ranks), len(s))
+    U, Vt = U[:, :top].copy(), Vt[:top].copy()
+    for f in (U, s, Vt):
+        f.flags.writeable = False
+    truncs = []
+    for r in ranks:
+        bound = s[r] if r < len(s) else 0.0
+        cert = block.hs_norm / math.sqrt(r)
+        if bound > cert * (1.0 + 1e-9) + 1e-12:
+            raise RuntimeError(
+                f"sigma_{r + 1} = {bound} exceeds hs/sqrt(r) = {cert}: "
+                "inconsistent SVD or hs_norm"
+            )
+        keep = min(r, len(s))
+        truncs.append(TruncatedBlock(
+            left_factors=U[:, :keep],
+            singular_values=s[:keep],
+            right_factors=Vt[:keep],
+            op_error_bound=bound,
+        ))
+    return truncs

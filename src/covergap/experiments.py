@@ -502,11 +502,10 @@ def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
     ranks = [r for r in cfg.truncation_r_list if r <= grid.m]
     skipped = [r for r in cfg.truncation_r_list if r > grid.m]
     rows = []
-    for r in ranks:
-        comp = truncation_components(op, r, seed=cfg.seed)
+    for comp in truncation_components(op, ranks, seed=cfg.seed):
         observed = abs(comp["truncated_top"] - full)
         rows.append([
-            n, r, _fmt(comp["certified_gap"]), _fmt(observed),
+            n, comp["r"], _fmt(comp["certified_gap"]), _fmt(observed),
             _fmt(comp["hs_reference"]), _fmt(comp["bound"]), _fmt(full),
         ])
     data_path = _write_table(

@@ -448,19 +448,6 @@ def _weighted_choice(weights, rng) -> int:
 _REJECT_CAP = 100000
 
 
-def _class_elements(n: int, ctype: Tuple[int, ...]):
-    """All elements of one conjugacy class (small-class fallback)."""
-    import itertools
-
-    rep = _canonical_of_type(n, ctype)
-    seen = set()
-    for s in itertools.permutations(range(n)):
-        p = rep.conjugate_by(Permutation(s))
-        if p.images0 not in seen:
-            seen.add(p.images0)
-            yield p
-
-
 def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
     """Uniform (A, B) with [A, B] = c, among all M(c) such pairs.
 
@@ -473,25 +460,13 @@ def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
     n = c.n
     st = _sampler_tables(n)
     weights = _pair_class_weights(n, c.cycle_type())
-    k_idx = _weighted_choice(weights, rng)
-    ktype = st.types[k_idx]
-    u = None
+    ktype = st.types[_weighted_choice(weights, rng)]
     for _ in range(_REJECT_CAP):
-        cand = _uniform_in_class(n, ktype, rng)
-        if (cand.inverse() * c).cycle_type() == ktype:
-            u = cand
+        u = _uniform_in_class(n, ktype, rng)
+        if (u.inverse() * c).cycle_type() == ktype:
             break
-    if u is None:
-        # expected tries are on the order of the class count, so reaching
-        # here is freak weather; enumerate the class if that is feasible
-        if st.sizes[k_idx] > 2_000_000:
-            raise RuntimeError("commutator realization did not converge")
-        pool = [
-            p
-            for p in _class_elements(n, ktype)
-            if (p.inverse() * c).cycle_type() == ktype
-        ]
-        u = pool[rng.randrange(len(pool))]
+    else:
+        raise RuntimeError("commutator realization did not converge")
     v = u.inverse() * c
     b0 = _matching_conjugator(u.inverse(), v)
     B = b0 * _uniform_centralizer(u.inverse(), rng)

@@ -77,7 +77,7 @@ def _dense_operator(op, r=None):
         # column j of the fiber factor picks source column idx[j]
         for j in range(n):
             P[idx[j], j] = 1.0
-        A = b.dense() if r is None else svd_truncate(b, r).dense()
+        A = b.dense() if r is None else svd_truncate(b, [r])[0].dense()
         mats.append(np.kron(A, P.T))
     M = sum(mats)
     if op.fiber == "mean-zero":
@@ -171,7 +171,7 @@ def test_empty_fiber_at_n_one(small):
     op = build_cover_operator(blocks, hom, fiber="mean-zero")
     assert op.dimension == 0
     assert matvec(op, np.zeros(0)).shape == (0,)
-    for solve in (top_norm, estimate_gap, lambda o: truncation_components(o, 2)):
+    for solve in (top_norm, estimate_gap, lambda o: truncation_components(o, [2])):
         with pytest.raises(ValueError, match="empty fiber"):
             solve(op)
 
@@ -237,7 +237,7 @@ def test_stacked_matrix_built_once_and_not_by_truncation(small, monkeypatch):
 
     monkeypatch.setattr(domain, "vstack", counted_vstack)
     op = build_cover_operator(family, sample_uniform_hom(4, 2, seed=2))
-    truncation_components(op, 4, seed=0)
+    truncation_components(op, [4], seed=0)
     assert builds == [] and "stacked" not in vars(family)
     for seed in (0, 1):
         op = build_cover_operator(family, sample_uniform_hom(3, 2, seed=seed))
@@ -437,7 +437,7 @@ def test_truncation_exact_at_full_rank(small):
     grid, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=2))
     full = top_norm(op, seed=0)
-    comp = truncation_components(op, grid.m, seed=0)
+    [comp] = truncation_components(op, [grid.m], seed=0)
     assert comp["bound"] == pytest.approx(full, abs=1e-10)
 
 
@@ -446,8 +446,7 @@ def test_truncation_bound_brackets_norm(small):
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=6))
     full = top_norm(op, seed=0)
     prev_gap = None
-    for r in (1, 4, 16, 32):
-        comp = truncation_components(op, r, seed=0)
+    for comp in truncation_components(op, [1, 4, 16, 32], seed=0):
         bound = comp["bound"]
         assert bound >= full - comp["certified_gap"] - 1e-9
         gap = abs(bound - full)
@@ -466,8 +465,19 @@ def test_truncated_top_close_to_full_dense_oracle(small):
         op = build_cover_operator(blocks, sample_uniform_hom(3, 2, seed=seed))
         M = _dense_operator(op)
         full = np.linalg.eigvalsh(M).max()
-        for r in (2, 8):
-            comp = truncation_components(op, r, seed=0)
+        for r, comp in zip((2, 8), truncation_components(op, [2, 8], seed=0)):
             truncated = np.linalg.eigvalsh(_dense_operator(op, r)).max()
             assert comp["truncated_top"] == pytest.approx(truncated, rel=1e-9)
             assert abs(comp["truncated_top"] - full) <= comp["sigma_error_total"] + 1e-9
+
+
+def test_truncation_one_pass_equals_per_rank_calls(small):
+    # one SVD per block serves every rank, and each record is exactly what
+    # a study of that rank alone gives
+    _, blocks = small
+    op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=5))
+    joint = truncation_components(op, [2, 8], seed=3)
+    assert [c["r"] for c in joint] == [2, 8]
+    assert joint == (truncation_components(op, [2], seed=3)
+                     + truncation_components(op, [8], seed=3))
+    assert truncation_components(op, [], seed=3) == []

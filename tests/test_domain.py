@@ -209,7 +209,7 @@ def test_threshold_pair_kept_and_pair_above_dropped():
 def test_svd_exact_at_full_rank(real, grid):
     g = (real.side_pairing_words[0], real.side_pairings[0])
     b = assemble_block(g, 1.0, grid)
-    tb = svd_truncate(b, grid.m)
+    [tb] = svd_truncate(b, [grid.m])
     assert tb.op_error_bound == 0.0
     assert np.allclose(tb.dense(), b.dense(), atol=1e-10)
 
@@ -219,8 +219,8 @@ def test_svd_bound_and_frobenius(real, grid):
     b = assemble_block(g, 1.0, grid)
     s = np.linalg.svd(b.dense(), compute_uv=False)
     assert abs((s * s).sum() - b.hs_norm**2) <= 1e-10 * b.hs_norm**2
-    for r in range(1, 41):
-        tb = svd_truncate(b, r)
+    ranks = range(1, 41)
+    for r, tb in zip(ranks, svd_truncate(b, ranks)):
         assert tb.op_error_bound == pytest.approx(s[r] if r < len(s) else 0.0, abs=1e-14)
         assert tb.op_error_bound <= b.hs_norm / math.sqrt(r) + 1e-12
         assert len(tb.singular_values) <= r
@@ -230,26 +230,30 @@ def test_svd_spectral_error_is_next_singular_value(real, grid):
     g = (real.side_pairing_words[1], real.side_pairings[1])
     b = assemble_block(g, 1.0, grid)
     A = b.dense()
-    for r in (3, 10):
-        tb = svd_truncate(b, r)
+    for tb in svd_truncate(b, [3, 10]):
         err = np.linalg.norm(A - tb.dense(), 2)
         assert err == pytest.approx(tb.op_error_bound, abs=1e-10)
 
 
-def test_svd_factors_are_shared_and_read_only(real, grid):
-    # every rank slices one cached SVD, so a write through one truncation
-    # would corrupt all the others
+def test_svd_ranks_share_one_read_only_top_slice(real, grid):
+    # one SVD serves every rank: all of them slice one read-only copy of
+    # the top max(ranks) factors, so the full U and Vt are not kept and a
+    # write through one truncation cannot corrupt the others
     g = (real.side_pairing_words[2], real.side_pairings[2])
     b = assemble_block(g, 1.0, grid)
-    tb = svd_truncate(b, 3)
-    assert np.shares_memory(tb.left_factors, svd_truncate(b, 8).left_factors)
-    for arr in (tb.left_factors, tb.singular_values, tb.right_factors):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+    truncs = svd_truncate(b, [3, 8, 5])
+    U, Vt = truncs[0].left_factors.base, truncs[0].right_factors.base
+    assert U.shape == (grid.m, 8) and Vt.shape == (8, grid.m)
+    for tb in truncs:
+        assert tb.left_factors.base is U and tb.right_factors.base is Vt
+        for arr in (tb.left_factors, tb.singular_values, tb.right_factors):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 def test_svd_rejects_bad_rank(real, grid):
     g = (real.side_pairing_words[0], real.side_pairings[0])
     b = assemble_block(g, 1.0, grid)
-    with pytest.raises(ValueError):
-        svd_truncate(b, 0)
+    for ranks in ([0], [4, 0], []):
+        with pytest.raises(ValueError):
+            svd_truncate(b, ranks)

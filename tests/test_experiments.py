@@ -330,6 +330,26 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
     assert res["slope"] == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_truncation_study_with_every_rank_skipped(tmp_path, monkeypatch):
+    # ranks above the 32-node grid are skipped before any SVD is made
+    cfg = _tiny_cfg(tmp_path, truncation_r_list=[64, 128])
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    res = cmd_truncation_study(cfg)
+    assert calls == [] and res["rows"] == []
+    assert Path(res["data"]).read_bytes().decode().split("\r\n") == [
+        "n,r,certified_gap,observed_diff,hs_reference,truncated_bound,full_norm",
+        "",
+    ]
+    assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == [64, 128]
+
+
 def test_truncation_study_uses_first_transitive_draw(tmp_path, monkeypatch):
     # at seed 9 the n = 2 draw at index 0 is not transitive, index 1 is
     first = [derived_seed(9, 2, i) for i in range(2)]

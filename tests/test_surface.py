@@ -4,10 +4,11 @@ A public module-level function or class, or a public method or property of
 any class in src/covergap, must appear as a name or attribute in the code of
 src/covergap or perfbench; docstrings and comments do not count. Test
 oracles, which only tests read, are listed in ORACLES with the reason they
-stay.
+stay. Every name the benchmark's tracer wraps must also still exist.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,3 +71,19 @@ def test_every_public_name_is_read_or_an_oracle():
 def test_every_oracle_is_defined_and_unread():
     # an entry that the program reads, or that is no longer defined, is stale
     assert set(ORACLES) == {name for name, _ in _unread()}
+
+
+def test_benchmark_tracer_wraps_and_restores(monkeypatch):
+    # perfbench/child.py wraps covergap functions by name, so a refactor
+    # that drops or renames one fails here as well as in the traced run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    child = importlib.import_module("child")
+    tracer = child.Tracer()
+    child._install(tracer, {"ops": {}})
+    wrapped = list(tracer._undo)
+    assert wrapped
+    assert all(getattr(module, attr) is not original
+               for module, attr, original in wrapped)
+    tracer.restore()
+    assert all(getattr(module, attr) is original
+               for module, attr, original in wrapped)

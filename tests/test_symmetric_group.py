@@ -540,6 +540,13 @@ def test_commutator_pair_uniform_over_solutions():
     assert stat < chi2.ppf(0.999, len(sols) - 1)
 
 
+def test_commutator_pair_raises_when_rejection_runs_out(monkeypatch):
+    # once the rejection tries are spent the realization fails loudly
+    monkeypatch.setattr(symmetric_group, "_REJECT_CAP", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _commutator_pair(Permutation([1, 2, 0, 3]), random.Random(0))
+
+
 def test_sampler_uniform_over_full_solution_set():
     # enumerate all 486 genus-2 solutions in S_3 and chi-square the sampler
     n = 3
