@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    for key in ("data", "summary", "meta"):
+    for key in ("gap_data", "gap_summary", "gap_meta", "data", "summary", "meta"):
         if key in result:
             print(f"wrote {result[key]}")
     return 0

@@ -190,14 +190,13 @@ class SpectralEstimate:
     """Gap estimate from one cover operator.
 
     lambda_lower_bound = 1/4 - a^2 with a read off the inverse transform of
-    max(op_norm, peak). When the norm exceeds the peak the same number is
-    reported as the estimated first new eigenvalue; the linearized bound
-    1/4 - (norm - peak)/c(t) is a strictly weaker cross-check.
+    op_norm clamped to [h_t(0), ball area]. When the norm exceeds the peak
+    the same number is reported as the estimated first new eigenvalue; the
+    linearized bound 1/4 - (norm - peak)/c(t) is a strictly weaker
+    cross-check.
     """
 
     op_norm: float
-    peak_baseline: float
-    param: SpectralParameter
     lambda_lower_bound: float
     lambda_exact_if_below_quarter: Optional[float]
     linearized_lower_bound: float
@@ -230,17 +229,11 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
             f"row-sum certificate {ceiling}: inconsistent with a ball "
             f"kernel of this radius"
         )
-    if v > ball:
-        param = SpectralParameter("imaginary", 0.5, clamped=True)
-    else:
-        param = invert_h(t, max(v, peak))
-    a = param.value
+    a = invert_h(t, min(max(v, peak), ball)).value
     lam = 0.25 - a * a
     c = gap_lower_bound_coefficient(t)
     return SpectralEstimate(
         op_norm=v,
-        peak_baseline=peak,
-        param=param,
         lambda_lower_bound=lam,
         lambda_exact_if_below_quarter=lam if v > peak else None,
         linearized_lower_bound=0.25 - max(v - peak, 0.0) / c,

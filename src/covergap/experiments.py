@@ -120,6 +120,8 @@ class ExperimentConfig:
         for n in self.n_list:
             if not 2 <= n <= MAX_N:
                 raise UsageError(f"cover degree {n} outside [2, {MAX_N}]")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.samples_per_n < 1:
             raise UsageError("samples_per_n must be positive")
         if not self.truncation_r_list or any(r < 1 for r in self.truncation_r_list):
@@ -364,20 +366,6 @@ def _collect_gap_records(draws, blocks):
 _STAGES = ("setup", "sampling", "solve", "write")
 
 
-def _gap_sweep(cfg: ExperimentConfig):
-    """Set-up, draws and solves of one gap sweep: the records, the first
-    failure, and the clock readings at the start and at the end of each of
-    the first three _STAGES."""
-    marks = [time.perf_counter()]
-    _, _, blocks = _assemble(cfg)
-    marks.append(time.perf_counter())
-    draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
-    marks.append(time.perf_counter())
-    records, failure = _collect_gap_records(draws, blocks)
-    marks.append(time.perf_counter())
-    return records, failure, marks
-
-
 def _stage_seconds(marks) -> dict:
     """Seconds of each of _STAGES between consecutive clock readings; they
     sum to the span from the first reading to the last."""
@@ -413,7 +401,13 @@ def _fit_loglog(xs, ys):
 
 def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Per-sample gap records plus a per-n median-deficit summary."""
-    records, failure, marks = _gap_sweep(cfg)
+    marks = [time.perf_counter()]
+    _, _, blocks = _assemble(cfg)
+    marks.append(time.perf_counter())
+    draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
+    marks.append(time.perf_counter())
+    records, failure = _collect_gap_records(draws, blocks)
+    marks.append(time.perf_counter())
     data_path = _write_table(
         _outpath(cfg, "gap_sweep.csv"), GAP_HEADER,
         [r.row() for r in records], cfg.format,
@@ -453,8 +447,13 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
 
 def cmd_strong_convergence(cfg: ExperimentConfig) -> dict:
-    """Exceedance fractions of op_norm > (1+eps) h_peak(t), per (n, eps)."""
-    records, failure, marks = _gap_sweep(cfg)
+    """Exceedance fractions of op_norm > (1+eps) h_peak(t), per (n, eps).
+
+    The table is read off the records of one gap sweep, whose files are
+    written too; a sweep that fails raises before the table is written."""
+    t_start = time.perf_counter()
+    sweep = cmd_gap_sweep(cfg)
+    records = sweep["records"]
     peak = h_peak(cfg.t)
     rows = []
     fractions = {eps: [] for eps in cfg.epsilon_list}
@@ -476,38 +475,36 @@ def cmd_strong_convergence(cfg: ExperimentConfig) -> dict:
         ["n", "epsilon", "threshold", "exceed_count", "samples", "fraction"],
         rows, cfg.format,
     )
-    marks.append(time.perf_counter())
     meta_path = _write_meta(
-        _outpath(cfg, "strong_convergence_meta.json"), cfg, marks[-1] - marks[0],
-        extra={"h_peak": peak, "nonincreasing": trend,
-               "sample_seconds": _sample_seconds(records),
-               "stage_seconds": _stage_seconds(marks)},
-        partial=failure is not None,
+        _outpath(cfg, "strong_convergence_meta.json"), cfg,
+        time.perf_counter() - t_start,
+        extra={"h_peak": peak, "nonincreasing": trend},
     )
-    if failure is not None:
-        raise ComputeError(f"strong-convergence sweep incomplete: {failure}")
-    return {"data": data_path, "meta": meta_path, "trend": trend,
-            "records": records, "fractions": fractions}
+    return {"gap_data": sweep["data"], "gap_summary": sweep["summary"],
+            "gap_meta": sweep["meta"], "data": data_path, "meta": meta_path,
+            "records": records, "summary_dict": sweep["summary_dict"],
+            "trend": trend, "fractions": fractions}
 
 
 def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Certified truncation budgets vs observed norm shifts across ranks."""
     t_start = time.perf_counter()
     _, grid, blocks = _assemble(cfg)
-    n = cfg.n_list[-1]
-    first = dataclasses.replace(cfg, samples_per_n=1, require_transitive=True)
-    hom = _draw_homs(first, n)[-1][3]
-    op = build_cover_operator(blocks, hom)
-    full = estimate_gap(op, seed=cfg.seed).op_norm
     ranks = [r for r in cfg.truncation_r_list if r <= grid.m]
     skipped = [r for r in cfg.truncation_r_list if r > grid.m]
     rows = []
-    for comp in truncation_components(op, ranks, seed=cfg.seed):
-        observed = abs(comp["truncated_top"] - full)
-        rows.append([
-            n, comp["r"], _fmt(comp["certified_gap"]), _fmt(observed),
-            _fmt(comp["hs_reference"]), _fmt(comp["bound"]), _fmt(full),
-        ])
+    if ranks:  # with every rank skipped no cover is drawn or solved
+        n = cfg.n_list[-1]
+        first = dataclasses.replace(cfg, samples_per_n=1, require_transitive=True)
+        hom = _draw_homs(first, n)[-1][3]
+        op = build_cover_operator(blocks, hom)
+        full = estimate_gap(op, seed=cfg.seed).op_norm
+        for comp in truncation_components(op, ranks, seed=cfg.seed):
+            observed = abs(comp["truncated_top"] - full)
+            rows.append([
+                n, comp["r"], _fmt(comp["certified_gap"]), _fmt(observed),
+                _fmt(comp["hs_reference"]), _fmt(comp["bound"]), _fmt(full),
+            ])
     data_path = _write_table(
         _outpath(cfg, "truncation_study.csv"),
         ["n", "r", "certified_gap", "observed_diff",

@@ -25,12 +25,10 @@ class SpectralParameter:
 
     kind "real" covers the tempered range lambda >= 1/4; kind "imaginary"
     means r = i*value with value in [0, 1/2], covering lambda in [0, 1/4].
-    clamped marks values produced by invert_h outside its invertible band.
     """
 
     kind: str
     value: float
-    clamped: bool = False
 
     def __post_init__(self):
         if self.kind not in ("real", "imaginary"):
@@ -124,9 +122,9 @@ def invert_h(t: float, v: float) -> SpectralParameter:
 
     a -> h_t(ia) is strictly increasing from h_peak(t) to the ball area, so
     the solution is unique. v at or below the peak (a discretized norm can
-    dip under the continuum baseline) returns a = 0 without bisecting, and
-    is marked clamped only more than a tolerance below it; v above the ball
-    area by more than the tolerance is inconsistent input and raises.
+    dip under the continuum baseline) returns a = 0 and v at or above the
+    ball area returns a = 1/2, without bisecting; v above the ball area by
+    more than a tolerance is inconsistent input and raises.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -141,11 +139,9 @@ def invert_h(t: float, v: float) -> SpectralParameter:
             "inconsistent with a ball kernel of this radius"
         )
     if v <= lo_val:
-        if v < lo_val - tol:
-            return SpectralParameter("imaginary", 0.0, clamped=True)
         return SpectralParameter.imaginary(0.0)
     if v >= hi_val:
-        return SpectralParameter("imaginary", 0.5, clamped=v > hi_val)
+        return SpectralParameter.imaginary(0.5)
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)

@@ -128,11 +128,9 @@ class FuchsianRealization:
     generator_matrices: list
     base_point: HPoint
     domain_vertices: list
-    domain_diameter: float
     side_pairings: list = field(default_factory=list)
     side_pairing_words: list = field(default_factory=list)
     circumradius: float = 0.0
-    apothem: float = 0.0
 
     def __post_init__(self):
         self._gen_inv = [m.inverse() for m in self.generator_matrices]
@@ -216,8 +214,6 @@ def build_bolza_realization() -> FuchsianRealization:
         ang = -math.pi / 2.0 + math.pi / 8.0 + k * math.pi / 4.0
         vertices.append(_disk_to_halfplane(rv * math.cos(ang), rv * math.sin(ang)))
 
-    diam = max(distance(v, w) for v in vertices for w in vertices)
-
     pairings = list(g) + gi
     pairing_words = list(_PAIRING_WORDS) + [inverse_word(w) for w in _PAIRING_WORDS]
 
@@ -226,11 +222,9 @@ def build_bolza_realization() -> FuchsianRealization:
         generator_matrices=gens,
         base_point=HPoint(0.0, 1.0),
         domain_vertices=vertices,
-        domain_diameter=diam,
         side_pairings=pairings,
         side_pairing_words=pairing_words,
         circumradius=circum,
-        apothem=rho,
     )
 
 

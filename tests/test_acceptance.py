@@ -29,6 +29,7 @@ from covergap.experiments import (
     cmd_gap_sweep,
     cmd_lattice_count,
     cmd_sampler_validate,
+    cmd_strong_convergence,
     make_config,
 )
 
@@ -185,9 +186,10 @@ def test_ac6_gap_trend_across_degree(tmp_path, report):
     t0 = time.perf_counter()
     cfg = make_config(overrides=dict(
         t=1.0, grid_m=400, n_list=[4, 8, 16], samples_per_n=200,
-        require_transitive=True, seed=0, output_dir=str(tmp_path),
+        require_transitive=True, seed=0, epsilon_list=[0.1],
+        output_dir=str(tmp_path),
     ))
-    res = cmd_gap_sweep(cfg, threads=8)
+    res = cmd_strong_convergence(cfg)
     records = res["records"]
     peak = h_peak(1.0)
     fracs, medians = [], []
@@ -196,6 +198,8 @@ def test_ac6_gap_trend_across_degree(tmp_path, report):
         assert len(chosen) == 200
         fracs.append(sum(r.op_norm > 1.1 * peak for r in chosen) / 200.0)
         medians.append(res["summary_dict"]["per_n"][str(n)]["median_deficit"])
+    assert 1.0 + 0.1 == 1.1  # so the program's threshold is this one
+    assert res["fractions"][0.1] == fracs
     beta = res["summary_dict"]["deficit_loglog_slope"]
     wall = time.perf_counter() - t0
     frac_ok = all(b <= a + 1e-12 for a, b in zip(fracs, fracs[1:]))

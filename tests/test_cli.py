@@ -182,6 +182,25 @@ def test_gap_sweep_rejects_threads_and_repeats_byte_identical(tmp_path, capsys):
         (b / "gap_sweep_summary.json").read_bytes()
 
 
+def test_negative_seed_exit_code(tmp_path, capsys):
+    # rejected before any set-up; the seed would reach default_rng
+    rc = main(["truncation-study", "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_strong_convergence_writes_both_tables(tmp_path, capsys):
+    rc = main(["strong-convergence", "--grid-m", "50", "--n-list", "2",
+               "--samples-per-n", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    wrote = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    names = ["gap_sweep.csv", "gap_sweep_summary.json", "gap_sweep_meta.json",
+             "strong_convergence.csv", "strong_convergence_meta.json"]
+    assert wrote == [str(tmp_path / name) for name in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
 def test_json_format_output(tmp_path, capsys):
     rc = main([
         "lattice-count", "--out", str(tmp_path), "--format", "json",

@@ -20,7 +20,7 @@ from covergap.domain import (
     build_grid,
     svd_truncate,
 )
-from covergap.selberg import SpectralParameter, selberg_h
+from covergap.selberg import SpectralParameter, h_peak, invert_h, selberg_h
 from covergap.symmetric_group import (
     Permutation,
     make_hom_tuple,
@@ -336,14 +336,12 @@ def test_estimate_gap_good_cover(small):
     _, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
     est = estimate_gap(op, seed=1)
-    assert est.peak_baseline == pytest.approx(
-        selberg_h(T_RADIUS, SpectralParameter.real(0.0)).value, abs=1e-12
-    )
-    assert est.lambda_lower_bound <= 0.25
-    assert est.param.kind == "imaginary" and 0 <= est.param.value <= 0.5
-    assert est.lambda_lower_bound == pytest.approx(0.25 - est.param.value**2, abs=1e-12)
+    peak = h_peak(T_RADIUS)
+    assert 0.0 <= est.lambda_lower_bound <= 0.25
+    a = invert_h(T_RADIUS, max(est.op_norm, peak)).value
+    assert est.lambda_lower_bound == 0.25 - a * a
     assert est.linearized_lower_bound <= est.lambda_lower_bound + 1e-8
-    if est.op_norm <= est.peak_baseline:
+    if est.op_norm <= peak:
         assert est.lambda_exact_if_below_quarter is None
         assert est.lambda_lower_bound == pytest.approx(0.25, abs=1e-6)
     assert est.metadata["n"] == 4 and est.metadata["m"] == op.m
@@ -371,7 +369,7 @@ def test_estimate_gap_trivial_cover_sees_zero(medium):
     e = Permutation.identity(4)
     op = build_cover_operator(blocks, make_hom_tuple(4, 2, (e, e, e, e)))
     est = estimate_gap(op, seed=1)
-    assert est.op_norm > est.peak_baseline
+    assert est.op_norm > h_peak(T_RADIUS)
     assert est.lambda_exact_if_below_quarter is not None
     assert 0.0 <= est.lambda_exact_if_below_quarter < 0.1
     assert est.linearized_lower_bound <= est.lambda_lower_bound + 1e-8
@@ -395,8 +393,7 @@ def test_estimate_gap_clamps_inflated_norm(small):
     ]
     op = build_cover_operator(scaled, sample_uniform_hom(4, 2, seed=3))
     est = estimate_gap(op, seed=1)
-    assert est.param.clamped
-    assert est.param.kind == "imaginary" and est.param.value == 0.5
+    assert est.op_norm > selberg_h(T_RADIUS, SpectralParameter.imaginary(0.5)).value
     assert est.lambda_lower_bound == 0.0
     assert est.op_norm <= est.metadata["rowsum_ceiling"] * (1 + 1e-9)
 
@@ -411,7 +408,7 @@ def test_estimate_gap_clamps_coarse_grid_overshoot(small):
     est = estimate_gap(op, seed=1)
     ball = selberg_h(1.0, SpectralParameter.imaginary(0.5)).value
     assert est.op_norm > ball
-    assert est.param.clamped and est.lambda_lower_bound == 0.0
+    assert est.lambda_lower_bound == 0.0
     assert est.op_norm <= est.metadata["rowsum_ceiling"] * (1 + 1e-9)
 
 

@@ -18,6 +18,7 @@ from covergap.hyperbolic import (
     IDENTITY,
     HPoint,
     ball_candidates,
+    distance,
     mobius_apply,
     pairwise_cosh_distance,
 )
@@ -81,7 +82,9 @@ def test_identity_block_full_coverage(real, grid):
     # t beyond the domain diameter: the indicator is identically one and the
     # block is the rank-one matrix sqrt(w) sqrt(w)^T with top value sum(w)
     ident = ((), real.side_pairings[0] @ real.side_pairings[0].inverse())
-    b = assemble_block(ident, real.domain_diameter + 0.1, grid)
+    verts = real.domain_vertices
+    diameter = max(distance(v, w) for v in verts for w in verts)
+    b = assemble_block(ident, diameter + 0.1, grid)
     sqw = np.sqrt(grid.weights)
     assert np.allclose(b.dense(), np.outer(sqw, sqw), atol=1e-14)
     assert b.hs_norm == pytest.approx(grid.weights.sum(), rel=1e-12)

@@ -87,6 +87,7 @@ def test_config_defaults_validate():
         {"n_max": 9},
         {"gof_draws": 10},
         {"gof_alpha": 1.0},
+        {"seed": -1},
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -272,10 +273,58 @@ def test_strong_convergence_fractions(tmp_path):
     assert len(rows) == 4  # two degrees x two epsilons
     for row in rows:
         assert int(row[3]) <= int(row[4])
-    meta = json.loads(Path(res["meta"]).read_text())
+    # the timings are the gap sweep's; the table's sidecar carries none
+    meta = json.loads(Path(res["gap_meta"]).read_text())
     counts = [v["count"] for v in meta["sample_seconds"].values()]
     assert sum(counts) == len(res["records"])
     _check_stage_seconds(meta)
+    own = json.loads(Path(res["meta"]).read_text())
+    assert not {"sample_seconds", "stage_seconds"} & set(own)
+
+
+def test_strong_convergence_is_one_gap_sweep(sweep, tmp_path, monkeypatch):
+    # one sampling pass feeds both tables: every (n, index) is drawn and
+    # solved once, and the gap files equal a gap-sweep run's byte for byte
+    cfg, res = sweep
+    drawn, solved = [], []
+    draw, solve = experiments.sample_uniform_hom, experiments.estimate_gap
+
+    def counting_draw(n, genus, seed):
+        drawn.append((n, seed))
+        return draw(n, genus, seed=seed)
+
+    def counting_solve(op, seed):
+        solved.append(seed)
+        return solve(op, seed=seed)
+
+    monkeypatch.setattr(experiments, "sample_uniform_hom", counting_draw)
+    monkeypatch.setattr(experiments, "estimate_gap", counting_solve)
+    out = cmd_strong_convergence(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    assert drawn == [(r.n, r.seed) for r in res["records"]]
+    assert solved == [r.seed for r in res["records"]]
+    for key, name in (("data", "gap_sweep.csv"),
+                      ("summary", "gap_sweep_summary.json")):
+        assert Path(out["gap_" + key]) == tmp_path / name
+        assert Path(out["gap_" + key]).read_bytes() == Path(res[key]).read_bytes()
+
+
+def test_strong_convergence_failure_writes_no_table(sweep, tmp_path, monkeypatch):
+    cfg, _ = sweep
+    bad_seed = derived_seed(cfg.seed, 3, 0)
+    real = experiments.estimate_gap
+
+    def flaky(op, seed):
+        if seed == bad_seed:
+            raise RuntimeError("injected failure")
+        return real(op, seed=seed)
+
+    monkeypatch.setattr(experiments, "estimate_gap", flaky)
+    with pytest.raises(ComputeError, match="injected failure"):
+        cmd_strong_convergence(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    meta = json.loads((tmp_path / "gap_sweep_meta.json").read_text())
+    assert meta["partial"] is True and meta["records"] == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gap_sweep.csv", "gap_sweep_meta.json", "gap_sweep_summary.json"]
 
 
 def test_strong_convergence_trend_skips_degrees_without_samples(tmp_path,
@@ -331,16 +380,20 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
 
 
 def test_truncation_study_with_every_rank_skipped(tmp_path, monkeypatch):
-    # ranks above the 32-node grid are skipped before any SVD is made
+    # ranks above the 32-node grid are skipped before any cover is drawn,
+    # solved or factored
     cfg = _tiny_cfg(tmp_path, truncation_r_list=[64, 128])
     calls = []
-    svd = np.linalg.svd
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    for name in ("sample_uniform_hom", "estimate_gap"):
+        monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
     res = cmd_truncation_study(cfg)
     assert calls == [] and res["rows"] == []
     assert Path(res["data"]).read_bytes().decode().split("\r\n") == [

@@ -116,7 +116,8 @@ def test_invert_round_trip():
             p = invert_h(t, v)
             assert p.kind == "imaginary"
             assert abs(p.value - a0) <= 1e-8
-            assert not p.clamped
+            if a0 == 0.5:  # the ball area itself returns the edge exactly
+                assert p.value == 0.5
 
 
 def test_invert_boundaries():
@@ -124,6 +125,8 @@ def test_invert_boundaries():
     assert p.value == pytest.approx(0.0, abs=1e-8)
     p = invert_h(1.0, ball_area(1.0))
     assert p.value == pytest.approx(0.5, abs=1e-8)
+    # a hair above the ball area, within the tolerance, reads the edge
+    assert invert_h(1.0, ball_area(1.0) * (1.0 + 1e-7)).value == 0.5
 
 
 def test_invert_at_peak_is_exact_zero():
@@ -131,13 +134,11 @@ def test_invert_at_peak_is_exact_zero():
     for t in (0.5, 1.0, 2.0):
         p = invert_h(t, h_peak(t))
         assert p.value == 0.0 and p.kind == "imaginary"
-        assert not p.clamped
 
 
 def test_invert_clamps_below_peak():
     p = invert_h(1.0, h_peak(1.0) - 0.1)
-    assert p.value == 0.0
-    assert p.clamped
+    assert p.value == 0.0 and p.kind == "imaginary"
 
 
 def test_invert_rejects_above_area():

@@ -214,7 +214,6 @@ def test_vertices_and_diameter(real):
         for j in range(i + 1, 8)
     )
     assert dmax == pytest.approx(2.0 * circ, abs=1e-9)
-    assert real.domain_diameter == pytest.approx(dmax, abs=1e-12)
 
 
 def test_side_pairings_glue_sides(real):
@@ -366,7 +365,8 @@ def test_lattice_at_cap_has_distinct_orbit_points(real):
                 if q != p:
                     eps = ((x[p] - x[q]) ** 2 + (y[p] - y[q]) ** 2) / (2.0 * y[p] * y[q])
                     nearest = min(nearest, math.acosh(1.0 + eps))
-    assert 2.0 * real.apothem - 1e-6 <= nearest < 2.0 * real.apothem + 1e-6
+    apothem = math.acosh(1.0 + SQRT2)
+    assert 2.0 * apothem - 1e-6 <= nearest < 2.0 * apothem + 1e-6
 
 
 def test_orbit_index_finds_perturbed_elements(real):
