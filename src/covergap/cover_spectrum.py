@@ -23,8 +23,6 @@ from .selberg import (
 )
 from .symmetric_group import HomTuple, evaluate_word
 
-MEAN_ZERO = "mean-zero"
-FULL = "full"
 KRYLOV_TOL = 1e-8  # Lanczos stops when the top residual is <= KRYLOV_TOL * scale
 
 
@@ -40,20 +38,20 @@ def _mean_zero_basis(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CoverOperator:
-    """Immutable assembled operator sum A_gamma (x) rho(gamma^-1)."""
+    """Immutable assembled operator sum A_gamma (x) rho(gamma^-1) on the
+    mean-zero fiber, in the coordinates of basis = _mean_zero_basis(n)."""
 
     blocks: BlockFamily
     hom: HomTuple
-    fiber: str
     m: int
     n: int
     t: float
     dimension: int
-    perm_images: tuple = field(repr=False, default=())
-    basis: Optional[np.ndarray] = field(repr=False, default=None)
+    perm_images: tuple = field(repr=False)
+    basis: np.ndarray = field(repr=False)
 
 
-def build_cover_operator(blocks, hom: HomTuple, fiber: str = MEAN_ZERO) -> CoverOperator:
+def build_cover_operator(blocks, hom: HomTuple) -> CoverOperator:
     """Pair translate blocks with a generator tuple.
 
     A BlockFamily is reused as it is; any other sequence of blocks is
@@ -61,8 +59,6 @@ def build_cover_operator(blocks, hom: HomTuple, fiber: str = MEAN_ZERO) -> Cover
     relation of the family's genus, otherwise the words labelling the
     blocks would not map to well-defined permutations.
     """
-    if fiber not in (MEAN_ZERO, FULL):
-        raise ValueError(f"unknown fiber {fiber!r}")
     family = blocks if isinstance(blocks, BlockFamily) else BlockFamily(blocks)
     if not hom.relation_ok:
         raise ValueError("generator images must satisfy the surface relation")
@@ -74,34 +70,22 @@ def build_cover_operator(blocks, hom: HomTuple, fiber: str = MEAN_ZERO) -> Cover
         for b in family
     )
     m, n = family.m, hom.n
-    if fiber == MEAN_ZERO:
-        dim = m * (n - 1)
-        basis = _mean_zero_basis(n) if n > 1 else None
-    else:
-        dim = m * n
-        basis = None
     return CoverOperator(
-        blocks=family, hom=hom, fiber=fiber, m=m, n=n, t=family.t,
-        dimension=dim, perm_images=perms, basis=basis,
+        blocks=family, hom=hom, m=m, n=n, t=family.t, dimension=m * (n - 1),
+        perm_images=perms, basis=_mean_zero_basis(n),
     )
 
 
 def _apply(op: CoverOperator, products, x: np.ndarray) -> np.ndarray:
     """sum_gamma (A_gamma X) with fiber columns permuted by phi(gamma), in
-    the operator's fiber coordinates; products(X) returns A_gamma X for
-    every block in family order, and the gathered partials are added in
-    that order."""
-    if op.fiber == MEAN_ZERO:
-        X = x.reshape(op.m, op.n - 1) @ op.basis.T
-    else:
-        X = x.reshape(op.m, op.n)
+    mean-zero coordinates; products(X) returns A_gamma X for every block in
+    family order, and the gathered partials are added in that order."""
+    X = x.reshape(op.m, op.n - 1) @ op.basis.T
     parts = products(X)
     Y = parts[0][:, op.perm_images[0]]
     for Z, idx in zip(parts[1:], op.perm_images[1:]):
         Y += Z[:, idx]
-    if op.fiber == MEAN_ZERO:
-        Y = Y @ op.basis
-    return Y.ravel()
+    return (Y @ op.basis).ravel()
 
 
 def matvec(op: CoverOperator, x) -> np.ndarray:
@@ -109,8 +93,6 @@ def matvec(op: CoverOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (op.dimension,):
         raise ValueError(f"expected shape ({op.dimension},), got {x.shape}")
-    if op.dimension == 0:
-        return np.zeros(0)
     return _apply(op, op.blocks.block_products, x)
 
 
@@ -177,11 +159,6 @@ def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
     raise KrylovConvergenceError(top, res_top, cap)
 
 
-def top_norm(op: CoverOperator, seed=0) -> float:
-    """Largest eigenvalue of the symmetric cover operator."""
-    return _lanczos_top(lambda x: matvec(op, x), op.dimension, seed).top
-
-
 # ------------------------------------------------------------- estimation
 
 
@@ -205,7 +182,7 @@ class SpectralEstimate:
 
 
 def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
-    """Invert the top norm of a mean-zero-fiber operator to a gap bound.
+    """Invert the top norm of a cover operator to a gap bound.
 
     A norm above the lambda = 0 transform value (the ball area) cannot be
     inverted.  Covers with more than one component keep the constant
@@ -215,8 +192,6 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
     norm stays below the operator's own row-sum certificate; only a norm
     beyond that certificate is flagged as inconsistent input.
     """
-    if op.fiber != MEAN_ZERO:
-        raise ValueError("gap estimation needs the mean-zero fiber")
     t = op.t
     ext = _lanczos_top(lambda x: matvec(op, x), op.dimension, seed)
     v = ext.top
@@ -238,15 +213,7 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
         lambda_exact_if_below_quarter=lam if v > peak else None,
         linearized_lower_bound=0.25 - max(v - peak, 0.0) / c,
         krylov_residual=ext.top_residual,
-        metadata={
-            "n": op.n,
-            "t": t,
-            "m": op.m,
-            "seed": seed,
-            "transitive": op.hom.transitive,
-            "iterations": ext.iterations,
-            "rowsum_ceiling": ceiling,
-        },
+        metadata={"iterations": ext.iterations},
     )
 
 

@@ -10,8 +10,7 @@ by SVD with the Hilbert-Schmidt certificate sigma_{r+1} <= hs / sqrt(r).
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse, vstack
@@ -37,19 +36,17 @@ SPARSE_DENSITY = 0.25
 
 @dataclass
 class QuadratureGrid:
-    points: List[HPoint]
+    xy: np.ndarray  # (m, 2): x and y of each node in the upper half-plane
     weights: np.ndarray
     m: int
-    xy: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.xy = np.asarray(self.xy, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if len(self.points) != self.m or len(self.weights) != self.m:
+        if self.xy.shape != (self.m, 2) or len(self.weights) != self.m:
             raise ValueError("inconsistent grid sizes")
         if not (self.weights > 0).all():
             raise ValueError("weights must be positive")
-        if self.xy is None:
-            self.xy = np.array([[p.x, p.y] for p in self.points])
 
     @functools.cached_property
     def tree(self):
@@ -112,7 +109,8 @@ def build_grid(real: FuchsianRealization, target_m: int) -> QuadratureGrid:
                     tri = (rows[i][jj], rows[i][jj + 1], rows[i + 1][jj + 1])
                     points.append(_triangle_node(*tri))
                     weights.append(_triangle_area(*tri))
-    return QuadratureGrid(points=points, weights=np.array(weights), m=len(points))
+    xy = np.array([[p.x, p.y] for p in points])
+    return QuadratureGrid(xy=xy, weights=np.array(weights), m=len(points))
 
 
 @dataclass

@@ -176,7 +176,10 @@ def _checked_scalar(key: str, val, kind):
             return val
     elif isinstance(val, (int, float)) and not isinstance(val, bool):
         if kind is float:
-            return float(val)
+            try:
+                return float(val)
+            except OverflowError:
+                raise UsageError(f"{key} is too large for a float") from None
         if isinstance(val, int):
             return val
         if val.is_integer():
@@ -198,7 +201,8 @@ def _checked_value(key: str, val):
 
 def make_config(file_values: Optional[dict] = None,
                 overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Merge config-file values with flag overrides (flags win)."""
+    """Merge config-file values with flag overrides (flags win), and create
+    the output directory, so an unusable one fails before any work."""
     merged = {}
     for source in (file_values or {}, overrides or {}):
         for key, val in source.items():
@@ -206,7 +210,12 @@ def make_config(file_values: Optional[dict] = None,
                 raise UsageError(f"unknown config key {key!r}")
             if val is not None:
                 merged[key] = _checked_value(key, val)
-    return ExperimentConfig(**merged).validate()
+    cfg = ExperimentConfig(**merged).validate()
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use output directory: {exc}") from None
+    return cfg
 
 
 def load_config_file(path: str) -> dict:
@@ -215,8 +224,8 @@ def load_config_file(path: str) -> dict:
             values = json.load(f)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise UsageError(f"cannot parse config file: {exc}")
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
     return values
@@ -297,7 +306,6 @@ def _write_meta(path: str, cfg: ExperimentConfig, wall: float,
 
 
 def _outpath(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
 
 

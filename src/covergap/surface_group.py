@@ -248,7 +248,6 @@ class SupportSet:
     """Group elements paired with their standard-letter words."""
 
     elements: list          # of (Word, Isometry)
-    displacements: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.elements)
@@ -363,9 +362,8 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
 
     order = [i for i in range(len(mats)) if disps[i] <= keep_cosh]
     order.sort(key=lambda i: (disps[i], len(words[i]), words[i]))
-    elements = [(dehn_reduce(words[i], pres), Isometry(mats[i])) for i in order]
-    displacements = [math.acosh(min(max(disps[i], 1.0), 1e300)) for i in order]
-    return SupportSet(elements=elements, displacements=displacements)
+    return SupportSet(
+        elements=[(dehn_reduce(words[i], pres), Isometry(mats[i])) for i in order])
 
 
 def _boundary_samples(real: FuchsianRealization):
@@ -435,6 +433,4 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
             if j is not None:
                 accept[j] = True
 
-    elements = [e for e, a in zip(cand.elements, accept) if a]
-    displacements = [d for d, a in zip(cand.displacements, accept) if a]
-    return SupportSet(elements=elements, displacements=displacements)
+    return SupportSet(elements=[e for e, a in zip(cand.elements, accept) if a])

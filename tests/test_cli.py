@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import covergap.experiments as experiments
 from covergap.cli import main
 
 
@@ -82,9 +83,13 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
 
 def test_malformed_config_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text("not json at all {")
-    rc = main(["lattice-count", "--config", str(cfgfile)])
-    assert rc == 2
+    # the second is valid JSON, but Python's json refuses integers of more
+    # than 4300 digits
+    for text in ("not json at all {", '{"seed": 1' + "0" * 5000 + "}"):
+        cfgfile.write_text(text)
+        rc = main(["lattice-count", "--config", str(cfgfile)])
+        assert rc == 2
+        assert "usage error: cannot parse config file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body, code", [
@@ -97,6 +102,7 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     ({"grid_m": 400.5}, 2),
     ({"seed": True}, 2),
     ({"t": 1}, 0),  # an int is a valid float
+    ({"t": 10 ** 400}, 2),  # but not one too large for a float
 ])
 def test_config_value_types_exit_code(tmp_path, capsys, body, code):
     cfgfile = tmp_path / "cfg.json"
@@ -149,6 +155,27 @@ def test_bad_list_exit_code(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+@pytest.mark.parametrize("command", ["selberg-table", "gap-sweep"])
+def test_unusable_output_dir_exit_code(tmp_path, capsys, monkeypatch, command):
+    # rejected before any work: the sweep draws no tuple
+    draws = []
+    sample = experiments.sample_uniform_hom
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_uniform_hom", counted)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main([command, "--grid-m", "50", "--n-list", "2", "--samples-per-n", "1",
+               "--out", str(blocker / "sub")])
+    assert rc == 2
+    assert "usage error: cannot use output directory" in capsys.readouterr().err
+    assert draws == []
+    assert blocker.read_text() == ""
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

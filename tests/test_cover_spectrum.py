@@ -1,18 +1,16 @@
 """Tests for cover operators, Krylov extremes, and gap estimation.
 
-Oracles: dense eigensolvers on small grids (kron-assembled operators)
-and the ball-area identity for the constant eigenvector on the full fiber.
+Oracles: dense eigensolvers on small grids (kron-assembled operators,
+restricted to the mean-zero fiber through the Helmert basis).
 """
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 import covergap.domain as domain
-from covergap.hyperbolic import ball_area
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
     BlockFamily,
@@ -34,7 +32,6 @@ from covergap.cover_spectrum import (
     build_cover_operator,
     estimate_gap,
     matvec,
-    top_norm,
     truncation_components,
 )
 
@@ -68,8 +65,8 @@ def medium(real):
 
 
 def _dense_operator(op, r=None):
-    """kron-assembled dense matrix of the operator, same coordinates; with
-    a rank r, of its rank-r truncation."""
+    """kron-assembled dense matrix of the operator, restricted to the
+    mean-zero coordinates; with a rank r, of its rank-r truncation."""
     n = op.n
     mats = []
     for b, idx in zip(op.blocks, op.perm_images):
@@ -79,27 +76,18 @@ def _dense_operator(op, r=None):
             P[idx[j], j] = 1.0
         A = b.dense() if r is None else svd_truncate(b, [r])[0].dense()
         mats.append(np.kron(A, P.T))
-    M = sum(mats)
-    if op.fiber == "mean-zero":
-        Q = _mean_zero_basis(n)
-        E = np.kron(np.eye(op.m), Q)
-        M = E.T @ M @ E
-    return M
+    E = np.kron(np.eye(op.m), _mean_zero_basis(n))
+    return E.T @ sum(mats) @ E
 
 
 def _block_loop_matvec(op, x):
     """The per-block loop that matvec replaced: one product per block, its
     columns gathered and added to a zero start in family order."""
-    if op.fiber == "mean-zero":
-        X = x.reshape(op.m, op.n - 1) @ op.basis.T
-    else:
-        X = x.reshape(op.m, op.n)
+    X = x.reshape(op.m, op.n - 1) @ op.basis.T
     Y = np.zeros_like(X)
     for b, idx in zip(op.blocks, op.perm_images):
         Y += b.matrix.dot(X)[:, idx]
-    if op.fiber == "mean-zero":
-        Y = Y @ op.basis
-    return Y.ravel()
+    return (Y @ op.basis).ravel()
 
 
 # ------------------------------------------------------------ construction
@@ -116,8 +104,6 @@ def test_mean_zero_basis_is_orthonormal_and_mean_free():
 def test_build_validation(small):
     _, blocks = small
     hom = sample_uniform_hom(3, 2, seed=0)
-    with pytest.raises(ValueError):
-        build_cover_operator(blocks, hom, fiber="bogus")
     with pytest.raises(ValueError):
         build_cover_operator([], hom)
     e = Permutation.identity(3)
@@ -161,17 +147,17 @@ def test_operator_is_immutable(small):
     _, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(3, 2, seed=1))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        op.fiber = "full"
+        op.n = 5
 
 
 def test_empty_fiber_at_n_one(small):
     _, blocks = small
     e = Permutation.identity(1)
     hom = make_hom_tuple(1, 2, (e, e, e, e))
-    op = build_cover_operator(blocks, hom, fiber="mean-zero")
+    op = build_cover_operator(blocks, hom)
     assert op.dimension == 0
     assert matvec(op, np.zeros(0)).shape == (0,)
-    for solve in (top_norm, estimate_gap, lambda o: truncation_components(o, [2])):
+    for solve in (estimate_gap, lambda o: truncation_components(o, [2])):
         with pytest.raises(ValueError, match="empty fiber"):
             solve(op)
 
@@ -190,21 +176,19 @@ def test_matvec_symmetry_both_fibers(small):
     _, blocks = small
     hom = sample_uniform_hom(4, 2, seed=5)
     rng = np.random.default_rng(7)
-    for fiber in ("mean-zero", "full"):
-        op = build_cover_operator(blocks, hom, fiber=fiber)
-        for _ in range(100):
-            x = rng.standard_normal(op.dimension)
-            y = rng.standard_normal(op.dimension)
-            dev = abs(matvec(op, x) @ y - x @ matvec(op, y))
-            assert dev <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
+    op = build_cover_operator(blocks, hom)
+    for _ in range(100):
+        x = rng.standard_normal(op.dimension)
+        y = rng.standard_normal(op.dimension)
+        dev = abs(matvec(op, x) @ y - x @ matvec(op, y))
+        assert dev <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def test_matvec_matches_dense_kron(small, dense_t2):
     hom = sample_uniform_hom(3, 2, seed=9)
     rng = np.random.default_rng(1)
-    families = (small[1], dense_t2[1])
-    for blocks, fiber in itertools.product(families, ("mean-zero", "full")):
-        op = build_cover_operator(blocks, hom, fiber=fiber)
+    for blocks in (small[1], dense_t2[1]):
+        op = build_cover_operator(blocks, hom)
         M = _dense_operator(op)
         assert np.abs(M - M.T).max() < 1e-12
         for _ in range(5):
@@ -218,11 +202,10 @@ def test_stacked_matvec_bit_identical_to_block_loop(request, family, n):
     _, blocks = request.getfixturevalue(family)
     hom = sample_uniform_hom(n, 2, seed=n)
     rng = np.random.default_rng(n)
-    for fiber in ("mean-zero", "full"):
-        op = build_cover_operator(blocks, hom, fiber=fiber)
-        for _ in range(3):
-            x = rng.standard_normal(op.dimension)
-            assert np.array_equal(matvec(op, x), _block_loop_matvec(op, x))
+    op = build_cover_operator(blocks, hom)
+    for _ in range(3):
+        x = rng.standard_normal(op.dimension)
+        assert np.array_equal(matvec(op, x), _block_loop_matvec(op, x))
 
 
 def test_stacked_matrix_built_once_and_not_by_truncation(small, monkeypatch):
@@ -279,9 +262,9 @@ def test_lanczos_iteration_cap_raises_with_payload():
 def test_top_norm_deterministic_by_seed(small):
     _, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=1))
-    a = top_norm(op, seed=42)
-    b = top_norm(op, seed=42)
-    c = top_norm(op, seed=43)
+    a = estimate_gap(op, seed=42).op_norm
+    b = estimate_gap(op, seed=42).op_norm
+    c = estimate_gap(op, seed=43).op_norm
     assert a == b
     assert abs(a - c) <= 1e-7
 
@@ -290,35 +273,14 @@ def test_top_norm_deterministic_by_seed(small):
 
 
 def test_identity_hom_reduces_to_grid_operator(small):
+    # on the identity tuple the mean-zero operator is n - 1 copies of the
+    # scalar operator sum A_gamma, so it has the same top
     _, blocks = small
     e = Permutation.identity(4)
     hom = make_hom_tuple(4, 2, (e, e, e, e))
-    op = build_cover_operator(blocks, hom, fiber="full")
+    op = build_cover_operator(blocks, hom)
     dense_top = np.linalg.eigvalsh(sum(b.dense() for b in blocks)).max()
-    assert abs(top_norm(op, seed=0) - dense_top) <= 1e-8
-
-
-def test_constant_eigenvector_identity_any_hom(medium):
-    # rows of the summed blocks integrate the ball indicator, so the
-    # constant-fiber constant-grid vector sees the ball area
-    _, blocks = medium
-    target = ball_area(T_RADIUS)
-    for n, seed in ((2, 0), (4, 1), (5, 2)):
-        op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=seed),
-                                  fiber="full")
-        v = top_norm(op, seed=3)
-        assert abs(v - target) / target < 0.02
-
-
-def test_fiber_restriction_monotone_and_decomposition(small):
-    _, blocks = small
-    dense_top = np.linalg.eigvalsh(sum(b.dense() for b in blocks)).max()
-    for seed in (0, 1, 2):
-        hom = sample_uniform_hom(4, 2, seed=seed)
-        full = top_norm(build_cover_operator(blocks, hom, "full"), seed=5)
-        zero = top_norm(build_cover_operator(blocks, hom, "mean-zero"), seed=5)
-        assert zero <= full + 1e-8
-        assert abs(full - max(dense_top, zero)) <= 1e-8
+    assert abs(estimate_gap(op, seed=0).op_norm - dense_top) <= 1e-8
 
 
 def test_mean_zero_top_matches_dense(small):
@@ -326,7 +288,7 @@ def test_mean_zero_top_matches_dense(small):
     for seed in (0, 4):
         op = build_cover_operator(blocks, sample_uniform_hom(3, 2, seed=seed))
         dense_top = np.linalg.eigvalsh(_dense_operator(op)).max()
-        assert abs(top_norm(op, seed=1) - dense_top) <= 1e-8
+        assert abs(estimate_gap(op, seed=1).op_norm - dense_top) <= 1e-8
 
 
 # ------------------------------------------------------------- estimation
@@ -344,8 +306,8 @@ def test_estimate_gap_good_cover(small):
     if est.op_norm <= peak:
         assert est.lambda_exact_if_below_quarter is None
         assert est.lambda_lower_bound == pytest.approx(0.25, abs=1e-6)
-    assert est.metadata["n"] == 4 and est.metadata["m"] == op.m
-    assert est.metadata["transitive"] == op.hom.transitive
+    assert (op.n, op.m) == (4, blocks.m) and op.hom.transitive
+    assert set(est.metadata) == {"iterations"}
 
 
 def test_estimate_gap_iterations_count_matvecs(small, monkeypatch):
@@ -375,13 +337,6 @@ def test_estimate_gap_trivial_cover_sees_zero(medium):
     assert est.linearized_lower_bound <= est.lambda_lower_bound + 1e-8
 
 
-def test_estimate_gap_requires_mean_zero(small):
-    _, blocks = small
-    op = build_cover_operator(blocks, sample_uniform_hom(3, 2, seed=1), "full")
-    with pytest.raises(ValueError):
-        estimate_gap(op)
-
-
 def test_estimate_gap_clamps_inflated_norm(small):
     # uniformly scaled blocks stay consistent with their own row-sum
     # certificate, so the estimate lands at the flagged parameter edge
@@ -395,7 +350,7 @@ def test_estimate_gap_clamps_inflated_norm(small):
     est = estimate_gap(op, seed=1)
     assert est.op_norm > selberg_h(T_RADIUS, SpectralParameter.imaginary(0.5)).value
     assert est.lambda_lower_bound == 0.0
-    assert est.op_norm <= est.metadata["rowsum_ceiling"] * (1 + 1e-9)
+    assert est.op_norm <= op.blocks.rowsum_ceiling * (1 + 1e-9)
 
 
 def test_estimate_gap_clamps_coarse_grid_overshoot(small):
@@ -409,7 +364,7 @@ def test_estimate_gap_clamps_coarse_grid_overshoot(small):
     ball = selberg_h(1.0, SpectralParameter.imaginary(0.5)).value
     assert est.op_norm > ball
     assert est.lambda_lower_bound == 0.0
-    assert est.op_norm <= est.metadata["rowsum_ceiling"] * (1 + 1e-9)
+    assert est.op_norm <= op.blocks.rowsum_ceiling * (1 + 1e-9)
 
 
 def test_estimate_gap_rejects_impossible_norm(small):
@@ -433,7 +388,7 @@ def test_estimate_gap_rejects_impossible_norm(small):
 def test_truncation_exact_at_full_rank(small):
     grid, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=2))
-    full = top_norm(op, seed=0)
+    full = estimate_gap(op, seed=0).op_norm
     [comp] = truncation_components(op, [grid.m], seed=0)
     assert comp["bound"] == pytest.approx(full, abs=1e-10)
 
@@ -441,7 +396,7 @@ def test_truncation_exact_at_full_rank(small):
 def test_truncation_bound_brackets_norm(small):
     grid, blocks = small
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=6))
-    full = top_norm(op, seed=0)
+    full = estimate_gap(op, seed=0).op_norm
     prev_gap = None
     for comp in truncation_components(op, [1, 4, 16, 32], seed=0):
         bound = comp["bound"]

@@ -53,15 +53,16 @@ def test_grid_sizes_and_weight_sum(real):
     # improvement under refinement) is met at the roundoff floor
     for target, m in ((400, 392), (1600, 1568)):
         g = build_grid(real, target)
-        assert g.m == m == len(g.points) == len(g.weights)
+        assert g.m == m == len(g.weights)
+        assert g.xy.shape == (m, 2)
         assert abs(g.weights.sum() - 4.0 * math.pi) < 1e-10
         assert (g.weights > 0).all()
 
 
 def test_grid_nodes_strictly_inside(real):
     g = build_grid(real, 400)
-    for p in g.points:
-        assert in_fundamental_domain(real, p, slack=-1e-9)
+    for row in g.xy:
+        assert in_fundamental_domain(real, HPoint(*row), slack=-1e-9)
 
 
 def test_grid_rejects_small_target(real):
@@ -71,9 +72,11 @@ def test_grid_rejects_small_target(real):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        QuadratureGrid(points=[HPoint(0, 1)], weights=np.array([1.0, 2.0]), m=1)
+        QuadratureGrid(xy=np.array([[0.0, 1.0]]), weights=np.array([1.0, 2.0]), m=1)
     with pytest.raises(ValueError):
-        QuadratureGrid(points=[HPoint(0, 1)], weights=np.array([-1.0]), m=1)
+        QuadratureGrid(xy=np.array([[0.0, 1.0]]), weights=np.array([-1.0]), m=1)
+    with pytest.raises(ValueError):
+        QuadratureGrid(xy=np.array([0.0, 1.0]), weights=np.array([1.0]), m=1)
 
 
 # ----------------------------------------------------------------- blocks
@@ -198,8 +201,8 @@ def test_threshold_pair_kept_and_pair_above_dropped():
         y_above = np.nextafter(y_above, np.inf)
     assert cosh_to(y_above) <= c + 8 * np.spacing(c)
 
-    pts = [HPoint(0.0, 1.0), HPoint(0.0, float(y)), HPoint(0.0, float(y_above))]
-    grid = QuadratureGrid(points=pts, weights=np.ones(3), m=3)
+    xy = np.array([[0.0, 1.0], [0.0, y], [0.0, y_above]])
+    grid = QuadratureGrid(xy=xy, weights=np.ones(3), m=3)
     i, j = ball_candidates(grid.tree, grid.xy, c)
     assert {(0, 1), (0, 2)} <= set(zip(i.tolist(), j.tolist()))
     D = assemble_block(((), IDENTITY), t, grid).dense()

@@ -16,8 +16,6 @@ SOURCES = sorted((ROOT / "src" / "covergap").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 ORACLES = {
-    "top_norm": "AC1's full-fiber top eigenvalue, and the same-grid trivial "
-                "eigenvalue of ROADMAP item 1",
     "ball_area": "the continuum value that AC1 and AC2 compare with",
     "ball_kernel": "the scalar kernel k_t whose cosh-scale test assemble_block "
                    "vectorizes",
