@@ -7,6 +7,8 @@ action on the fiber. Its top eigenvalue feeds the inverse Selberg
 transform to produce a lower bound on the first new Laplacian eigenvalue.
 """
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -14,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .domain import BlockFamily, svd_truncate
+from .domain import BlockFamily, RowLayout, svd_truncate
 from .selberg import (
     SpectralParameter,
     gap_lower_bound_coefficient,
@@ -39,7 +41,9 @@ def _mean_zero_basis(n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CoverOperator:
     """Immutable assembled operator sum A_gamma (x) rho(gamma^-1) on the
-    mean-zero fiber, in the coordinates of basis = _mean_zero_basis(n)."""
+    mean-zero fiber, in the coordinates of basis = _mean_zero_basis(n).
+    perm_images holds phi(gamma) for every block in family order, one row
+    of images each."""
 
     blocks: BlockFamily
     hom: HomTuple
@@ -47,8 +51,14 @@ class CoverOperator:
     n: int
     t: float
     dimension: int
-    perm_images: tuple = field(repr=False)
+    perm_images: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def gather(self) -> np.ndarray:
+        """The family layout's gather index for this cover, built on its
+        first matvec."""
+        return self.blocks.layout.gather(self.perm_images)
 
 
 def build_cover_operator(blocks, hom: HomTuple) -> CoverOperator:
@@ -65,10 +75,8 @@ def build_cover_operator(blocks, hom: HomTuple) -> CoverOperator:
     if hom.genus != family.genus:
         raise ValueError(
             f"genus-{hom.genus} tuple cannot label genus-{family.genus} blocks")
-    perms = tuple(
-        np.asarray(evaluate_word(hom, b.gamma[0]).images0, dtype=np.intp)
-        for b in family
-    )
+    perms = np.array([evaluate_word(hom, b.gamma[0]).images0 for b in family],
+                     dtype=np.intp)
     m, n = family.m, hom.n
     return CoverOperator(
         blocks=family, hom=hom, m=m, n=n, t=family.t, dimension=m * (n - 1),
@@ -76,15 +84,14 @@ def build_cover_operator(blocks, hom: HomTuple) -> CoverOperator:
     )
 
 
-def _apply(op: CoverOperator, products, x: np.ndarray) -> np.ndarray:
+def _apply(op: CoverOperator, layout: RowLayout, gather, x: np.ndarray) -> np.ndarray:
     """sum_gamma (A_gamma X) with fiber columns permuted by phi(gamma), in
-    mean-zero coordinates; products(X) returns A_gamma X for every block in
-    family order, and the gathered partials are added in that order."""
+    mean-zero coordinates: one product makes every partial row the layout
+    holds, one take through gather (layout.gather of the cover's
+    permutations) permutes their columns and puts them in node order, and
+    one product with layout.summing adds each node's rows in family order."""
     X = x.reshape(op.m, op.n - 1) @ op.basis.T
-    parts = products(X)
-    Y = parts[0][:, op.perm_images[0]]
-    for Z, idx in zip(parts[1:], op.perm_images[1:]):
-        Y += Z[:, idx]
+    Y = layout.summing @ layout.product(X).take(gather)
     return (Y @ op.basis).ravel()
 
 
@@ -93,7 +100,7 @@ def matvec(op: CoverOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (op.dimension,):
         raise ValueError(f"expected shape ({op.dimension},), got {x.shape}")
-    return _apply(op, op.blocks.block_products, x)
+    return _apply(op, op.blocks.layout, op.gather, x)
 
 
 # ------------------------------------------------------------------ Krylov
@@ -221,25 +228,46 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
 
 
 def _factored_product(tb):
-    """X -> B^(r) X through the rank-r factors, never forming B^(r)."""
+    """(X, out) -> B^(r) X through the rank-r factors, never forming B^(r),
+    written into out (a new array if out is None)."""
     Ls, R = tb.left_factors * tb.singular_values, tb.right_factors
-    return lambda X: Ls @ (R @ X)
+    return lambda X, out: np.matmul(Ls, R @ X, out=out)
+
+
+def _truncated_top(op: CoverOperator, full: RowLayout, gather, truncs,
+                   seed) -> LanczosResult:
+    """Lanczos top of the truncated operator, applied through full (every
+    row of every block) with a product that writes each block's factored
+    product into its m rows of one buffer, allocated once. The factors it
+    scales are freed on return, before the next rank builds its own."""
+    products = [_factored_product(tb) for tb in truncs]
+    W = np.empty((len(products), op.m, op.n))
+
+    def product(X):
+        for p, out in zip(products, W):
+            p(X, out)
+        return W.reshape(-1, op.n)
+
+    layout = dataclasses.replace(full, product=product)
+    return _lanczos_top(functools.partial(_apply, op, layout, gather), op.dimension, seed)
 
 
 def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
     """Truncated-operator norm plus the error-budget pieces, one record per
-    rank in ranks, from one SVD per block shared by every rank."""
+    rank in ranks, from one SVD per block shared by every rank. The
+    truncated operator goes through the same _apply as matvec, with every
+    row of every block as its layout."""
     if not ranks:
         return []
     per_block = [svd_truncate(b, ranks) for b in op.blocks]
     hs_total = sum(b.hs_norm for b in op.blocks)
+    k, m = len(op.blocks), op.m
+    full = RowLayout.of(np.repeat(np.arange(k), m), np.tile(np.arange(m), k), m, None)
+    gather = full.gather(op.perm_images)
     records = []
     for r, truncs in zip(ranks, zip(*per_block)):
         sigma_total = sum(tb.op_error_bound for tb in truncs)
-        products = [_factored_product(tb) for tb in truncs]
-        res = _lanczos_top(
-            lambda x: _apply(op, lambda X: [p(X) for p in products], x),
-            op.dimension, seed)
+        res = _truncated_top(op, full, gather, truncs, seed)
         records.append({
             "r": r,
             "truncated_top": res.top,

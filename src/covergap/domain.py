@@ -181,6 +181,9 @@ class BlockFamily(tuple):
     weight vector, and u = sqrt(w) (x) 1 makes the ratios row sums of the
     scalar grid operator, i.e. per-node quadrature estimates of the ball
     area.  Falls back to u = 1 if no identity block is present.
+
+    Every cover applies the family through its one layout, which holds only
+    the block rows that can be nonzero.
     """
 
     genus = 2  # every block is a translate of the Bolza octagon
@@ -221,22 +224,58 @@ class BlockFamily(tuple):
         return self
 
     @functools.cached_property
-    def stacked(self):
-        """The sparse blocks vstacked in family order as one (k m) x m CSR
-        matrix, or None if every block is dense; built on first use."""
-        sparse = [b.matrix for b in self if b.is_sparse]
-        return vstack(sparse, format="csr") if sparse else None
+    def layout(self) -> "RowLayout":
+        """RowLayout of the rows of A_gamma X that can be nonzero, built on
+        first use: the nonempty rows of the sparse blocks from one product
+        with those CSR rows, then each dense block's m rows from its own
+        dot (CSR would sum it in another order), so every partial row is
+        bit-identical to that row of b.matrix.dot(X)."""
+        sparse = [(k, np.flatnonzero(np.diff(b.matrix.indptr)))
+                  for k, b in enumerate(self) if b.is_sparse]
+        dense = [(k, b.matrix) for k, b in enumerate(self) if not b.is_sparse]
+        block = [np.full(len(rows), k) for k, rows in sparse]
+        block += [np.full(self.m, k) for k, _ in dense]
+        node = [rows for _, rows in sparse] + [np.arange(self.m)] * len(dense)
+        compressed = (vstack([self[k].matrix[rows] for k, rows in sparse], format="csr")
+                      if sparse else csr_matrix((0, self.m)))
 
-    def block_products(self, X: np.ndarray) -> list:
-        """A_gamma X for every block, in family order, each bit-identical to
-        b.matrix.dot(X): the sparse blocks come from one product with
-        `stacked`, whose rows sum their entries in the blocks' own order,
-        and a dense block keeps its own dot, since CSR would sum it in
-        another order."""
-        parts = iter(())
-        if self.stacked is not None:
-            parts = iter((self.stacked @ X).reshape(-1, self.m, X.shape[1]))
-        return [next(parts) if b.is_sparse else b.matrix.dot(X) for b in self]
+        def product(X):
+            W = compressed @ X
+            return np.concatenate([W] + [D.dot(X) for _, D in dense]) if dense else W
+
+        return RowLayout.of(np.concatenate(block), np.concatenate(node), self.m, product)
+
+
+@dataclass(frozen=True)
+class RowLayout:
+    """The partial rows of the block products A_gamma X and how a cover
+    adds them. product(X) returns them as one R x n array, labelled by
+    block and node in of(). order lists them by node, then by family
+    position, and summing (m x R, entries 1.0) adds each node's run of
+    gathered rows from zero: the sums of a loop over the blocks, less its
+    0.0 terms (the empty rows of sparse blocks, which are left out).
+    """
+
+    block: np.ndarray  # (R,) family position of each product row's block
+    order: np.ndarray  # (R,) product rows sorted by node, then by block
+    summing: csr_matrix  # (m, R)
+    product: object  # X -> the (R, n) partial rows
+
+    @classmethod
+    def of(cls, block, node, m: int, product) -> "RowLayout":
+        order = np.lexsort((block, node))
+        R = len(order)
+        indptr = np.searchsorted(node[order], np.arange(m + 1))
+        summing = csr_matrix((np.ones(R), np.arange(R), indptr), shape=(m, R))
+        return cls(block=block, order=order, summing=summing, product=product)
+
+    def gather(self, perms: np.ndarray) -> np.ndarray:
+        """(R, n) flat indices into an R x n product: row i picks product
+        row order[i] with its columns permuted by perms[block] (a k x n
+        array, one permutation per block in family order), as summing
+        expects."""
+        n = perms.shape[1]
+        return self.order[:, None] * n + perms[self.block[self.order]]
 
 
 def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:

@@ -79,6 +79,11 @@ class ComputeError(RuntimeError):
     """Numerical failure mid-run; maps to exit code 1, output flagged partial."""
 
 
+# assemble_block fills an m x m float64 scratch array per block (800 MB at
+# m = 10000), so larger grids exhaust memory long before they finish
+MAX_GRID_M = 10000
+
+
 def _strictly_ascending(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
@@ -113,8 +118,10 @@ class ExperimentConfig:
             raise UsageError("genus must be 2: the blocks are built on the Bolza surface")
         if not 0 < self.t <= 4.0:
             raise UsageError("t must lie in (0, 4]")
-        if self.grid_m < 50:
-            raise UsageError("grid_m must be at least 50")
+        if not 50 <= self.grid_m <= MAX_GRID_M:
+            raise UsageError(
+                f"grid_m must lie in [50, {MAX_GRID_M}]: block assembly "
+                "fills an m x m scratch array")
         if not self.n_list or not _strictly_ascending(self.n_list):
             raise UsageError("n_list must be nonempty and strictly ascending")
         for n in self.n_list:

@@ -125,6 +125,18 @@ def test_t_list_past_enumeration_cap_exit_code(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gap-sweep", "truncation-study"])
+def test_grid_m_above_cap_exit_code(tmp_path, capsys, monkeypatch, command):
+    # one above the documented cap of 10000; the cap is checked before any
+    # set-up work, so neither runs
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("set-up must not start")
+
+    monkeypatch.setattr(experiments, "support_set", forbidden)
+    monkeypatch.setattr(experiments, "build_grid", forbidden)
+    assert main([command, "--out", str(tmp_path), "--grid-m", "10001"]) == 2
+
+
 @pytest.mark.parametrize("argv, message", [
     (["lattice-count", "--t-list", ""], "t_list must be nonempty"),
     (["selberg-table", "--t-list", ""], "t_list must be nonempty"),

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-import covergap.domain as domain
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
     BlockFamily,
@@ -59,6 +58,12 @@ def dense_t2(real):
 
 
 @pytest.fixture(scope="module")
+def half_t(real):
+    grid = build_grid(real, 50)
+    return grid, assemble_support_blocks(support_set(real, 0.5), 0.5, grid)
+
+
+@pytest.fixture(scope="module")
 def medium(real):
     grid = build_grid(real, 120)
     return grid, assemble_support_blocks(support_set(real, T_RADIUS), T_RADIUS, grid)
@@ -80,13 +85,16 @@ def _dense_operator(op, r=None):
     return E.T @ sum(mats) @ E
 
 
-def _block_loop_matvec(op, x):
+def _block_loop_matvec(op, x, products=None):
     """The per-block loop that matvec replaced: one product per block, its
-    columns gathered and added to a zero start in family order."""
+    columns gathered and added to a zero start in family order; products,
+    if given, replace each block's own dot."""
+    if products is None:
+        products = [lambda X, A=b.matrix: A.dot(X) for b in op.blocks]
     X = x.reshape(op.m, op.n - 1) @ op.basis.T
     Y = np.zeros_like(X)
-    for b, idx in zip(op.blocks, op.perm_images):
-        Y += b.matrix.dot(X)[:, idx]
+    for p, idx in zip(products, op.perm_images):
+        Y += p(X)[:, idx]
     return (Y @ op.basis).ravel()
 
 
@@ -196,7 +204,7 @@ def test_matvec_matches_dense_kron(small, dense_t2):
             assert np.allclose(matvec(op, x), M @ x, atol=1e-11)
 
 
-@pytest.mark.parametrize("family", ["small", "dense_t2"])
+@pytest.mark.parametrize("family", ["small", "dense_t2", "half_t"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_matvec_bit_identical_to_block_loop(request, family, n):
     _, blocks = request.getfixturevalue(family)
@@ -208,26 +216,65 @@ def test_stacked_matvec_bit_identical_to_block_loop(request, family, n):
         assert np.array_equal(matvec(op, x), _block_loop_matvec(op, x))
 
 
-def test_stacked_matrix_built_once_and_not_by_truncation(small, monkeypatch):
+@pytest.mark.parametrize("family", ["small", "dense_t2", "half_t"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lanczos_solve_bit_identical_to_block_loop(request, family, n):
+    # every matvec of the solve, and so its top, residual and step count,
+    # equals the per-block loop's
+    _, blocks = request.getfixturevalue(family)
+    op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=10 + n))
+    fast = _lanczos_top(lambda x: matvec(op, x), op.dimension, seed=n)
+    slow = _lanczos_top(lambda x: _block_loop_matvec(op, x), op.dimension, seed=n)
+    assert fast == slow and fast.iterations > 1
+
+
+def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatch):
+    # the truncated operator reaches _apply with every row of every block
+    # as its layout; it equals a loop over the blocks' factored products
+    applies = []
+    lanczos = cover_spectrum._lanczos_top
+
+    def capture(apply, dim, seed):
+        applies.append(apply)
+        return lanczos(apply, dim, seed)
+
+    monkeypatch.setattr(cover_spectrum, "_lanczos_top", capture)
+    rng = np.random.default_rng(0)
+    ranks = [2, 8]
+    for blocks in (small[1], dense_t2[1]):
+        op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
+        records = truncation_components(op, ranks, seed=0)
+        per_block = [svd_truncate(b, ranks) for b in op.blocks]
+        for i, (apply, record) in enumerate(zip(applies[-len(ranks):], records)):
+            factored = [cover_spectrum._factored_product(tbs[i]) for tbs in per_block]
+            products = [lambda X, p=p: p(X, None) for p in factored]
+            for _ in range(3):
+                x = rng.standard_normal(op.dimension)
+                assert np.array_equal(apply(x), _block_loop_matvec(op, x, products))
+            loop = lanczos(lambda x: _block_loop_matvec(op, x, products),
+                           op.dimension, 0)
+            assert record["truncated_top"] == loop.top
+
+
+def test_row_layout_built_once_on_first_matvec_and_not_by_truncation(small):
     _, blocks = small
     family = BlockFamily(list(blocks))
-    builds = []
-    vstack = domain.vstack
-
-    def counted_vstack(*args, **kwargs):
-        builds.append(1)
-        return vstack(*args, **kwargs)
-
-    monkeypatch.setattr(domain, "vstack", counted_vstack)
+    assert "layout" not in vars(family)
     op = build_cover_operator(family, sample_uniform_hom(4, 2, seed=2))
     truncation_components(op, [4], seed=0)
-    assert builds == [] and "stacked" not in vars(family)
+    assert "layout" not in vars(family)
+    layouts = []
     for seed in (0, 1):
         op = build_cover_operator(family, sample_uniform_hom(3, 2, seed=seed))
+        assert "layout" not in vars(family) or layouts
         matvec(op, np.ones(op.dimension))
+        layouts.append(vars(family)["layout"])
         matvec(op, np.ones(op.dimension))
-    assert len(builds) == 1
-    assert family.stacked.shape == (len(family) * family.m, family.m)
+        assert vars(family)["layout"] is layouts[0]
+    assert layouts[0] is layouts[1]
+    # only the nonempty rows of the sparse blocks are kept
+    kept = sum(np.count_nonzero(np.diff(b.matrix.indptr)) for b in family)
+    assert len(layouts[0].order) == kept < len(family) * family.m
 
 
 # ----------------------------------------------------------------- Lanczos
