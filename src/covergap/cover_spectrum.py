@@ -227,47 +227,34 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
 # ------------------------------------------------------------- truncation
 
 
-def _factored_product(tb):
-    """(X, out) -> B^(r) X through the rank-r factors, never forming B^(r),
-    written into out (a new array if out is None)."""
-    Ls, R = tb.left_factors * tb.singular_values, tb.right_factors
-    return lambda X, out: np.matmul(Ls, R @ X, out=out)
-
-
-def _truncated_top(op: CoverOperator, full: RowLayout, gather, truncs,
-                   seed) -> LanczosResult:
-    """Lanczos top of the truncated operator, applied through full (every
-    row of every block) with a product that writes each block's factored
-    product into its m rows of one buffer, allocated once. The factors it
-    scales are freed on return, before the next rank builds its own."""
-    products = [_factored_product(tb) for tb in truncs]
-    W = np.empty((len(products), op.m, op.n))
-
-    def product(X):
-        for p, out in zip(products, W):
-            p(X, out)
-        return W.reshape(-1, op.n)
-
-    layout = dataclasses.replace(full, product=product)
-    return _lanczos_top(functools.partial(_apply, op, layout, gather), op.dimension, seed)
-
-
 def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
     """Truncated-operator norm plus the error-budget pieces, one record per
-    rank in ranks, from one SVD per block shared by every rank. The
-    truncated operator goes through the same _apply as matvec, with every
-    row of every block as its layout."""
+    rank in ranks, from one svd_truncate per block. Its factors fill two
+    stacks, left (k, m, top) and right (k, top, m), and rank r applies
+    every block at once as left[:, :, :r] @ (right[:, :r] @ X), written
+    into one buffer, through the same _apply as matvec with every row of
+    every block as its layout."""
     if not ranks:
         return []
-    per_block = [svd_truncate(b, ranks) for b in op.blocks]
+    k, m, n = len(op.blocks), op.m, op.n
+    top = min(max(ranks), m)
+    left, right = np.empty((k, m, top)), np.empty((k, top, m))
+    errors = []
+    for i, b in enumerate(op.blocks):
+        left[i], right[i], e = svd_truncate(b, ranks)
+        errors.append(e)
     hs_total = sum(b.hs_norm for b in op.blocks)
-    k, m = len(op.blocks), op.m
     full = RowLayout.of(np.repeat(np.arange(k), m), np.tile(np.arange(m), k), m, None)
     gather = full.gather(op.perm_images)
+    W = np.empty((k, m, n))
     records = []
-    for r, truncs in zip(ranks, zip(*per_block)):
-        sigma_total = sum(tb.op_error_bound for tb in truncs)
-        res = _truncated_top(op, full, gather, truncs, seed)
+    for j, r in enumerate(ranks):
+        def product(X, r=r):
+            return np.matmul(left[:, :, :r], right[:, :r] @ X, out=W).reshape(-1, n)
+
+        layout = dataclasses.replace(full, product=product)
+        res = _lanczos_top(functools.partial(_apply, op, layout, gather), op.dimension, seed)
+        sigma_total = sum(e[j] for e in errors)
         records.append({
             "r": r,
             "truncated_top": res.top,

@@ -285,33 +285,18 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
     return BlockFamily(b for b in blocks if not b.is_zero)
 
 
-@dataclass
-class TruncatedBlock:
-    left_factors: np.ndarray
-    singular_values: np.ndarray
-    right_factors: np.ndarray
-    op_error_bound: float
-
-    def dense(self) -> np.ndarray:
-        return (self.left_factors * self.singular_values) @ self.right_factors
-
-
-def svd_truncate(block: OperatorBlock, ranks) -> list:
-    """Best rank-r approximation for every r in ranks, from one SVD of the
-    block. Only the top max(ranks) columns of U and rows of Vt are kept,
-    as read-only copies that every rank slices, so the full factors are
-    freed at once and no rank can corrupt what the others read. The
-    discarded top singular value is the spectral-norm error and is
-    certified <= hs_norm / sqrt(r) because
-    (r+1) sigma_{r+1}^2 <= sum sigma_j^2 = hs_norm^2."""
+def svd_truncate(block: OperatorBlock, ranks) -> tuple:
+    """(U[:, :top] * s[:top], Vt[:top], errors) from one SVD of the block,
+    with top = min(max(ranks), m): the rank-r truncation is the first r
+    columns of the one times the first r rows of the other, so the full
+    factors are freed on return. errors[i] = sigma_{r_i+1} is the
+    spectral-norm error of rank ranks[i], certified <= hs_norm / sqrt(r)
+    because (r+1) sigma_{r+1}^2 <= sum sigma_j^2 = hs_norm^2."""
     if min(ranks, default=0) < 1:
         raise ValueError("ranks must be nonempty and at least 1")
     U, s, Vt = np.linalg.svd(block.dense(), full_matrices=False)
     top = min(max(ranks), len(s))
-    U, Vt = U[:, :top].copy(), Vt[:top].copy()
-    for f in (U, s, Vt):
-        f.flags.writeable = False
-    truncs = []
+    errors = []
     for r in ranks:
         bound = s[r] if r < len(s) else 0.0
         cert = block.hs_norm / math.sqrt(r)
@@ -320,11 +305,5 @@ def svd_truncate(block: OperatorBlock, ranks) -> list:
                 f"sigma_{r + 1} = {bound} exceeds hs/sqrt(r) = {cert}: "
                 "inconsistent SVD or hs_norm"
             )
-        keep = min(r, len(s))
-        truncs.append(TruncatedBlock(
-            left_factors=U[:, :keep],
-            singular_values=s[:keep],
-            right_factors=Vt[:keep],
-            op_error_bound=bound,
-        ))
-    return truncs
+        errors.append(bound)
+    return U[:, :top] * s[:top], Vt[:top], errors

@@ -209,13 +209,15 @@ def _checked_value(key: str, val):
 def make_config(file_values: Optional[dict] = None,
                 overrides: Optional[dict] = None) -> ExperimentConfig:
     """Merge config-file values with flag overrides (flags win), and create
-    the output directory, so an unusable one fails before any work."""
+    the output directory, so an unusable one fails before any work. A flag
+    that was not given is None and skipped; a file value of null is a
+    value of the wrong type."""
     merged = {}
-    for source in (file_values or {}, overrides or {}):
+    for source, flags in ((file_values or {}, False), (overrides or {}, True)):
         for key, val in source.items():
             if key not in _FIELD_TYPES:
                 raise UsageError(f"unknown config key {key!r}")
-            if val is not None:
+            if val is not None or not flags:
                 merged[key] = _checked_value(key, val)
     cfg = ExperimentConfig(**merged).validate()
     try:

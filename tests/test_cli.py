@@ -103,6 +103,8 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     ({"seed": True}, 2),
     ({"t": 1}, 0),  # an int is a valid float
     ({"t": 10 ** 400}, 2),  # but not one too large for a float
+    ({"t": None}, 2),  # a file value of null is not the default
+    ({"real_r_list": None}, 2),
 ])
 def test_config_value_types_exit_code(tmp_path, capsys, body, code):
     cfgfile = tmp_path / "cfg.json"

@@ -79,7 +79,7 @@ def _dense_operator(op, r=None):
         # column j of the fiber factor picks source column idx[j]
         for j in range(n):
             P[idx[j], j] = 1.0
-        A = b.dense() if r is None else svd_truncate(b, [r])[0].dense()
+        A = b.dense() if r is None else np.matmul(*svd_truncate(b, [r])[:2])
         mats.append(np.kron(A, P.T))
     E = np.kron(np.eye(op.m), _mean_zero_basis(n))
     return E.T @ sum(mats) @ E
@@ -230,7 +230,8 @@ def test_lanczos_solve_bit_identical_to_block_loop(request, family, n):
 
 def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatch):
     # the truncated operator reaches _apply with every row of every block
-    # as its layout; it equals a loop over the blocks' factored products
+    # as its layout; its one batched product over the stacked factors
+    # equals a loop over the blocks of left[:, :r] @ (right[:r] @ X)
     applies = []
     lanczos = cover_spectrum._lanczos_top
 
@@ -244,10 +245,9 @@ def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatc
     for blocks in (small[1], dense_t2[1]):
         op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
         records = truncation_components(op, ranks, seed=0)
-        per_block = [svd_truncate(b, ranks) for b in op.blocks]
-        for i, (apply, record) in enumerate(zip(applies[-len(ranks):], records)):
-            factored = [cover_spectrum._factored_product(tbs[i]) for tbs in per_block]
-            products = [lambda X, p=p: p(X, None) for p in factored]
+        factors = [svd_truncate(b, ranks)[:2] for b in op.blocks]
+        for r, apply, record in zip(ranks, applies[-len(ranks):], records):
+            products = [lambda X, L=L, R=R: L[:, :r] @ (R[:r] @ X) for L, R in factors]
             for _ in range(3):
                 x = rng.standard_normal(op.dimension)
                 assert np.array_equal(apply(x), _block_loop_matvec(op, x, products))

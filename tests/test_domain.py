@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+import covergap.cover_spectrum as cover_spectrum
 from covergap.domain import (
     SPARSE_DENSITY,
     QuadratureGrid,
@@ -29,6 +30,7 @@ from covergap.surface_group import (
     inverse_word,
     support_set,
 )
+from covergap.symmetric_group import sample_uniform_hom
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +217,9 @@ def test_threshold_pair_kept_and_pair_above_dropped():
 def test_svd_exact_at_full_rank(real, grid):
     g = (real.side_pairing_words[0], real.side_pairings[0])
     b = assemble_block(g, 1.0, grid)
-    [tb] = svd_truncate(b, [grid.m])
-    assert tb.op_error_bound == 0.0
-    assert np.allclose(tb.dense(), b.dense(), atol=1e-10)
+    left, right, [err] = svd_truncate(b, [grid.m])
+    assert err == 0.0
+    assert np.allclose(left @ right, b.dense(), atol=1e-10)
 
 
 def test_svd_bound_and_frobenius(real, grid):
@@ -226,35 +228,47 @@ def test_svd_bound_and_frobenius(real, grid):
     s = np.linalg.svd(b.dense(), compute_uv=False)
     assert abs((s * s).sum() - b.hs_norm**2) <= 1e-10 * b.hs_norm**2
     ranks = range(1, 41)
-    for r, tb in zip(ranks, svd_truncate(b, ranks)):
-        assert tb.op_error_bound == pytest.approx(s[r] if r < len(s) else 0.0, abs=1e-14)
-        assert tb.op_error_bound <= b.hs_norm / math.sqrt(r) + 1e-12
-        assert len(tb.singular_values) <= r
+    left, right, errors = svd_truncate(b, ranks)
+    assert len(errors) == len(ranks)
+    for r, err in zip(ranks, errors):
+        assert err == pytest.approx(s[r] if r < len(s) else 0.0, abs=1e-14)
+        assert err <= b.hs_norm / math.sqrt(r) + 1e-12
+    # only the top max(ranks) factors are returned
+    assert left.shape == (grid.m, 40) and right.shape == (40, grid.m)
 
 
 def test_svd_spectral_error_is_next_singular_value(real, grid):
     g = (real.side_pairing_words[1], real.side_pairings[1])
     b = assemble_block(g, 1.0, grid)
     A = b.dense()
-    for tb in svd_truncate(b, [3, 10]):
-        err = np.linalg.norm(A - tb.dense(), 2)
-        assert err == pytest.approx(tb.op_error_bound, abs=1e-10)
+    ranks = [3, 10]
+    left, right, errors = svd_truncate(b, ranks)
+    for r, err in zip(ranks, errors):
+        assert np.linalg.norm(A - left[:, :r] @ right[:r], 2) == pytest.approx(err, abs=1e-10)
 
 
-def test_svd_ranks_share_one_read_only_top_slice(real, grid):
-    # one SVD serves every rank: all of them slice one read-only copy of
-    # the top max(ranks) factors, so the full U and Vt are not kept and a
-    # write through one truncation cannot corrupt the others
+def test_svd_returns_scaled_top_factors_once_per_block(real, grid, support, monkeypatch):
+    # left is the top of U already scaled by s and right the top of Vt, so
+    # no rank scales or copies its own; a study with several ranks takes
+    # one SVD per block
     g = (real.side_pairing_words[2], real.side_pairings[2])
     b = assemble_block(g, 1.0, grid)
-    truncs = svd_truncate(b, [3, 8, 5])
-    U, Vt = truncs[0].left_factors.base, truncs[0].right_factors.base
-    assert U.shape == (grid.m, 8) and Vt.shape == (8, grid.m)
-    for tb in truncs:
-        assert tb.left_factors.base is U and tb.right_factors.base is Vt
-        for arr in (tb.left_factors, tb.singular_values, tb.right_factors):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+    U, s, Vt = np.linalg.svd(b.dense(), full_matrices=False)
+    left, right, _ = svd_truncate(b, [3, 8, 5])
+    assert np.array_equal(left, U[:, :8] * s[:8]) and np.array_equal(right, Vt[:8])
+
+    calls = []
+
+    def counted(block, ranks):
+        calls.append(block)
+        return svd_truncate(block, ranks)
+
+    monkeypatch.setattr(cover_spectrum, "svd_truncate", counted)
+    blocks = assemble_support_blocks(support, 1.0, grid)
+    op = cover_spectrum.build_cover_operator(blocks, sample_uniform_hom(3, 2, seed=1))
+    assert len(cover_spectrum.truncation_components(op, [1, 4, 16], seed=0)) == 3
+    assert len(calls) == len(blocks)
+    assert all(c is d for c, d in zip(calls, op.blocks))
 
 
 def test_svd_rejects_bad_rank(real, grid):
