@@ -118,6 +118,11 @@ class KrylovConvergenceError(RuntimeError):
             f"best estimate {best_estimate:.12g}, residual {residual:.3g}"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds from the three fields (a gap sweep's worker
+        # process returns the error to the driver)
+        return type(self), (self.best_estimate, self.residual, self.iterations)
+
 
 @dataclass(frozen=True)
 class LanczosResult:

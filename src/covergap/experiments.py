@@ -1,12 +1,14 @@
 """Batch experiment drivers: seeded sampling campaigns with CSV/JSON output.
 
 Every command takes an ExperimentConfig, derives one RNG stream per sample
-from the master seed, runs the work serially, and writes rows in
-deterministic (n, index) order so identical configs give byte-identical
-data files. Wall-clock numbers go to the JSON sidecar only, never into the
-data files. cmd_gap_sweep and cmd_truncation_study still accept an ignored
-`threads` keyword, because the benchmark harness (perfbench/child.py)
-passes it.
+from the master seed, and writes rows in deterministic (n, index) order so
+identical configs give byte-identical data files. The gap sweep solves its
+covers on a fork pool with one worker process per CPU this process may run
+on, and in this process where there is one CPU or no fork; every other
+command runs serially. Wall-clock numbers go to the JSON sidecar only, never
+into the data files. cmd_gap_sweep and cmd_truncation_study still accept an
+ignored `threads` keyword, because the benchmark harness
+(perfbench/child.py) passes it.
 """
 
 import csv
@@ -16,7 +18,9 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError
@@ -352,32 +356,81 @@ def _assemble(cfg: ExperimentConfig):
     return real, grid, blocks
 
 
-def _collect_gap_records(draws, blocks):
-    """One GapRecord per draw, in (n, index) order. A failing sample does
-    not stop the batch: the first failure is returned with the records of
-    every other sample."""
-    records, failure = [], None
-    for n, index, s, hom in draws:
-        t0 = time.perf_counter()
+_family = None  # a pool worker's BlockFamily, set by its initializer
+
+
+def _adopt_family(blocks) -> None:
+    global _family
+    _family = blocks
+
+
+def _gap_record(blocks, job):
+    """The GapRecord of one (n, index, seed, hom) draw, timed where it is
+    solved, or the exception that stopped it."""
+    n, index, s, hom = job
+    t0 = time.perf_counter()
+    try:
+        est = estimate_gap(build_cover_operator(blocks, hom), seed=s)
+    except Exception as exc:  # keep the partial batch
+        return exc
+    return GapRecord(
+        n=n,
+        index=index,
+        seed=s,
+        transitive=hom.transitive,
+        op_norm=est.op_norm,
+        lambda_hat=est.lambda_exact_if_below_quarter,
+        lambda_lower_bound=est.lambda_lower_bound,
+        krylov_residual=est.krylov_residual,
+        wall_time=time.perf_counter() - t0,
+    )
+
+
+def _pooled_gap_record(job):
+    """_gap_record in a pool worker. An exception that would not survive
+    the trip back to the driver is sent as a RuntimeError naming its type
+    and message: unpickling it would kill the pool's result thread, and
+    the sweep would wait forever."""
+    result = _gap_record(_family, job)
+    if isinstance(result, Exception):
         try:
-            est = estimate_gap(build_cover_operator(blocks, hom), seed=s)
-        except Exception as exc:  # keep the partial batch
-            if failure is None:
-                failure = exc
-            continue
-        records.append(GapRecord(
-            n=n,
-            index=index,
-            seed=s,
-            transitive=hom.transitive,
-            op_norm=est.op_norm,
-            lambda_hat=est.lambda_exact_if_below_quarter,
-            lambda_lower_bound=est.lambda_lower_bound,
-            krylov_residual=est.krylov_residual,
-            wall_time=time.perf_counter() - t0,
-        ))
-    records.sort(key=lambda r: (r.n, r.index))
-    return records, failure
+            pickle.loads(pickle.dumps(result))
+        except Exception:
+            return RuntimeError(f"{type(result).__name__}: {result}")
+    return result
+
+
+def _pool_size(jobs: int) -> int:
+    """Worker processes for `jobs` solves: one per CPU this process may run
+    on, at most one per job; 1 (solve in this process) where fork or the
+    CPU affinity query does not exist."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), jobs)
+
+
+def _collect_gap_records(draws, blocks):
+    """One GapRecord per draw, in (n, index) order, and the number of
+    processes that solved them. The family's row layout is built here, so
+    forked workers share it instead of each building its own. A failing
+    sample does not stop the batch: the first failure in (n, index) order
+    is returned with the records of every other sample."""
+    blocks.layout
+    workers = _pool_size(len(draws))
+    if workers > 1:
+        # the workers inherit the family through fork instead of a pickle
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_adopt_family,
+                      initargs=(blocks,)) as pool:
+            results = pool.map(_pooled_gap_record, draws, chunksize=1)
+            pool.close()
+            pool.join()
+    else:
+        results = [_gap_record(blocks, job) for job in draws]
+    records = [r for r in results if isinstance(r, GapRecord)]
+    failure = next((r for r in results if isinstance(r, Exception)), None)
+    return records, failure, workers
 
 
 _STAGES = ("setup", "sampling", "solve", "write")
@@ -423,7 +476,7 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     marks.append(time.perf_counter())
     draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
     marks.append(time.perf_counter())
-    records, failure = _collect_gap_records(draws, blocks)
+    records, failure, workers = _collect_gap_records(draws, blocks)
     marks.append(time.perf_counter())
     data_path = _write_table(
         _outpath(cfg, "gap_sweep.csv"), GAP_HEADER,
@@ -452,7 +505,7 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     marks.append(time.perf_counter())
     meta_path = _write_meta(
         _outpath(cfg, "gap_sweep_meta.json"), cfg, marks[-1] - marks[0],
-        extra={"records": len(records),
+        extra={"records": len(records), "workers": workers,
                "sample_seconds": _sample_seconds(records),
                "stage_seconds": _stage_seconds(marks)},
         partial=failure is not None,

@@ -6,6 +6,7 @@ restricted to the mean-zero fiber through the Helmert basis).
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -304,6 +305,15 @@ def test_lanczos_iteration_cap_raises_with_payload():
     assert math.isfinite(exc.value.best_estimate)
     assert exc.value.residual > 0
     assert exc.value.iterations == 3
+
+
+def test_krylov_error_survives_pickling():
+    # a gap sweep's worker process returns the error to the driver
+    err = KrylovConvergenceError(1.0, 1e-3, 400)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is KrylovConvergenceError
+    assert (back.best_estimate, back.residual, back.iterations) == (1.0, 1e-3, 400)
+    assert str(back) == str(err)
 
 
 def test_top_norm_deterministic_by_seed(small):

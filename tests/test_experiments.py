@@ -8,6 +8,10 @@ sample counts; the point here is plumbing, not spectral accuracy.
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +203,7 @@ def test_gap_sweep_files_and_summary(sweep):
     assert meta["config"]["grid_m"] == 50
     assert meta["wall_time_seconds"] > 0
     assert meta["records"] == 6
+    assert meta["workers"] == min(len(os.sched_getaffinity(0)), 6)
     assert meta["code_version"] != "unknown"
     per_n = meta["sample_seconds"]
     assert sum(v["count"] for v in per_n.values()) == len(res["records"])
@@ -247,6 +252,74 @@ def test_gap_sweep_keeps_partial_batch(sweep, tmp_path, monkeypatch):
     assert meta["records"] == 5
 
 
+def _two_cpus(monkeypatch):
+    # the sweep pools its solves over two workers, whatever this host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def test_gap_sweep_names_first_failure_in_index_order(sweep, tmp_path,
+                                                      monkeypatch):
+    # the later sample's failure is raised first, in its own worker; the
+    # driver still names the earlier one in (n, index) order
+    cfg, _ = sweep
+    early, late = derived_seed(cfg.seed, 2, 2), derived_seed(cfg.seed, 3, 0)
+    real = experiments.estimate_gap
+
+    def flaky(op, seed):
+        if seed == late:
+            raise RuntimeError(f"failure at {seed}")
+        if seed == early:
+            time.sleep(0.5)
+            raise RuntimeError(f"failure at {seed}")
+        return real(op, seed=seed)
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(experiments, "estimate_gap", flaky)
+    with pytest.raises(ComputeError, match=f"failure at {early}$"):
+        cmd_gap_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    meta = json.loads((tmp_path / "gap_sweep_meta.json").read_text())
+    assert meta["partial"] is True and meta["records"] == 4
+
+
+class _TwoFieldError(RuntimeError):
+    def __init__(self, a, b):
+        super().__init__(f"fields {a} and {b}")
+
+
+def test_pooled_failure_always_reaches_the_driver(sweep, monkeypatch):
+    # an exception whose unpickling fails would kill the pool's result
+    # thread; the worker sends it as a RuntimeError with its type and text
+    cfg, _ = sweep
+    job = _draw_homs(cfg, 2)[0]
+
+    def failing(op, seed):
+        raise _TwoFieldError(1, 2)
+
+    monkeypatch.setattr(experiments, "estimate_gap", failing)
+    monkeypatch.setattr(experiments, "_family", _assemble(cfg)[2])
+    sent = experiments._pooled_gap_record(job)
+    back = pickle.loads(pickle.dumps(sent))
+    assert type(back) is RuntimeError
+    assert str(back) == "_TwoFieldError: fields 1 and 2"
+
+
+def test_gap_sweep_leaves_no_worker_behind(sweep, tmp_path, monkeypatch):
+    cfg, _ = sweep
+    _two_cpus(monkeypatch)
+    res = cmd_gap_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    assert json.loads(Path(res["meta"]).read_text())["workers"] == 2
+    assert multiprocessing.active_children() == []
+
+    def failing(op, seed):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(experiments, "estimate_gap", failing)
+    with pytest.raises(ComputeError, match="injected failure"):
+        cmd_gap_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    assert multiprocessing.active_children() == []
+
+
 def test_draw_homs_require_transitive(tmp_path):
     cfg = _tiny_cfg(tmp_path, n_list=[3], require_transitive=True)
     draws = _draw_homs(cfg, 3)
@@ -284,9 +357,12 @@ def test_strong_convergence_fractions(tmp_path):
 
 def test_strong_convergence_is_one_gap_sweep(sweep, tmp_path, monkeypatch):
     # one sampling pass feeds both tables: every (n, index) is drawn and
-    # solved once, and the gap files equal a gap-sweep run's byte for byte
+    # solved once, and the gap files equal a gap-sweep run's byte for byte;
+    # the solves run in the sweep's worker processes, so each one appends a
+    # line to a file instead of to a list in this process
     cfg, res = sweep
-    drawn, solved = [], []
+    drawn = []
+    solved = tmp_path / "solved.log"
     draw, solve = experiments.sample_uniform_hom, experiments.estimate_gap
 
     def counting_draw(n, genus, seed):
@@ -294,14 +370,16 @@ def test_strong_convergence_is_one_gap_sweep(sweep, tmp_path, monkeypatch):
         return draw(n, genus, seed=seed)
 
     def counting_solve(op, seed):
-        solved.append(seed)
+        with open(solved, "a") as f:
+            f.write(f"{op.n} {seed}\n")
         return solve(op, seed=seed)
 
     monkeypatch.setattr(experiments, "sample_uniform_hom", counting_draw)
     monkeypatch.setattr(experiments, "estimate_gap", counting_solve)
     out = cmd_strong_convergence(dataclasses.replace(cfg, output_dir=str(tmp_path)))
     assert drawn == [(r.n, r.seed) for r in res["records"]]
-    assert solved == [r.seed for r in res["records"]]
+    assert sorted(solved.read_text().splitlines()) == sorted(
+        f"{r.n} {r.seed}" for r in res["records"])
     for key, name in (("data", "gap_sweep.csv"),
                       ("summary", "gap_sweep_summary.json")):
         assert Path(out["gap_" + key]) == tmp_path / name
