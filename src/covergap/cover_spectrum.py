@@ -46,7 +46,6 @@ class CoverOperator:
     of images each."""
 
     blocks: BlockFamily
-    hom: HomTuple
     m: int
     n: int
     t: float
@@ -79,7 +78,7 @@ def build_cover_operator(blocks, hom: HomTuple) -> CoverOperator:
                      dtype=np.intp)
     m, n = family.m, hom.n
     return CoverOperator(
-        blocks=family, hom=hom, m=m, n=n, t=family.t, dimension=m * (n - 1),
+        blocks=family, m=m, n=n, t=family.t, dimension=m * (n - 1),
         perm_images=perms, basis=_mean_zero_basis(n),
     )
 
@@ -119,8 +118,8 @@ class KrylovConvergenceError(RuntimeError):
         )
 
     def __reduce__(self):
-        # pickle rebuilds from the three fields (a gap sweep's worker
-        # process returns the error to the driver)
+        # pickle rebuilds from the three fields; the default would pass
+        # the message alone to __init__
         return type(self), (self.best_estimate, self.residual, self.iterations)
 
 

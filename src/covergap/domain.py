@@ -24,12 +24,7 @@ from .hyperbolic import (
     mobius_apply,
     pairwise_cosh_distance,
 )
-from .surface_group import (
-    FuchsianRealization,
-    SurfacePresentation,
-    dehn_reduce,
-    inverse_word,
-)
+from .surface_group import FuchsianRealization, inverse_partners
 
 SPARSE_DENSITY = 0.25
 
@@ -172,7 +167,9 @@ class BlockFamily(tuple):
     The blocks share one grid size m and radius t, their words use the
     letters of the genus-2 octagon group, and the family is closed under
     gamma -> gamma^-1 with transposed matrices, which makes every cover
-    operator built from it symmetric.
+    operator built from it symmetric. Partners are matched by element
+    (inverse_partners), since the words are Dehn-reduced, which is no
+    normal form: an element and its inverse can carry unrelated words.
 
     rowsum_ceiling is the Collatz-Wielandt bound max_j (T u)_j / u_j on the
     top eigenvalue of any cover operator T built from the family.  T is
@@ -193,20 +190,17 @@ class BlockFamily(tuple):
         if not self:
             raise ValueError("no blocks supplied")
         m, t = self[0].matrix.shape[0], self[0].t
-        pres = SurfacePresentation(genus=cls.genus)
-        by_word = {}
         for b in self:
-            word = tuple(b.gamma[0])
             if b.matrix.shape != (m, m) or b.t != t:
                 raise ValueError("inconsistent block family")
-            if any(abs(letter) > 2 * cls.genus for letter in word):
+            if any(abs(letter) > 2 * cls.genus for letter in b.gamma[0]):
                 raise ValueError("block word uses letters outside the generators")
-            by_word[word] = b
-        for word, b in by_word.items():
-            partner = by_word.get(dehn_reduce(inverse_word(word), pres))
-            if partner is None:
+        partners = inverse_partners([b.gamma[1] for b in self])
+        for b, j in zip(self, partners):
+            word = tuple(b.gamma[0])
+            if j is None:
                 raise ValueError(f"family is not inverse-closed at {word}")
-            dev = abs(b.matrix.T - partner.matrix).max()
+            dev = abs(b.matrix.T - self[j].matrix).max()
             if dev > 1e-10 * max(1.0, b.hs_norm):
                 raise ValueError(f"adjoint block mismatch at {word}: {dev}")
         u = np.ones(m)

@@ -20,7 +20,6 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
 import time
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError
@@ -366,13 +365,15 @@ def _adopt_family(blocks) -> None:
 
 def _gap_record(blocks, job):
     """The GapRecord of one (n, index, seed, hom) draw, timed where it is
-    solved, or the exception that stopped it."""
+    solved, or the text of the exception that stopped it. Text always
+    survives the trip back from a pool worker; unpickling some exceptions
+    would kill the pool's result thread, and the sweep would wait forever."""
     n, index, s, hom = job
     t0 = time.perf_counter()
     try:
         est = estimate_gap(build_cover_operator(blocks, hom), seed=s)
     except Exception as exc:  # keep the partial batch
-        return exc
+        return str(exc)
     return GapRecord(
         n=n,
         index=index,
@@ -387,17 +388,8 @@ def _gap_record(blocks, job):
 
 
 def _pooled_gap_record(job):
-    """_gap_record in a pool worker. An exception that would not survive
-    the trip back to the driver is sent as a RuntimeError naming its type
-    and message: unpickling it would kill the pool's result thread, and
-    the sweep would wait forever."""
-    result = _gap_record(_family, job)
-    if isinstance(result, Exception):
-        try:
-            pickle.loads(pickle.dumps(result))
-        except Exception:
-            return RuntimeError(f"{type(result).__name__}: {result}")
-    return result
+    """_gap_record in a pool worker, on the family it inherited."""
+    return _gap_record(_family, job)
 
 
 def _pool_size(jobs: int) -> int:
@@ -414,8 +406,8 @@ def _collect_gap_records(draws, blocks):
     """One GapRecord per draw, in (n, index) order, and the number of
     processes that solved them. The family's row layout is built here, so
     forked workers share it instead of each building its own. A failing
-    sample does not stop the batch: the first failure in (n, index) order
-    is returned with the records of every other sample."""
+    sample does not stop the batch: the text of the first failure in
+    (n, index) order is returned with the records of every other sample."""
     blocks.layout
     workers = _pool_size(len(draws))
     if workers > 1:
@@ -429,7 +421,7 @@ def _collect_gap_records(draws, blocks):
     else:
         results = [_gap_record(blocks, job) for job in draws]
     records = [r for r in results if isinstance(r, GapRecord)]
-    failure = next((r for r in results if isinstance(r, Exception)), None)
+    failure = next((r for r in results if isinstance(r, str)), None)
     return records, failure, workers
 
 

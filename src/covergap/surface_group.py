@@ -307,6 +307,18 @@ class _OrbitIndex:
         self.points.append((x, y))
 
 
+def inverse_partners(isometries) -> list:
+    """For each of a list of distinct group elements, the position of its
+    inverse in the list, or None if the list lacks it. Elements are matched
+    by orbit point through _OrbitIndex, so no word has to be in a normal
+    form."""
+    index = _OrbitIndex()
+    for x, y in zip(*_orbit_points(np.stack([M.m for M in isometries]))):
+        index.add(x, y)
+    inverses = _orbit_points(np.stack([M.inverse().m for M in isometries]))
+    return [index.find(x, y) for x, y in zip(*inverses)]
+
+
 def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
     """All gamma with d(base, gamma base) <= R, by breadth-first search over
     the side-pairing moves.
@@ -423,14 +435,8 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
 
     # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair
     # predicate is symmetric in exact arithmetic, make it so in floats too
-    index = _OrbitIndex()
-    for x, y in zip(*_orbit_points(np.stack([M.m for M in cand.isometries()]))):
-        index.add(x, y)
-    inverses = _orbit_points(np.stack([M.inverse().m for M in cand.isometries()]))
-    for i, (x, y) in enumerate(zip(*inverses)):
-        if accept[i]:
-            j = index.find(x, y)
-            if j is not None:
-                accept[j] = True
+    for i, j in enumerate(inverse_partners(cand.isometries())):
+        if accept[i] and j is not None:
+            accept[j] = True
 
     return SupportSet(elements=[e for e, a in zip(cand.elements, accept) if a])

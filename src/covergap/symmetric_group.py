@@ -6,17 +6,19 @@ uniformly, by resolving conjugacy classes one commutator at a time with
 exact big-integer class weights, then realizing each commutator pair through
 a class-rejection step and a uniform centralizer coset element. The weights
 are plain Python integers: every 1/d_lambda in the character sums is
-replaced by the integer codimension n!/d_lambda. Character tables come from
-the Murnaghan-Nakayama rule applied a whole table at a time, as signed
-border-strip-removal matrices times smaller tables, and are verified against
-orthogonality when a table is built.
+replaced by the integer codimension n!/d_lambda, and the Frobenius-Mednykh
+count of Hom is n! sum_lambda codim^{2g-2}. One CharacterTable per n holds
+the characters by class, the class sizes, the degrees and the codimensions,
+and counts class triples; every weight reads it. The table comes from the
+Murnaghan-Nakayama rule applied a whole table at a time, as signed
+border-strip-removal matrices times smaller tables, and is verified against
+orthogonality, with every degree dividing n!, when it is built.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -215,15 +217,52 @@ def _table_array(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacterTable:
+    """The character table of S_n with the class data the sampler reads.
+
+    chi_by_class[mu][lam] is chi_lam at the class of cycle type mu, both in
+    partitions(n) order. The last class is (1^n), so its vector is the
+    degrees d_lam. Every value is a Python int: the sampler multiplies
+    character values and codimensions beyond int64.
+    """
+
     n: int
     partitions: Tuple[Tuple[int, ...], ...]
     class_sizes: Tuple[int, ...]
-    chi: Tuple[Tuple[int, ...], ...]  # chi[lam_index][class_index]
+    chi_by_class: Tuple[Tuple[int, ...], ...]
+
+    @cached_property
+    def index(self) -> dict:
+        """Position of each partition (cycle type) in partitions."""
+        return {lam: i for i, lam in enumerate(self.partitions)}
 
     @property
-    def dimensions(self) -> Tuple[int, ...]:
-        one = self.partitions.index((1,) * self.n)
-        return tuple(row[one] for row in self.chi)
+    def degrees(self) -> Tuple[int, ...]:
+        return self.chi_by_class[-1]
+
+    @cached_property
+    def order(self) -> int:
+        return math.factorial(self.n)
+
+    @cached_property
+    def codims(self) -> Tuple[int, ...]:
+        """n!/d_lam, so that each 1/d_lam becomes codim/n! in integers;
+        exact, since character_table checks that every degree divides n!."""
+        return tuple(self.order // d for d in self.degrees)
+
+    def triple_count(self, e_idx: int, c_idx: int, z_idx: int) -> int:
+        """#{(y, x) in E x C : y x = z} for one fixed z in class Z:
+        |E||C| sum chi_E chi_C chi_Z codim / (n!)^2."""
+        chi = self.chi_by_class
+        s = sum(a * b * c * w
+                for a, b, c, w in zip(chi[e_idx], chi[c_idx], chi[z_idx], self.codims))
+        val, rem = divmod(self.class_sizes[e_idx] * self.class_sizes[c_idx] * s,
+                          self.order**2)
+        if rem or val < 0:
+            raise ArithmeticError(
+                f"class triple count {val} + {rem}/{self.order**2} "
+                "is not a natural number"
+            )
+        return val
 
 
 MAX_N = 16
@@ -231,17 +270,21 @@ MAX_N = 16
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
-    """Full integer character table of S_n, orthogonality-verified."""
+    """Full integer character table of S_n, orthogonality-verified, with
+    every degree checked to divide n!."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in [1, {MAX_N}]")
     X = _table_array(n)
     _verify_table(n, X)
     parts = partitions(n)
-    sizes = tuple(class_size(n, mu) for mu in parts)
-    # .tolist() gives Python ints: the sampler multiplies character values
-    # and codimensions beyond int64
-    chi = tuple(map(tuple, X.tolist()))
-    return CharacterTable(n=n, partitions=parts, class_sizes=sizes, chi=chi)
+    tab = CharacterTable(
+        n=n, partitions=parts,
+        class_sizes=tuple(class_size(n, mu) for mu in parts),
+        chi_by_class=tuple(map(tuple, X.T.tolist())),
+    )
+    if any(tab.order % d for d in tab.degrees):
+        raise ArithmeticError(f"a character degree does not divide {n}!")
+    return tab
 
 
 def _gram(X: np.ndarray) -> np.ndarray:
@@ -281,74 +324,25 @@ def _verify_table(n: int, X: np.ndarray) -> None:
 
 
 def count_homs(n: int, g: int) -> int:
-    """|Hom| for the genus-g surface group: (n!)^{2g-1} sum_lam d^{2-2g}."""
+    """|Hom| for the genus-g surface group:
+    (n!)^{2g-1} sum_lam d^{2-2g} = n! sum_lam codim^{2g-2}."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     tab = character_table(n)
-    fact = math.factorial(n)
-    total = sum(Fraction(1, d ** (2 * g - 2)) for d in tab.dimensions)
-    total *= Fraction(fact) ** (2 * g - 1)
-    if not total.denominator == 1:
-        raise ArithmeticError(f"Frobenius-Mednykh count {total} is not an integer")
-    return int(total)
+    return tab.order * sum(w ** (2 * g - 2) for w in tab.codims)
 
 
 # ------------------------------------------------------------ class weights
 
 
-class _SamplerTables:
-    """Exact integer class data shared by all samples at one n."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tab = character_table(n)
-        self.types = self.tab.partitions  # cycle types = partitions
-        self.index = {t: i for i, t in enumerate(self.types)}
-        self.sizes = self.tab.class_sizes
-        self.fact = math.factorial(n)
-        self.dims = self.tab.dimensions
-        if any(self.fact % d for d in self.dims):
-            raise ArithmeticError(f"a character degree does not divide {n}!")
-        # n!/d_lambda, so that each 1/d_lambda becomes codim/n! in integers
-        self.codims = tuple(self.fact // d for d in self.dims)
-        # per class, the character vector over lambda
-        self.chi_by_class = list(zip(*self.tab.chi))
-
-    def triple_count(self, e_idx: int, c_idx: int, z_idx: int) -> int:
-        """#{(y, x) in E x C : y x = z} for one fixed z in class Z:
-        |E||C| sum chi_E chi_C chi_Z codim / (n!)^2."""
-        s = sum(
-            a * b * c * w
-            for a, b, c, w in zip(
-                self.chi_by_class[e_idx],
-                self.chi_by_class[c_idx],
-                self.chi_by_class[z_idx],
-                self.codims,
-            )
-        )
-        val, rem = divmod(self.sizes[e_idx] * self.sizes[c_idx] * s, self.fact**2)
-        if rem or val < 0:
-            raise ArithmeticError(
-                f"class triple count {val} + {rem}/{self.fact**2} "
-                "is not a natural number"
-            )
-        return val
-
-
 @lru_cache(maxsize=None)
-def _sampler_tables(n: int) -> _SamplerTables:
-    return _SamplerTables(n)
-
-
-@lru_cache(maxsize=None)
-def _f_k(n: int, class_idx: int, k: int) -> int:
-    """Number of 2k-tuples whose commutator product equals one fixed
-    representative of the class: (n!)^{2k-1} sum chi(c) / d^{2k-1}
+def _f_k(n: int, k: int) -> Tuple[int, ...]:
+    """Per class, the number of 2k-tuples whose commutator product equals
+    one fixed representative of the class: (n!)^{2k-1} sum chi(c) / d^{2k-1}
     = sum chi(c) codim^{2k-1}."""
-    st = _sampler_tables(n)
-    return sum(
-        c * w ** (2 * k - 1) for c, w in zip(st.chi_by_class[class_idx], st.codims)
-    )
+    tab = character_table(n)
+    powers = [w ** (2 * k - 1) for w in tab.codims]
+    return tuple(sum(c * w for c, w in zip(chi, powers)) for chi in tab.chi_by_class)
 
 
 @lru_cache(maxsize=None)
@@ -356,9 +350,9 @@ def _identity_target_weights(n: int, k: int) -> Tuple[int, ...]:
     """Class weights |C| M(C) f_{k-1}(C) for the last of k commutators when
     the remaining product must close to the identity; their total recovers
     the Frobenius-Mednykh count, which is asserted."""
-    st = _sampler_tables(n)
     ws = tuple(
-        st.sizes[i] * _f_k(n, i, 1) * _f_k(n, i, k - 1) for i in range(len(st.types))
+        size * m * f
+        for size, m, f in zip(character_table(n).class_sizes, _f_k(n, 1), _f_k(n, k - 1))
     )
     if not sum(ws) == count_homs(n, k):
         raise ArithmeticError(f"class weights miss the count of Hom at n={n}, k={k}")
@@ -369,13 +363,13 @@ def _identity_target_weights(n: int, k: int) -> Tuple[int, ...]:
 def _pair_class_weights(n: int, c_type: Tuple[int, ...]) -> Tuple[int, ...]:
     """For [A,B] = c: weights N_K(c) * |Z_K| over the class K of A; the
     total must equal M(c), which is asserted."""
-    st = _sampler_tables(n)
-    c_idx = st.index[c_type]
+    tab = character_table(n)
+    c_idx = tab.index[c_type]
     ws = tuple(
-        st.triple_count(k, k, c_idx) * (st.fact // st.sizes[k])
-        for k in range(len(st.types))
+        tab.triple_count(k, k, c_idx) * (tab.order // size)
+        for k, size in enumerate(tab.class_sizes)
     )
-    if not sum(ws) == _f_k(n, c_idx, 1):
+    if not sum(ws) == _f_k(n, 1)[c_idx]:
         raise ArithmeticError(f"pair class weights miss M(c) at n={n}, c={c_type}")
     return ws
 
@@ -458,9 +452,8 @@ def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
     B u^-1 B^-1 = u^-1 c.
     """
     n = c.n
-    st = _sampler_tables(n)
     weights = _pair_class_weights(n, c.cycle_type())
-    ktype = st.types[_weighted_choice(weights, rng)]
+    ktype = partitions(n)[_weighted_choice(weights, rng)]
     for _ in range(_REJECT_CAP):
         u = _uniform_in_class(n, ktype, rng)
         if (u.inverse() * c).cycle_type() == ktype:
@@ -542,8 +535,8 @@ def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in [1, {MAX_N}]")
     rng = random.Random(seed)
-    st = _sampler_tables(n)
-    ncls = len(st.types)
+    tab = character_table(n)
+    types = tab.partitions
     pairs: List[Tuple[Permutation, Permutation]] = []  # (A_g,B_g) first
     target = Permutation.identity(n)
     for k in range(g, 1, -1):
@@ -551,26 +544,25 @@ def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
             # E is forced to C (classes are self-paired) and the triple
             # count degenerates to |C|
             ci = _weighted_choice(_identity_target_weights(n, k), rng)
-            x = _uniform_in_class(n, st.types[ci], rng)
+            x = _uniform_in_class(n, types[ci], rng)
         else:
-            z_idx = st.index[target.cycle_type()]
+            z_idx = tab.index[target.cycle_type()]
+            fes = _f_k(n, k - 1)
             cand, weights = [], []
-            for ci in range(ncls):
-                mc = _f_k(n, ci, 1)
+            for ci, mc in enumerate(_f_k(n, 1)):
                 if mc == 0:
                     continue
-                for ei in range(ncls):
-                    fe = _f_k(n, ei, k - 1)
+                for ei, fe in enumerate(fes):
                     if fe == 0:
                         continue
-                    tc = st.triple_count(ei, ci, z_idx)
+                    tc = tab.triple_count(ei, ci, z_idx)
                     if tc:
                         cand.append((ci, ei))
                         weights.append(mc * tc * fe)
             ci, ei = cand[_weighted_choice(weights, rng)]
-            etype = st.types[ei]
+            etype = types[ei]
             for _ in range(_REJECT_CAP):
-                x = _uniform_in_class(n, st.types[ci], rng)
+                x = _uniform_in_class(n, types[ci], rng)
                 if (target * x.inverse()).cycle_type() == etype:
                     break
             else:

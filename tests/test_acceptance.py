@@ -1,4 +1,5 @@
-"""Acceptance suite: nine end-to-end checks of the whole pipeline.
+"""Acceptance suite: nine end-to-end checks of the whole pipeline, and an
+external oracle, Bolza's first eigenvalue.
 
 Each test prints one PASS/FAIL summary line (bypassing capture, so the
 lines appear inline in the verbose run log) and then asserts. Tolerances
@@ -13,6 +14,8 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
+from scipy.optimize import brentq
 
 from covergap.hyperbolic import ball_area
 from covergap.surface_group import (
@@ -309,3 +312,30 @@ def test_ac9_thread_determinism(tmp_path, report, monkeypatch):
         f"({len(outs['a'])} bytes, {wall:.1f}s)"
     )
     assert ok
+
+
+BOLZA_LAMBDA1 = 3.8388872588  # Strohmaier and Uski, Comm. Math. Phys. 317 (2013)
+
+
+def test_bolza_first_eigenvalue_oracle(bolza, report):
+    # an external oracle: eigenvalues 2-4 of the scalar operator sum A_gamma
+    # are h_1(r_1) for Bolza's lambda_1 = 1/4 + r_1^2 (multiplicity 3);
+    # inverted on the decreasing real branch r in [0, 5.12] of h_1, each
+    # lands within 0.005 of the published value on the ~1600-node grid
+    t0 = time.perf_counter()
+    grid = build_grid(bolza, 1600)
+    blocks = assemble_support_blocks(support_set(bolza, 1.0), 1.0, grid)
+    top = eigh(sum(b.dense() for b in blocks), eigvals_only=True,
+               subset_by_index=[grid.m - 4, grid.m - 1])[::-1]
+    lams = [0.25 + brentq(lambda r: selberg_h(1.0, SpectralParameter.real(r)).value - v,
+                          0.0, 5.12) ** 2
+            for v in top[1:]]
+    errs = [lam - BOLZA_LAMBDA1 for lam in lams]
+    wall = time.perf_counter() - t0
+    ok = max(map(abs, errs)) <= 0.005
+    report(
+        f"Bolza oracle {'PASS' if ok else 'FAIL'}: lambda_1 readings "
+        f"{', '.join(f'{e:+.5f}' for e in errs)} off {BOLZA_LAMBDA1} at "
+        f"m={grid.m} ({wall:.1f}s)"
+    )
+    assert ok, lams

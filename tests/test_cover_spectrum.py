@@ -308,7 +308,7 @@ def test_lanczos_iteration_cap_raises_with_payload():
 
 
 def test_krylov_error_survives_pickling():
-    # a gap sweep's worker process returns the error to the driver
+    # pickle must rebuild the error from its three fields
     err = KrylovConvergenceError(1.0, 1e-3, 400)
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is KrylovConvergenceError
@@ -353,7 +353,8 @@ def test_mean_zero_top_matches_dense(small):
 
 def test_estimate_gap_good_cover(small):
     _, blocks = small
-    op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
+    hom = sample_uniform_hom(4, 2, seed=3)
+    op = build_cover_operator(blocks, hom)
     est = estimate_gap(op, seed=1)
     peak = h_peak(T_RADIUS)
     assert 0.0 <= est.lambda_lower_bound <= 0.25
@@ -363,7 +364,7 @@ def test_estimate_gap_good_cover(small):
     if est.op_norm <= peak:
         assert est.lambda_exact_if_below_quarter is None
         assert est.lambda_lower_bound == pytest.approx(0.25, abs=1e-6)
-    assert (op.n, op.m) == (4, blocks.m) and op.hom.transitive
+    assert (op.n, op.m) == (4, blocks.m) and hom.transitive
     assert set(est.metadata) == {"iterations"}
 
 

@@ -27,6 +27,7 @@ from covergap.surface_group import (
     build_bolza_realization,
     dehn_reduce,
     in_fundamental_domain,
+    inverse_partners,
     inverse_word,
     support_set,
 )
@@ -114,6 +115,19 @@ def test_adjoint_relation(real, grid, support):
         assert winv in blocks
         dev = np.abs(blocks[w].dense().T - blocks[winv].dense()).max()
         assert dev <= 1e-12
+
+
+def test_t4_family_pairs_blocks_by_element(real):
+    # from t ~ 3.6 up, Dehn reduction gives some elements and their
+    # inverses unrelated words, so the family must find each block's
+    # partner by the element, not by the reduced inverse word
+    family = assemble_support_blocks(support_set(real, 4.0), 4.0, build_grid(real, 400))
+    words = {b.gamma[0] for b in family}
+    unrelated = [b.gamma[0] for b in family
+                 if dehn_reduce(inverse_word(b.gamma[0]), real.presentation) not in words]
+    assert unrelated
+    for b, j in zip(family, inverse_partners([b.gamma[1] for b in family])):
+        assert (b.gamma[1] @ family[j].gamma[1]).is_identity(1e-6)
 
 
 def test_hs_norm_matches_double_sum(real, grid):

@@ -30,7 +30,6 @@ from covergap.symmetric_group import (
     _gram,
     _identity_target_weights,
     _pair_class_weights,
-    _sampler_tables,
     _table_array,
     _verify_table,
     character_table,
@@ -225,9 +224,9 @@ def _beta_list_character(lam, mu):
 def test_bitmask_table_equals_beta_list_recursion(n):
     parts = partitions(n)
     want = tuple(
-        tuple(_beta_list_character(lam, mu) for mu in parts) for lam in parts
+        tuple(_beta_list_character(lam, mu) for lam in parts) for mu in parts
     )
-    assert character_table(n).chi == want
+    assert character_table(n).chi_by_class == want
 
 
 @lru_cache(maxsize=None)
@@ -255,11 +254,11 @@ def _bitmask_character(mask, mu):
 def test_strip_matrix_table_equals_bitmask_recursion(n):
     parts = partitions(n)
     want = tuple(
-        tuple(_bitmask_character(_beta_mask(lam, n), mu) for mu in parts)
-        for lam in parts
+        tuple(_bitmask_character(_beta_mask(lam, n), mu) for lam in parts)
+        for mu in parts
     )
     _bitmask_character.cache_clear()  # every key holds n beads
-    chi = character_table(n).chi
+    chi = character_table(n).chi_by_class
     assert chi == want
     if n == MAX_N:
         # the sampler's products of three values and a codimension need
@@ -278,10 +277,9 @@ def test_table_build_is_one_public_call(monkeypatch):
         return public(n)
 
     monkeypatch.setattr(symmetric_group, "character_table", counted)
-    for cached in (symmetric_group._sampler_tables, public,
-                   symmetric_group._table_array):
+    for cached in (public, symmetric_group._table_array):
         cached.cache_clear()
-    symmetric_group._sampler_tables(12)
+    count_homs(12, 2)
     assert calls == [12]
 
 
@@ -294,24 +292,25 @@ def test_s3_table_exact():
     }
     for li, lam in enumerate(tab.partitions):
         for mi, mu in enumerate(tab.partitions):
-            assert tab.chi[li][mi] == want[lam][mu]
+            assert tab.chi_by_class[mi][li] == want[lam][mu]
 
 
 def test_s4_dimensions_and_values():
     tab = character_table(4)
-    assert sorted(tab.dimensions) == [1, 1, 2, 3, 3]
-    idx = {lam: i for i, lam in enumerate(tab.partitions)}
+    assert sorted(tab.degrees) == [1, 1, 2, 3, 3]
+    idx = tab.index
     # standard representation (3,1) at a transposition has trace 1
-    assert tab.chi[idx[(3, 1)]][idx[(2, 1, 1)]] == 1
+    assert tab.chi_by_class[idx[(2, 1, 1)]][idx[(3, 1)]] == 1
     # sign of a 4-cycle is -1
-    assert tab.chi[idx[(1, 1, 1, 1)]][idx[(4,)]] == -1
+    assert tab.chi_by_class[idx[(4,)]][idx[(1, 1, 1, 1)]] == -1
 
 
 def test_dimensions_match_hook_lengths():
     for n in (5, 6, 8):
         tab = character_table(n)
-        for lam, d in zip(tab.partitions, tab.dimensions):
+        for lam, d, w in zip(tab.partitions, tab.degrees, tab.codims):
             assert d == _hook_dimension(n, lam)
+            assert d * w == math.factorial(n)
 
 
 def test_standard_and_sign_character_formulas():
@@ -322,8 +321,8 @@ def test_standard_and_sign_character_formulas():
         std, sgn = idx[(n - 1, 1)], idx[(1,) * n]
         for mi, mu in enumerate(tab.partitions):
             fix = sum(1 for part in mu if part == 1)
-            assert tab.chi[std][mi] == fix - 1
-            assert tab.chi[sgn][mi] == (-1) ** (n - len(mu))
+            assert tab.chi_by_class[mi][std] == fix - 1
+            assert tab.chi_by_class[mi][sgn] == (-1) ** (n - len(mu))
 
 
 def test_row_orthogonality():
@@ -333,7 +332,7 @@ def test_row_orthogonality():
     for a in range(ncls):
         for b in range(a, ncls):
             s = sum(
-                tab.class_sizes[m] * tab.chi[a][m] * tab.chi[b][m]
+                tab.class_sizes[m] * tab.chi_by_class[m][a] * tab.chi_by_class[m][b]
                 for m in range(ncls)
             )
             assert s == (fact if a == b else 0)
@@ -366,7 +365,7 @@ def test_verify_table_checks_trivial_row_degrees_and_bound():
 def test_float64_gram_is_exact_at_max_n():
     # slow reference: the same Gram matrix in Python integers
     tab = character_table(MAX_N)
-    cols = list(zip(*tab.chi))
+    cols = tab.chi_by_class
     X = _table_array(MAX_N)
     gram = _gram(X)
     assert gram.dtype == np.float64
@@ -397,7 +396,7 @@ def test_commutator_distribution_matches_characters():
         idx = {lam: i for i, lam in enumerate(tab.partitions)}
         perms = _perm_objects(n)
         for p in perms:
-            want = _f_k(n, idx[p.cycle_type()], 1)
+            want = _f_k(n, 1)[idx[p.cycle_type()]]
             assert counts.get(p.images0, 0) == want
 
 
@@ -430,7 +429,7 @@ def test_f2_matches_brute_force_convolution():
             counts.get(y.images0, 0) * counts.get((y.inverse() * x).images0, 0)
             for y in perms
         )
-        assert f2 == _f_k(n, idx[x.cycle_type()], 2)
+        assert f2 == _f_k(n, 2)[idx[x.cycle_type()]]
 
 
 def test_commuting_pair_count():
@@ -439,41 +438,53 @@ def test_commuting_pair_count():
         assert count_homs(n, 1) == len(partitions(n)) * math.factorial(n)
 
 
-def _fraction_triple_count(st, e, c, z):
+def _fraction_triple_count(tab, e, c, z):
     """The Fraction form of the class triple count, as a dense reference."""
+    chi = tab.chi_by_class
     s = sum(
         Fraction(a * b * x, d)
-        for a, b, x, d in zip(st.chi_by_class[e], st.chi_by_class[c],
-                              st.chi_by_class[z], st.dims)
+        for a, b, x, d in zip(chi[e], chi[c], chi[z], tab.degrees)
     )
-    val = Fraction(st.sizes[e] * st.sizes[c], st.fact) * s
+    val = Fraction(tab.class_sizes[e] * tab.class_sizes[c], math.factorial(tab.n)) * s
     assert val.denominator == 1 and val >= 0
     return int(val)
 
 
-def _fraction_f_k(st, i, k):
+def _fraction_f_k(tab, i, k):
     s = sum(Fraction(x, d ** (2 * k - 1))
-            for x, d in zip(st.chi_by_class[i], st.dims))
-    val = Fraction(st.fact) ** (2 * k - 1) * s
+            for x, d in zip(tab.chi_by_class[i], tab.degrees))
+    val = Fraction(math.factorial(tab.n)) ** (2 * k - 1) * s
     assert val.denominator == 1
     return int(val)
 
 
+def _fraction_count_homs(tab, g):
+    """Frobenius-Mednykh, (n!)^{2g-1} sum_lam d^{2-2g}, in Fractions."""
+    total = sum(Fraction(1, d ** (2 * g - 2)) for d in tab.degrees)
+    total *= Fraction(math.factorial(tab.n)) ** (2 * g - 1)
+    assert total.denominator == 1
+    return int(total)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_integer_weights_equal_fraction_weights(n):
-    st = _sampler_tables(n)
-    ncls = len(st.types)
+    tab = character_table(n)
+    ncls = len(tab.partitions)
+    fact = math.factorial(n)
     for e, c, z in itertools.product(range(ncls), repeat=3):
-        assert st.triple_count(e, c, z) == _fraction_triple_count(st, e, c, z)
+        assert tab.triple_count(e, c, z) == _fraction_triple_count(tab, e, c, z)
     for i in range(ncls):
         for k in (1, 2):
-            assert _f_k(n, i, k) == _fraction_f_k(st, i, k)
-    for ci, ctype in enumerate(st.types):
-        want = tuple(_fraction_triple_count(st, k, k, ci) * (st.fact // st.sizes[k])
-                     for k in range(ncls))
+            assert _f_k(n, k)[i] == _fraction_f_k(tab, i, k)
+    for ci, ctype in enumerate(tab.partitions):
+        want = tuple(_fraction_triple_count(tab, k, k, ci) * (fact // size)
+                     for k, size in enumerate(tab.class_sizes))
         assert _pair_class_weights(n, ctype) == want
-    want = tuple(st.sizes[i] * _fraction_f_k(st, i, 1) ** 2 for i in range(ncls))
+    want = tuple(size * _fraction_f_k(tab, i, 1) ** 2
+                 for i, size in enumerate(tab.class_sizes))
     assert _identity_target_weights(n, 2) == want
+    for g in (1, 2, 3):
+        assert count_homs(n, g) == _fraction_count_homs(tab, g)
 
 
 def test_pair_class_weights_total():
@@ -482,7 +493,7 @@ def test_pair_class_weights_total():
         idx = {lam: i for i, lam in enumerate(tab.partitions)}
         for ctype in tab.partitions:
             ws = _pair_class_weights(n, ctype)
-            assert sum(ws) == _f_k(n, idx[ctype], 1)
+            assert sum(ws) == _f_k(n, 1)[idx[ctype]]
             assert all(w >= 0 for w in ws)
 
 
@@ -528,7 +539,7 @@ def test_commutator_pair_uniform_over_solutions():
     ]
     tab = character_table(n)
     idx = {lam: i for i, lam in enumerate(tab.partitions)}
-    assert len(sols) == _f_k(n, idx[c.cycle_type()], 1)
+    assert len(sols) == _f_k(n, 1)[idx[c.cycle_type()]]
     rng = random.Random(42)
     draws = 120 * len(sols)
     obs = {s: 0 for s in sols}
