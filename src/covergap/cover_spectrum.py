@@ -117,11 +117,6 @@ class KrylovConvergenceError(RuntimeError):
             f"best estimate {best_estimate:.12g}, residual {residual:.3g}"
         )
 
-    def __reduce__(self):
-        # pickle rebuilds from the three fields; the default would pass
-        # the message alone to __init__
-        return type(self), (self.best_estimate, self.residual, self.iterations)
-
 
 @dataclass(frozen=True)
 class LanczosResult:

@@ -280,16 +280,39 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
 
 
 def svd_truncate(block: OperatorBlock, ranks) -> tuple:
-    """(U[:, :top] * s[:top], Vt[:top], errors) from one SVD of the block,
-    with top = min(max(ranks), m): the rank-r truncation is the first r
-    columns of the one times the first r rows of the other, so the full
-    factors are freed on return. errors[i] = sigma_{r_i+1} is the
-    spectral-norm error of rank ranks[i], certified <= hs_norm / sqrt(r)
-    because (r+1) sigma_{r+1}^2 <= sum sigma_j^2 = hs_norm^2."""
+    """(left, right, errors) from one SVD of the block's nonzero rows x
+    nonzero columns, read off indptr and indices for a CSR block, so no
+    m x m dense copy is formed. left (m x top) is the top of U scaled by s
+    and right (top x m) the top of Vt, top = min(max(ranks), m), placed
+    back at those rows and columns and exact zeros elsewhere, including
+    past the restricted SVD's len(s): the rank-r truncation is the first r
+    columns of the one times the first r rows of the other. A block whose
+    rows and columns are all nonzero gives LAPACK the dense block's
+    values, so its factors are the dense SVD's bit for bit.
+
+    errors[i] = sigma_{r_i+1} (0.0 for r_i >= len(s)) is the spectral-norm
+    error of rank ranks[i], certified <= hs_norm / sqrt(r) because
+    (r+1) sigma_{r+1}^2 <= sum sigma_j^2 = hs_norm^2. Where sigma_r =
+    sigma_{r+1} the rank-r truncation is not unique: which singular
+    vectors come back for the tied values depends on LAPACK's input, so
+    the truncated operator and its norm at that rank differ between the
+    dense and the restricted SVD, while sigma_{r+1} does not."""
     if min(ranks, default=0) < 1:
         raise ValueError("ranks must be nonempty and at least 1")
-    U, s, Vt = np.linalg.svd(block.dense(), full_matrices=False)
-    top = min(max(ranks), len(s))
+    A = block.matrix
+    m = A.shape[0]
+    if block.is_sparse:
+        rows, cols = np.flatnonzero(np.diff(A.indptr)), np.unique(A.indices)
+        core = A[rows][:, cols].toarray()
+    else:
+        rows, cols = np.flatnonzero(A.any(axis=1)), np.flatnonzero(A.any(axis=0))
+        core = A[np.ix_(rows, cols)]
+    U, s, Vt = np.linalg.svd(core, full_matrices=False)
+    top = min(max(ranks), m)
+    k = min(top, len(s))
+    left, right = np.zeros((m, top)), np.zeros((top, m))
+    left[rows, :k] = U[:, :k] * s[:k]
+    right[:k, cols] = Vt[:k]
     errors = []
     for r in ranks:
         bound = s[r] if r < len(s) else 0.0
@@ -300,4 +323,4 @@ def svd_truncate(block: OperatorBlock, ranks) -> tuple:
                 "inconsistent SVD or hs_norm"
             )
         errors.append(bound)
-    return U[:, :top] * s[:top], Vt[:top], errors
+    return left, right, errors

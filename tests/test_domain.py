@@ -261,15 +261,41 @@ def test_svd_spectral_error_is_next_singular_value(real, grid):
         assert np.linalg.norm(A - left[:, :r] @ right[:r], 2) == pytest.approx(err, abs=1e-10)
 
 
-def test_svd_returns_scaled_top_factors_once_per_block(real, grid, support, monkeypatch):
-    # left is the top of U already scaled by s and right the top of Vt, so
-    # no rank scales or copies its own; a study with several ranks takes
-    # one SVD per block
+def test_svd_factors_the_nonzero_part_once_per_block(real, grid, support, monkeypatch):
+    # one SVD of the block's nonzero rows x columns, placed back: left is
+    # the top of U scaled by s and right the top of Vt, zero off the block's
+    # rows and columns, and every rank with sigma_r > sigma_{r+1} gets the
+    # dense rank-r truncation; a study with several ranks takes one SVD per
+    # block
     g = (real.side_pairing_words[2], real.side_pairings[2])
     b = assemble_block(g, 1.0, grid)
+    rows, cols = np.unique(b.matrix.nonzero()[0]), np.unique(b.matrix.nonzero()[1])
+    assert b.is_sparse and 0 < len(rows) < grid.m and 0 < len(cols) < grid.m
     U, s, Vt = np.linalg.svd(b.dense(), full_matrices=False)
-    left, right, _ = svd_truncate(b, [3, 8, 5])
-    assert np.array_equal(left, U[:, :8] * s[:8]) and np.array_equal(right, Vt[:8])
+    ranks = list(range(1, 41))
+    left, right, errors = svd_truncate(b, ranks)
+    assert left.shape == (grid.m, 40) and right.shape == (40, grid.m)
+    assert not left[np.setdiff1d(np.arange(grid.m), rows)].any()
+    assert not right[:, np.setdiff1d(np.arange(grid.m), cols)].any()
+    # columns past the restricted SVD's min(rows, columns) are exact zeros
+    assert not left[:, min(len(rows), len(cols)):].any()
+    assert not right[min(len(rows), len(cols)):].any()
+    for r, err in zip(ranks, errors):
+        assert err == pytest.approx(s[r], abs=1e-14)
+        if s[r - 1] > s[r]:
+            dense = (U[:, :r] * s[:r]) @ Vt[:r]
+            assert np.abs(left[:, :r] @ right[:r] - dense).max() <= 1e-12
+
+    # a block whose nonzero rows and columns are all m, sparse (the identity
+    # at t = 1) or dense (the identity at t = 2), is factored bit for bit
+    # as the dense block
+    for t in (1.0, 2.0):
+        full = assemble_block(((), IDENTITY), t, grid)
+        assert full.is_sparse == (t == 1.0)
+        U, s, Vt = np.linalg.svd(full.dense(), full_matrices=False)
+        left, right, errors = svd_truncate(full, [3, 8, 5])
+        assert np.array_equal(left, U[:, :8] * s[:8]) and np.array_equal(right, Vt[:8])
+        assert errors == [s[3], s[8], s[5]]
 
     calls = []
 
