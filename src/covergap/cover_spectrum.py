@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_matrix
 
 from .domain import BlockFamily, RowLayout, svd_truncate
 from .selberg import (
@@ -226,32 +227,48 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
 # ------------------------------------------------------------- truncation
 
 
+def _stacked_csr(pieces, width: int) -> csr_matrix:
+    """The dense pieces stacked by rows as one CSR matrix, each piece's
+    columns at its own column indices (increasing), every entry stored."""
+    data = np.concatenate([P.ravel() for P, _ in pieces])
+    indices = np.concatenate([np.tile(c, len(P)) for P, c in pieces])
+    counts = np.concatenate([np.full(len(P), len(c)) for P, c in pieces])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return csr_matrix((data, indices, indptr), shape=(len(counts), width))
+
+
 def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
     """Truncated-operator norm plus the error-budget pieces, one record per
-    rank in ranks, from one svd_truncate per block. Its factors fill two
-    stacks, left (k, m, top) and right (k, top, m), and rank r applies
-    every block at once as left[:, :, :r] @ (right[:, :r] @ X), written
-    into one buffer, through the same _apply as matvec with every row of
-    every block as its layout."""
+    rank in ranks, from one svd_truncate per block. Every rank goes through
+    the same _apply as matvec, with each block's nonzero rows as the
+    layout and two CSR products as its product: the first q_b = min(r, k_b)
+    rows of each block's compact right factor, stacked at the block's
+    nonzero columns, then the first q_b columns of each left factor,
+    block-diagonal. No zero padding is stored, and CSR sums each row's
+    entries in index order, so every partial row is bit-identical to that
+    block's own pair of CSR products."""
     if not ranks:
         return []
-    k, m, n = len(op.blocks), op.m, op.n
-    top = min(max(ranks), m)
-    left, right = np.empty((k, m, top)), np.empty((k, top, m))
-    errors = []
-    for i, b in enumerate(op.blocks):
-        left[i], right[i], e = svd_truncate(b, ranks)
+    factors, errors = [], []
+    for b in op.blocks:
+        *f, e = svd_truncate(b, ranks)
+        factors.append(f)
         errors.append(e)
     hs_total = sum(b.hs_norm for b in op.blocks)
-    full = RowLayout.of(np.repeat(np.arange(k), m), np.tile(np.arange(m), k), m, None)
-    gather = full.gather(op.perm_images)
-    W = np.empty((k, m, n))
+    rows = [f[2] for f in factors]
+    nonzero = RowLayout.of(np.repeat(np.arange(len(rows)), [len(x) for x in rows]),
+                           np.concatenate(rows), op.m, None)
+    gather = nonzero.gather(op.perm_images)
     records = []
     for j, r in enumerate(ranks):
-        def product(X, r=r):
-            return np.matmul(left[:, :, :r], right[:, :r] @ X, out=W).reshape(-1, n)
-
-        layout = dataclasses.replace(full, product=product)
+        # down (sum q_b x m) takes X to every block's first q_b right-factor
+        # coordinates, up (sum |rows_b| x sum q_b) back to its nonzero rows
+        q = [min(r, L.shape[1]) for L, *_ in factors]
+        start = np.cumsum([0] + q)
+        down = _stacked_csr([(R[:k], cols) for k, (_, R, _, cols) in zip(q, factors)], op.m)
+        up = _stacked_csr([(L[:, :k], np.arange(s, s + k))
+                           for k, s, (L, *_) in zip(q, start, factors)], start[-1])
+        layout = dataclasses.replace(nonzero, product=lambda X, u=up, d=down: u @ (d @ X))
         res = _lanczos_top(functools.partial(_apply, op, layout, gather), op.dimension, seed)
         sigma_total = sum(e[j] for e in errors)
         records.append({

@@ -280,15 +280,16 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
 
 
 def svd_truncate(block: OperatorBlock, ranks) -> tuple:
-    """(left, right, errors) from one SVD of the block's nonzero rows x
-    nonzero columns, read off indptr and indices for a CSR block, so no
-    m x m dense copy is formed. left (m x top) is the top of U scaled by s
-    and right (top x m) the top of Vt, top = min(max(ranks), m), placed
-    back at those rows and columns and exact zeros elsewhere, including
-    past the restricted SVD's len(s): the rank-r truncation is the first r
-    columns of the one times the first r rows of the other. A block whose
-    rows and columns are all nonzero gives LAPACK the dense block's
-    values, so its factors are the dense SVD's bit for bit.
+    """(left, right, rows, cols, errors) from one SVD of the block's
+    nonzero rows x nonzero columns, read off indptr and indices for a CSR
+    block, so no m x m dense copy is formed. rows and cols are those
+    indices in increasing order; left (len(rows) x k) is the top of U
+    scaled by s and right (k x len(cols)) the top of Vt, k = min(max(ranks),
+    len(s)): the rank-r truncation of the block is the first r columns of
+    the one times the first r rows of the other, placed at rows x cols and
+    zero elsewhere. A block whose rows and columns are all nonzero gives
+    LAPACK the dense block's values, so its factors are the dense SVD's
+    bit for bit.
 
     errors[i] = sigma_{r_i+1} (0.0 for r_i >= len(s)) is the spectral-norm
     error of rank ranks[i], certified <= hs_norm / sqrt(r) because
@@ -300,7 +301,6 @@ def svd_truncate(block: OperatorBlock, ranks) -> tuple:
     if min(ranks, default=0) < 1:
         raise ValueError("ranks must be nonempty and at least 1")
     A = block.matrix
-    m = A.shape[0]
     if block.is_sparse:
         rows, cols = np.flatnonzero(np.diff(A.indptr)), np.unique(A.indices)
         core = A[rows][:, cols].toarray()
@@ -308,11 +308,7 @@ def svd_truncate(block: OperatorBlock, ranks) -> tuple:
         rows, cols = np.flatnonzero(A.any(axis=1)), np.flatnonzero(A.any(axis=0))
         core = A[np.ix_(rows, cols)]
     U, s, Vt = np.linalg.svd(core, full_matrices=False)
-    top = min(max(ranks), m)
-    k = min(top, len(s))
-    left, right = np.zeros((m, top)), np.zeros((top, m))
-    left[rows, :k] = U[:, :k] * s[:k]
-    right[:k, cols] = Vt[:k]
+    k = min(max(ranks), len(s))
     errors = []
     for r in ranks:
         bound = s[r] if r < len(s) else 0.0
@@ -323,4 +319,4 @@ def svd_truncate(block: OperatorBlock, ranks) -> tuple:
                 "inconsistent SVD or hs_norm"
             )
         errors.append(bound)
-    return left, right, errors
+    return U[:, :k] * s[:k], Vt[:k].copy(), rows, cols, errors

@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 # -------------------------------------------------------------- permutations
 
@@ -163,9 +162,10 @@ def _beta_index(k: int) -> dict:
     return {_beta_mask(lam, k): i for i, lam in enumerate(partitions(k))}
 
 
-def _strip_matrix(k: int, r: int) -> csr_matrix:
-    """The signed border-strip-removal matrix R_{k,r}: rows are the
-    partitions lam of k, columns the partitions nu of k - r, and the entry is
+def _strip_matrix(k: int, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signed border-strip-removal matrix R_{k,r} as its entries (rows,
+    cols, signs), intp indices and int64 signs: rows are the partitions lam
+    of k, columns the partitions nu of k - r, and the entry is
     (-1)^height when removing one border strip of length r takes lam to nu.
 
     On the beta-set mask of lam, a strip is a bead at b with b - r free, and
@@ -174,18 +174,18 @@ def _strip_matrix(k: int, r: int) -> csr_matrix:
     leaves its mask with k - r beads."""
     cols = _beta_index(k - r)
     between = (1 << (r - 1)) - 1
-    data, indices, indptr = [], [], [0]
-    for mask in _beta_index(k):
+    rows, indices, signs = [], [], []
+    for row, mask in enumerate(_beta_index(k)):
         cand = mask & ~(mask << r) & ~((1 << r) - 1)
         while cand:
             bead = cand & -cand
             cand ^= bead
             low = bead.bit_length() - 1 - r
+            rows.append(row)
             indices.append(cols[(mask ^ bead ^ (1 << low)) >> r])
-            data.append(-1 if ((mask >> (low + 1)) & between).bit_count() & 1 else 1)
-        indptr.append(len(indices))
-    return csr_matrix((np.array(data, dtype=np.int64), indices, indptr),
-                      shape=(len(indptr) - 1, len(cols)))
+            signs.append(-1 if ((mask >> (low + 1)) & between).bit_count() & 1 else 1)
+    return (np.array(rows, dtype=np.intp), np.array(indices, dtype=np.intp),
+            np.array(signs, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -196,10 +196,11 @@ def _table_array(k: int) -> np.ndarray:
     The columns mu with largest part r are one contiguous block, and their
     remainders nu = mu[1:] are, in the same order, the partitions of k - r
     with largest part at most r: a suffix of partitions(k - r). By
-    Murnaghan-Nakayama the block is R_{k,r} @ T_{k-r}[:, suffix]. int64 is
-    exact: every entry satisfies |chi| <= sqrt(k!) (column orthogonality),
-    and each output is a signed sum of at most k entries (one per bead),
-    which stays below 2^63 for every k <= 31."""
+    Murnaghan-Nakayama the block is R_{k,r} @ T_{k-r}[:, suffix], added up
+    entry by entry of R_{k,r} with np.add.at into a zero int64 block. int64
+    is exact: every entry satisfies |chi| <= sqrt(k!) (column
+    orthogonality), and each output is a signed sum of at most k entries
+    (one per bead), which stays below 2^63 for every k <= 31."""
     parts = partitions(k)
     # k = 0 keeps the ones, the table [[1]] of S_0; for k > 0 the blocks
     # overwrite every column
@@ -209,7 +210,10 @@ def _table_array(k: int) -> np.ndarray:
         rest = partitions(k - r)
         first = next(j for j, nu in enumerate(rest) if not nu or nu[0] <= r)
         stop = start + len(rest) - first
-        out[:, start:stop] = _strip_matrix(k, r) @ _table_array(k - r)[:, first:]
+        rows, cols, signs = _strip_matrix(k, r)
+        block = np.zeros((len(parts), stop - start), dtype=np.int64)
+        np.add.at(block, rows, signs[:, None] * _table_array(k - r)[cols, first:])
+        out[:, start:stop] = block
         start = stop
     out.flags.writeable = False
     return out

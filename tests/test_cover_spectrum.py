@@ -5,10 +5,12 @@ restricted to the mean-zero fiber through the Helmert basis).
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
@@ -69,6 +71,15 @@ def medium(real):
     return grid, assemble_support_blocks(support_set(real, T_RADIUS), T_RADIUS, grid)
 
 
+def _truncated_block(b, r):
+    """The m x m rank-r truncation of a block from svd_truncate's compact
+    factors, placed at their rows and columns."""
+    left, right, rows, cols, _ = svd_truncate(b, [r])
+    A = np.zeros(b.matrix.shape)
+    A[np.ix_(rows, cols)] = left @ right
+    return A
+
+
 def _dense_operator(op, r=None):
     """kron-assembled dense matrix of the operator, restricted to the
     mean-zero coordinates; with a rank r, of its rank-r truncation."""
@@ -79,7 +90,7 @@ def _dense_operator(op, r=None):
         # column j of the fiber factor picks source column idx[j]
         for j in range(n):
             P[idx[j], j] = 1.0
-        A = b.dense() if r is None else np.matmul(*svd_truncate(b, [r])[:2])
+        A = b.dense() if r is None else _truncated_block(b, r)
         mats.append(np.kron(A, P.T))
     E = np.kron(np.eye(op.m), _mean_zero_basis(n))
     return E.T @ sum(mats) @ E
@@ -228,10 +239,9 @@ def test_lanczos_solve_bit_identical_to_block_loop(request, family, n):
     assert fast == slow and fast.iterations > 1
 
 
-def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatch):
-    # the truncated operator reaches _apply with every row of every block
-    # as its layout; its one batched product over the stacked factors
-    # equals a loop over the blocks of left[:, :r] @ (right[:r] @ X)
+def _captured_truncated_applies(monkeypatch):
+    """Collects the apply that truncation_components hands each rank's
+    Lanczos solve."""
     applies = []
     lanczos = cover_spectrum._lanczos_top
 
@@ -240,20 +250,49 @@ def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatc
         return lanczos(apply, dim, seed)
 
     monkeypatch.setattr(cover_spectrum, "_lanczos_top", capture)
+    return applies
+
+
+def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatch):
+    # the truncated operator reaches _apply with each block's nonzero rows
+    # as its layout; its two CSR products over the stacked compact factors
+    # equal a loop over the blocks of CSR products of the same factors
+    applies = _captured_truncated_applies(monkeypatch)
     rng = np.random.default_rng(0)
     ranks = [2, 8]
     for blocks in (small[1], dense_t2[1]):
         op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
         records = truncation_components(op, ranks, seed=0)
-        factors = [svd_truncate(b, ranks)[:2] for b in op.blocks]
+        factors = [svd_truncate(b, ranks)[:4] for b in op.blocks]
         for r, apply, record in zip(ranks, applies[-len(ranks):], records):
-            products = [lambda X, L=L, R=R: L[:, :r] @ (R[:r] @ X) for L, R in factors]
+            def product(X, L, R, rows, cols, r):
+                Y = np.zeros_like(X)
+                Y[rows] = csr_matrix(L[:, :r]) @ (csr_matrix(R[:r]) @ X[cols])
+                return Y
+
+            products = [functools.partial(product, L=L, R=R, rows=rows, cols=cols, r=r)
+                        for L, R, rows, cols in factors]
             for _ in range(3):
                 x = rng.standard_normal(op.dimension)
                 assert np.array_equal(apply(x), _block_loop_matvec(op, x, products))
-            loop = lanczos(lambda x: _block_loop_matvec(op, x, products),
-                           op.dimension, 0)
+            loop = _lanczos_top(lambda x: _block_loop_matvec(op, x, products),
+                                op.dimension, 0)
             assert record["truncated_top"] == loop.top
+
+
+def test_truncated_apply_at_full_rank_equals_matvec(small, dense_t2, monkeypatch):
+    # at r = m every block is its whole SVD, so the truncated apply is the
+    # operator itself up to roundoff, for sparse blocks (t = 1) and for a
+    # dense identity block whose rows and columns come from any (t = 2)
+    applies = _captured_truncated_applies(monkeypatch)
+    rng = np.random.default_rng(1)
+    for grid, blocks in (small, dense_t2):
+        op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
+        truncation_components(op, [grid.m], seed=0)
+        for _ in range(3):
+            x = rng.standard_normal(op.dimension)
+            want = matvec(op, x)
+            assert np.linalg.norm(applies[-1](x) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_row_layout_built_once_on_first_matvec_and_not_by_truncation(small):
@@ -470,9 +509,9 @@ def test_truncation_certificate_holds_at_a_tied_rank(dense_t2):
             continue
         tied += 1
         U, _, Vt = np.linalg.svd(b.dense(), full_matrices=False)
-        left, right, [err] = svd_truncate(b, [5])
+        [err] = svd_truncate(b, [5])[-1]
         dense = (U[:, :5] * s[:5]) @ Vt[:5]
-        for A5 in (dense, left @ right):
+        for A5 in (dense, _truncated_block(b, 5)):
             assert np.linalg.norm(b.dense() - A5, 2) == pytest.approx(err, abs=1e-12)
     assert tied >= 8
     op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))

@@ -228,10 +228,22 @@ def test_threshold_pair_kept_and_pair_above_dropped():
 
 # -------------------------------------------------------------- truncation
 
+def _padded(block, ranks):
+    """svd_truncate's compact factors placed back at their rows and columns
+    of m x top and top x m zero arrays, top = min(max(ranks), m), with its
+    errors."""
+    left, right, rows, cols, errors = svd_truncate(block, ranks)
+    m, k = block.matrix.shape[0], left.shape[1]
+    top = min(max(ranks), m)
+    L, R = np.zeros((m, top)), np.zeros((top, m))
+    L[rows, :k], R[:k, cols] = left, right
+    return L, R, errors
+
+
 def test_svd_exact_at_full_rank(real, grid):
     g = (real.side_pairing_words[0], real.side_pairings[0])
     b = assemble_block(g, 1.0, grid)
-    left, right, [err] = svd_truncate(b, [grid.m])
+    left, right, [err] = _padded(b, [grid.m])
     assert err == 0.0
     assert np.allclose(left @ right, b.dense(), atol=1e-10)
 
@@ -242,7 +254,7 @@ def test_svd_bound_and_frobenius(real, grid):
     s = np.linalg.svd(b.dense(), compute_uv=False)
     assert abs((s * s).sum() - b.hs_norm**2) <= 1e-10 * b.hs_norm**2
     ranks = range(1, 41)
-    left, right, errors = svd_truncate(b, ranks)
+    left, right, errors = _padded(b, ranks)
     assert len(errors) == len(ranks)
     for r, err in zip(ranks, errors):
         assert err == pytest.approx(s[r] if r < len(s) else 0.0, abs=1e-14)
@@ -256,15 +268,16 @@ def test_svd_spectral_error_is_next_singular_value(real, grid):
     b = assemble_block(g, 1.0, grid)
     A = b.dense()
     ranks = [3, 10]
-    left, right, errors = svd_truncate(b, ranks)
+    left, right, errors = _padded(b, ranks)
     for r, err in zip(ranks, errors):
         assert np.linalg.norm(A - left[:, :r] @ right[:r], 2) == pytest.approx(err, abs=1e-10)
 
 
 def test_svd_factors_the_nonzero_part_once_per_block(real, grid, support, monkeypatch):
-    # one SVD of the block's nonzero rows x columns, placed back: left is
-    # the top of U scaled by s and right the top of Vt, zero off the block's
-    # rows and columns, and every rank with sigma_r > sigma_{r+1} gets the
+    # one SVD of the block's nonzero rows x columns, returned compact with
+    # those rows and columns and here placed back: left is the top of U
+    # scaled by s and right the top of Vt, zero off the block's rows and
+    # columns, and every rank with sigma_r > sigma_{r+1} gets the
     # dense rank-r truncation; a study with several ranks takes one SVD per
     # block
     g = (real.side_pairing_words[2], real.side_pairings[2])
@@ -273,7 +286,11 @@ def test_svd_factors_the_nonzero_part_once_per_block(real, grid, support, monkey
     assert b.is_sparse and 0 < len(rows) < grid.m and 0 < len(cols) < grid.m
     U, s, Vt = np.linalg.svd(b.dense(), full_matrices=False)
     ranks = list(range(1, 41))
-    left, right, errors = svd_truncate(b, ranks)
+    compact, compact_t, on_rows, on_cols, _ = svd_truncate(b, ranks)
+    k = min(40, len(rows), len(cols))
+    assert np.array_equal(on_rows, rows) and np.array_equal(on_cols, cols)
+    assert compact.shape == (len(rows), k) and compact_t.shape == (k, len(cols))
+    left, right, errors = _padded(b, ranks)
     assert left.shape == (grid.m, 40) and right.shape == (40, grid.m)
     assert not left[np.setdiff1d(np.arange(grid.m), rows)].any()
     assert not right[:, np.setdiff1d(np.arange(grid.m), cols)].any()
@@ -293,7 +310,7 @@ def test_svd_factors_the_nonzero_part_once_per_block(real, grid, support, monkey
         full = assemble_block(((), IDENTITY), t, grid)
         assert full.is_sparse == (t == 1.0)
         U, s, Vt = np.linalg.svd(full.dense(), full_matrices=False)
-        left, right, errors = svd_truncate(full, [3, 8, 5])
+        left, right, errors = _padded(full, [3, 8, 5])
         assert np.array_equal(left, U[:, :8] * s[:8]) and np.array_equal(right, Vt[:8])
         assert errors == [s[3], s[8], s[5]]
 
