@@ -7,7 +7,6 @@ action on the fiber. Its top eigenvalue feeds the inverse Selberg
 transform to produce a lower bound on the first new Laplacian eigenvalue.
 """
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -15,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
-from .domain import BlockFamily, RowLayout, svd_truncate
+from .domain import SPARSE_DENSITY, BlockFamily, RowLayout, svd_truncate
 from .selberg import (
     SpectralParameter,
     gap_lower_bound_coefficient,
@@ -237,40 +236,88 @@ def _stacked_csr(pieces, width: int) -> csr_matrix:
     return csr_matrix((data, indices, indptr), shape=(len(counts), width))
 
 
+def _pair_factors(family: BlockFamily, ranks) -> list:
+    """svd_truncate's (left, right, rows, cols, errors) for every block in
+    family order, from one call per inverse-partner pair: the first block
+    A_i of a pair is factored, and its partner A_j = A_i^T takes (right.T,
+    left.T, cols, rows, errors), whose rank-r truncations are A_i's
+    transposed, with the same sigma_{r+1}."""
+    factors = [None] * len(family)
+    for i, j in enumerate(family.partners):
+        if factors[i] is None:
+            left, right, rows, cols, errors = factors[i] = svd_truncate(family[i], ranks)
+            if j != i:
+                factors[j] = (right.T, left.T, cols, rows, errors)
+    return factors
+
+
+def _truncated_layout(factors, own, j: int, r: int, m: int) -> RowLayout:
+    """RowLayout of the rank-r truncation, r = ranks[j], on every block's
+    nonzero rows, each block in the cheapest exact form of its truncation,
+    q = min(r, number of its factors):
+    - sigma_{r+1} = 0: the block itself, its nonzero rows taken from own
+      (every block's m rows stacked as one CSR matrix);
+    - rows x cols dense by the family's storage rule (SPARSE_DENSITY):
+      L[:, :q] @ (R[:q] @ X[cols]) by BLAS, as the family layout applies
+      its dense blocks;
+    - otherwise two CSR products shared by all such blocks: the first q
+      rows of each right factor, stacked at the block's nonzero columns,
+      then the first q columns of each left factor, block-diagonal.
+    CSR sums each row in index order, so every partial row is
+    bit-identical to that block's own product in its form."""
+    exact, thin, dense = [], [], []
+    for b, (_, _, rows, cols, errors) in enumerate(factors):
+        if errors[j] == 0.0:
+            exact.append(b)
+        elif len(rows) * len(cols) >= SPARSE_DENSITY * m * m:
+            dense.append(b)
+        else:
+            thin.append(b)
+    products = []
+    if exact:
+        own_rows = own[np.concatenate([b * m + factors[b][2] for b in exact])]
+        products.append(lambda X: own_rows @ X)
+    if thin:
+        # down (sum q x m) takes X to every block's first q right-factor
+        # coordinates, up (sum |rows| x sum q) back to its nonzero rows
+        q = [min(r, factors[b][0].shape[1]) for b in thin]
+        offset = np.cumsum([0] + q)
+        down = _stacked_csr([(factors[b][1][:k], factors[b][3]) for b, k in zip(thin, q)], m)
+        up = _stacked_csr([(factors[b][0][:, :k], np.arange(s, s + k))
+                           for b, k, s in zip(thin, q, offset)], offset[-1])
+        products.append(lambda X: up @ (down @ X))
+    for b in dense:
+        L, R, _, cols, _ = factors[b]
+        k = min(r, L.shape[1])
+        products.append(lambda X, L=L[:, :k], R=R[:k], cols=cols: L @ (R @ X[cols]))
+    order = exact + thin + dense
+    block = np.repeat(order, [len(factors[b][2]) for b in order])
+    node = np.concatenate([factors[b][2] for b in order])
+    return RowLayout.of(block, node, m, lambda X: np.concatenate([p(X) for p in products]))
+
+
 def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
     """Truncated-operator norm plus the error-budget pieces, one record per
-    rank in ranks, from one svd_truncate per block. Every rank goes through
-    the same _apply as matvec, with each block's nonzero rows as the
-    layout and two CSR products as its product: the first q_b = min(r, k_b)
-    rows of each block's compact right factor, stacked at the block's
-    nonzero columns, then the first q_b columns of each left factor,
-    block-diagonal. No zero padding is stored, and CSR sums each row's
-    entries in index order, so every partial row is bit-identical to that
-    block's own pair of CSR products."""
+    rank in ranks, from one svd_truncate per inverse-partner pair
+    (_pair_factors): a partner's truncation is the transpose of its first
+    block's, so every truncated operator is symmetric even where singular
+    values tie, apart from the identity block's own ties (README,
+    truncation-study). Every rank goes through the same _apply as matvec
+    with the layout of _truncated_layout. The blocks are stacked as one CSR
+    matrix once per study, and each rank takes the nonzero rows of the
+    blocks whose truncation is exact from it."""
     if not ranks:
         return []
-    factors, errors = [], []
-    for b in op.blocks:
-        *f, e = svd_truncate(b, ranks)
-        factors.append(f)
-        errors.append(e)
-    hs_total = sum(b.hs_norm for b in op.blocks)
-    rows = [f[2] for f in factors]
-    nonzero = RowLayout.of(np.repeat(np.arange(len(rows)), [len(x) for x in rows]),
-                           np.concatenate(rows), op.m, None)
-    gather = nonzero.gather(op.perm_images)
+    family = op.blocks
+    factors = _pair_factors(family, ranks)
+    own = vstack([csr_matrix(b.matrix) for b in family], format="csr")
+    hs_total = sum(b.hs_norm for b in family)
     records = []
     for j, r in enumerate(ranks):
-        # down (sum q_b x m) takes X to every block's first q_b right-factor
-        # coordinates, up (sum |rows_b| x sum q_b) back to its nonzero rows
-        q = [min(r, L.shape[1]) for L, *_ in factors]
-        start = np.cumsum([0] + q)
-        down = _stacked_csr([(R[:k], cols) for k, (_, R, _, cols) in zip(q, factors)], op.m)
-        up = _stacked_csr([(L[:, :k], np.arange(s, s + k))
-                           for k, s, (L, *_) in zip(q, start, factors)], start[-1])
-        layout = dataclasses.replace(nonzero, product=lambda X, u=up, d=down: u @ (d @ X))
-        res = _lanczos_top(functools.partial(_apply, op, layout, gather), op.dimension, seed)
-        sigma_total = sum(e[j] for e in errors)
+        layout = _truncated_layout(factors, own, j, r, op.m)
+        apply = functools.partial(_apply, op, layout, layout.gather(op.perm_images))
+        res = _lanczos_top(apply, op.dimension, seed)
+        sigma_total = sum(f[4][j] for f in factors)
         records.append({
             "r": r,
             "truncated_top": res.top,

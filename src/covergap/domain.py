@@ -170,6 +170,9 @@ class BlockFamily(tuple):
     operator built from it symmetric. Partners are matched by element
     (inverse_partners), since the words are Dehn-reduced, which is no
     normal form: an element and its inverse can carry unrelated words.
+    partners[i] is the family position of block i's inverse partner, so
+    self[partners[i]].matrix is self[i].matrix transposed; the identity
+    block is its own partner.
 
     rowsum_ceiling is the Collatz-Wielandt bound max_j (T u)_j / u_j on the
     top eigenvalue of any cover operator T built from the family.  T is
@@ -213,7 +216,7 @@ class BlockFamily(tuple):
         s = np.zeros(m)
         for b in self:
             s += b.matrix.dot(u)
-        self.m, self.t = m, t
+        self.m, self.t, self.partners = m, t, partners
         self.rowsum_ceiling = float(np.max(s / u))
         return self
 
@@ -297,7 +300,15 @@ def svd_truncate(block: OperatorBlock, ranks) -> tuple:
     sigma_{r+1} the rank-r truncation is not unique: which singular
     vectors come back for the tied values depends on LAPACK's input, so
     the truncated operator and its norm at that rank differ between the
-    dense and the restricted SVD, while sigma_{r+1} does not."""
+    dense and the restricted SVD, while sigma_{r+1} does not.
+
+    The truncations of a block's inverse partner (its transpose) are
+    these transposed, (right.T, left.T, cols, rows, errors), so a family
+    needs one call per partner pair. Taking them so keeps a truncated
+    cover operator symmetric at a tie, where two calls could pick
+    different singular vectors for A and A^T; a self-partnered block
+    (the identity) gets no such guarantee where a +-lambda tie of its
+    eigenvalues is split."""
     if min(ranks, default=0) < 1:
         raise ValueError("ranks must be nonempty and at least 1")
     A = block.matrix

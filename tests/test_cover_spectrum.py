@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
+    SPARSE_DENSITY,
     BlockFamily,
     assemble_support_blocks,
     build_grid,
@@ -71,13 +72,18 @@ def medium(real):
     return grid, assemble_support_blocks(support_set(real, T_RADIUS), T_RADIUS, grid)
 
 
-def _truncated_block(b, r):
-    """The m x m rank-r truncation of a block from svd_truncate's compact
-    factors, placed at their rows and columns."""
-    left, right, rows, cols, _ = svd_truncate(b, [r])
-    A = np.zeros(b.matrix.shape)
-    A[np.ix_(rows, cols)] = left @ right
+def _placed(factors, r, m):
+    """The m x m rank-r truncation from svd_truncate's compact factors,
+    placed at their rows and columns."""
+    left, right, rows, cols, _ = factors
+    A = np.zeros((m, m))
+    A[np.ix_(rows, cols)] = left[:, :r] @ right[:r]
     return A
+
+
+def _truncated_block(b, r):
+    """The m x m rank-r truncation of a block from its own svd_truncate."""
+    return _placed(svd_truncate(b, [r]), r, b.matrix.shape[0])
 
 
 def _dense_operator(op, r=None):
@@ -253,46 +259,75 @@ def _captured_truncated_applies(monkeypatch):
     return applies
 
 
+def _form_products(blocks, ranks, j):
+    """One product per block for the rank-ranks[j] truncation, each in the
+    form the study applies it in, with the form's letter: E, the block's
+    own nonzero rows where sigma_{r+1} = 0; D, the factors by BLAS where
+    rows x cols is dense by SPARSE_DENSITY; T, CSR copies of the
+    factors."""
+    r, m = ranks[j], blocks.m
+
+    def product(X, form, A, L, R, rows, cols):
+        Y = np.zeros_like(X)
+        if form == "E":
+            Y[rows] = csr_matrix(A)[rows] @ X
+        elif form == "D":
+            Y[rows] = L[:, :r] @ (R[:r] @ X[cols])
+        else:
+            Y[rows] = csr_matrix(L[:, :r]) @ (csr_matrix(R[:r]) @ X[cols])
+        return Y
+
+    products, forms = [], []
+    for b, (L, R, rows, cols, errors) in zip(blocks, cover_spectrum._pair_factors(blocks, ranks)):
+        form = ("E" if errors[j] == 0.0 else
+                "D" if len(rows) * len(cols) >= SPARSE_DENSITY * m * m else "T")
+        forms.append(form)
+        products.append(functools.partial(product, form=form, A=b.matrix, L=L, R=R,
+                                          rows=rows, cols=cols))
+    return products, forms
+
+
 def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatch):
     # the truncated operator reaches _apply with each block's nonzero rows
-    # as its layout; its two CSR products over the stacked compact factors
-    # equal a loop over the blocks of CSR products of the same factors
+    # as its layout, each block in its cheapest exact form, and equals a
+    # loop over the blocks of their own products in those forms; every
+    # form occurs on both families
     applies = _captured_truncated_applies(monkeypatch)
     rng = np.random.default_rng(0)
     ranks = [2, 8]
     for blocks in (small[1], dense_t2[1]):
         op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
         records = truncation_components(op, ranks, seed=0)
-        factors = [svd_truncate(b, ranks)[:4] for b in op.blocks]
-        for r, apply, record in zip(ranks, applies[-len(ranks):], records):
-            def product(X, L, R, rows, cols, r):
-                Y = np.zeros_like(X)
-                Y[rows] = csr_matrix(L[:, :r]) @ (csr_matrix(R[:r]) @ X[cols])
-                return Y
-
-            products = [functools.partial(product, L=L, R=R, rows=rows, cols=cols, r=r)
-                        for L, R, rows, cols in factors]
+        seen = set()
+        for j, (apply, record) in enumerate(zip(applies[-len(ranks):], records)):
+            products, forms = _form_products(op.blocks, ranks, j)
+            seen.update(forms)
             for _ in range(3):
                 x = rng.standard_normal(op.dimension)
                 assert np.array_equal(apply(x), _block_loop_matvec(op, x, products))
             loop = _lanczos_top(lambda x: _block_loop_matvec(op, x, products),
                                 op.dimension, 0)
             assert record["truncated_top"] == loop.top
+        assert seen == {"E", "D", "T"}
 
 
 def test_truncated_apply_at_full_rank_equals_matvec(small, dense_t2, monkeypatch):
-    # at r = m every block is its whole SVD, so the truncated apply is the
-    # operator itself up to roundoff, for sparse blocks (t = 1) and for a
-    # dense identity block whose rows and columns come from any (t = 2)
+    # at r = m every block's truncation is the block itself, applied from
+    # its own nonzero rows: bit for bit the operator for sparse blocks
+    # (t = 1), up to roundoff for a dense identity block (t = 2), which the
+    # operator applies by BLAS
     applies = _captured_truncated_applies(monkeypatch)
     rng = np.random.default_rng(1)
-    for grid, blocks in (small, dense_t2):
+    for (grid, blocks), tol in ((small, 0.0), (dense_t2, 1e-12)):
         op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
         truncation_components(op, [grid.m], seed=0)
         for _ in range(3):
             x = rng.standard_normal(op.dimension)
             want = matvec(op, x)
-            assert np.linalg.norm(applies[-1](x) - want) <= 1e-12 * np.linalg.norm(want)
+            if tol:
+                assert np.linalg.norm(applies[-1](x) - want) <= tol * np.linalg.norm(want)
+            else:
+                assert np.array_equal(applies[-1](x), want)
 
 
 def test_row_layout_built_once_on_first_matvec_and_not_by_truncation(small):
@@ -519,6 +554,51 @@ def test_truncation_certificate_holds_at_a_tied_rank(dense_t2):
     [comp] = truncation_components(op, [5], seed=0)
     assert abs(comp["truncated_top"] - full) <= comp["certified_gap"] / 2 + 1e-12
     assert comp["bound"] >= full - 1e-12
+
+
+@pytest.mark.parametrize("family", ["small", "dense_t2"])
+def test_partner_truncations_are_transposes(request, family):
+    # one SVD per inverse pair: the first block of a pair keeps its own
+    # svd_truncate, and its partner's rank-r truncation is that one
+    # transposed, with the same errors, off its own block by exactly
+    # sigma_{r+1}; the identity is its own partner, and a split +-lambda
+    # tie leaves its truncation non-symmetric (t = 2, r = 8)
+    _, blocks = request.getfixturevalue(family)
+    ranks = [1, 2, 5, 8]
+    factors = cover_spectrum._pair_factors(blocks, ranks)
+    for i, j in enumerate(blocks.partners):
+        assert factors[i][4] == factors[j][4]
+        if i <= j:
+            for got, want in zip(factors[i], svd_truncate(blocks[i], ranks)):
+                assert np.array_equal(got, want)
+        if i == j:
+            continue
+        for r, error in zip(ranks, factors[j][4]):
+            Ti, Tj = _placed(factors[i], r, blocks.m), _placed(factors[j], r, blocks.m)
+            assert np.abs(Ti - Tj.T).max() <= 1e-12
+            assert np.linalg.norm(blocks[j].dense() - Tj, 2) == pytest.approx(error, abs=1e-12)
+    assert sum(i < j for i, j in enumerate(blocks.partners)) == len(blocks) // 2
+
+
+def test_truncated_apply_symmetric_at_a_tied_partner_rank(dense_t2, monkeypatch):
+    # at t = 2 on the coarsest grid non-identity blocks tie at sigma_5 =
+    # sigma_6, where separate SVDs of A and A^T can keep different singular
+    # vectors; with the partner's factors transposed the rank-5 truncated
+    # operator stays symmetric, as Lanczos assumes
+    _, blocks = dense_t2
+    tied = 0
+    for b in blocks:
+        s = np.linalg.svd(b.dense(), compute_uv=False)
+        tied += bool(b.gamma[0]) and abs(s[4] - s[5]) <= 1e-12 * s[0]
+    assert tied >= 2
+    applies = _captured_truncated_applies(monkeypatch)
+    op = build_cover_operator(blocks, sample_uniform_hom(8, 2, seed=3))
+    truncation_components(op, [5], seed=0)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, op.dimension))
+        skew = abs(y @ applies[-1](x) - x @ applies[-1](y))
+        assert skew <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def test_truncated_top_close_to_full_dense_oracle(small):

@@ -444,7 +444,9 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     res = cmd_truncation_study(cfg)
-    assert len(calls) == len(_assemble(cfg)[2])  # one SVD per block, not per rank
+    # one SVD per inverse pair of blocks, not per block or per rank
+    partners = _assemble(cfg)[2].partners
+    assert len(calls) == sum(i <= j for i, j in enumerate(partners)) == 5
     assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == [64]
     assert len(res["rows"]) == 3
     for _, r, certified, observed, hs_ref, bound, full in res["rows"]:
