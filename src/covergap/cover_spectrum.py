@@ -3,7 +3,8 @@
 A cover is described by generator images in S_n. The ball kernel on the
 cover acts, after Nystrom discretization, as T = sum_gamma A_gamma (x)
 rho(gamma^-1) with A_gamma the translate blocks and rho the permutation
-action on the fiber. Its top eigenvalue feeds the inverse Selberg
+action on the fiber. Its top eigenvalue, from Lanczos with the full Ritz
+solve run only near the steps where it can stop, feeds the inverse Selberg
 transform to produce a lower bound on the first new Laplacian eigenvalue.
 """
 
@@ -14,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse import csr_matrix, vstack
 
 from .domain import SPARSE_DENSITY, BlockFamily, RowLayout, svd_truncate
@@ -125,12 +127,38 @@ class LanczosResult:
     iterations: int
 
 
+def _top_residual_estimate(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
+    """beta_j |u_last| for the top Ritz pair of T_j (diagonal alphas[:j+1],
+    off-diagonal betas[:j]), from LAPACK bisection for the top eigenvalue
+    alone and inverse iteration for its vector: close to eigh_tridiagonal's
+    residual, not bit for bit. 0 where either routine reports a failure."""
+    d, e = alphas[: j + 1], betas[:j]
+    found, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, j + 1, j + 1, 0.0, "B")
+    if info or found != 1:
+        return 0.0
+    u, info = dstein(d, e, w[:1], block, split)
+    return 0.0 if info else float(betas[j]) * abs(float(u[-1, 0]))
+
+
 def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
     """Top eigenvalue of a symmetric operator by Lanczos with full
     reorthogonalization and a deterministic seeded start vector.
 
-    Stops when the top Ritz residual beta |u_last| is at most KRYLOV_TOL
-    times the largest |Ritz value|.
+    Stops at the first step j whose top Ritz residual beta_j |u_last| is at
+    most KRYLOV_TOL times the largest |Ritz value| (scale), whose beta_j is
+    at most 1e-14 max(1, scale), or that exhausts the space. The full Ritz
+    solve of step j (eigh_tridiagonal on alphas[:j+1], betas[:j]) runs only
+    near where the loop can stop: at step 0, at the cap, on exhaustion,
+    where beta_j is at most 1e-14 G, and where the cheap residual estimate
+    (_top_residual_estimate) is at most 20 KRYLOV_TOL G, with
+    G = max(1, max|alpha| + 2 max beta) a Gershgorin bound on scale; the
+    factor 20 makes the first full solve come a step or more before the
+    stop. Once a tested step stops, or the cap is reached, the untested
+    steps since the last test are tested in order on the leading slices and
+    the first that stops is returned, so the top, residual and step count,
+    and the KrylovConvergenceError, are those of testing every step, bit
+    for bit, even where the estimate misjudges a step; only such a step
+    would cost Lanczos steps past the stop.
     """
     if dim < 1:
         raise ValueError("operator has an empty fiber")
@@ -140,29 +168,47 @@ def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
     v /= np.linalg.norm(v)
     V = np.empty((cap + 1, dim))
     V[0] = v
-    alphas, betas = [], []
-    beta_prev = 0.0
+    alphas, betas = np.empty(cap), np.empty(cap)
+
+    def ritz(j):
+        """(stops, top, residual) of step j."""
+        theta, U = eigh_tridiagonal(alphas[: j + 1], betas[:j])
+        top = float(theta[-1])
+        res_top = float(betas[j]) * abs(float(U[-1, -1]))
+        scale = max(abs(top), abs(float(theta[0])))
+        stops = (res_top <= KRYLOV_TOL * scale or betas[j] <= 1e-14 * max(1.0, scale)
+                 or j + 1 == dim)
+        return stops, top, res_top
+
+    a_max = b_max = 0.0
+    last = -1  # the last tested step
     for j in range(cap):
         w = apply(V[j])
         if j:
-            w = w - beta_prev * V[j - 1]
+            w = w - betas[j - 1] * V[j - 1]
+            b_max = max(b_max, betas[j - 1])
         a = float(V[j] @ w)
-        alphas.append(a)
+        alphas[j] = a
+        a_max = max(a_max, abs(a))
         w = w - a * V[j]
         for _ in range(2):  # full reorthogonalization, twice is enough
             w = w - V[: j + 1].T @ (V[: j + 1] @ w)
-        b = float(np.linalg.norm(w))
-        theta, U = eigh_tridiagonal(np.array(alphas), np.array(betas))
-        top = float(theta[-1])
-        res_top = b * abs(float(U[-1, -1]))
-        scale = max(abs(top), abs(float(theta[0])))
-        exhausted = j + 1 == dim
-        if res_top <= KRYLOV_TOL * scale or b <= 1e-14 * max(1.0, scale) or exhausted:
-            return LanczosResult(top, res_top, j + 1)
-        betas.append(b)
-        beta_prev = b
+        b = betas[j] = float(np.linalg.norm(w))
+        gershgorin = max(1.0, a_max + 2.0 * b_max)
+        if (j == 0 or j + 1 == cap or j + 1 == dim or b <= 1e-14 * gershgorin
+                or _top_residual_estimate(alphas, betas, j) <= 20.0 * KRYLOV_TOL * gershgorin):
+            stops, top, res_top = ritz(j)
+            if stops or j + 1 == cap:
+                for s in range(last + 1, j):
+                    out = ritz(s)
+                    if out[0]:
+                        return LanczosResult(out[1], out[2], s + 1)
+                if stops:
+                    return LanczosResult(top, res_top, j + 1)
+                raise KrylovConvergenceError(top, res_top, cap)
+            last = j
         V[j + 1] = w / b
-    raise KrylovConvergenceError(top, res_top, cap)
+    raise AssertionError("unreachable: the cap is always tested")
 
 
 # ------------------------------------------------------------- estimation

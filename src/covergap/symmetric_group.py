@@ -3,16 +3,19 @@ sampling of surface-relation tuples.
 
 The sampler draws (A_1, B_1, ..., A_g, B_g) with prod [A_i, B_i] = e exactly
 uniformly, by resolving conjugacy classes one commutator at a time with
-exact big-integer class weights, then realizing each commutator pair through
-a class-rejection step and a uniform centralizer coset element. The weights
-are plain Python integers: every 1/d_lambda in the character sums is
-replaced by the integer codimension n!/d_lambda, and the Frobenius-Mednykh
-count of Hom is n! sum_lambda codim^{2g-2}. One CharacterTable per n holds
-the characters by class, the class sizes, the degrees and the codimensions,
-and counts class triples; every weight reads it. The table comes from the
+exact integer class weights, then realizing each commutator pair through
+a class-rejection step and a uniform centralizer coset element. Every
+1/d_lambda in the character sums is replaced by the integer codimension
+n!/d_lambda, and the Frobenius-Mednykh count of Hom is
+n! sum_lambda codim^{2g-2}. One CharacterTable per n holds the characters
+as a read-only int64 array, the class sizes, the degrees and the
+codimensions; every weight reads it. The table comes from the
 Murnaghan-Nakayama rule applied a whole table at a time, as signed
 border-strip-removal matrices times smaller tables, and is verified against
-orthogonality, with every degree dividing n!, when it is built.
+orthogonality, with every degree dividing n!, when it is built. The class
+weights of one target are one matrix-vector product over all classes, run
+exactly in float64 on base-2^b digits (_exact_tdot) and rebuilt as Python
+integers; the rejection loops realize permutations on plain tuples.
 """
 
 import math
@@ -24,6 +27,52 @@ from typing import List, Tuple
 import numpy as np
 
 # -------------------------------------------------------------- permutations
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p after q on image tuples: (p q)(i) = p(q(i))."""
+    return tuple([p[j] for j in q])
+
+
+def _inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _cycles(p: tuple) -> List[Tuple[int, ...]]:
+    """Zero-based cycle decomposition of an image tuple, fixed points
+    included, each cycle from its smallest point, in order of that point."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        j = p[start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = p[j]
+        out.append(tuple(cyc))
+    return out
+
+
+def _cycle_type(p: tuple) -> Tuple[int, ...]:
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if not seen[start]:
+            j, k = start, 0
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                k += 1
+            lengths.append(k)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 class Permutation:
@@ -41,6 +90,14 @@ class Permutation:
             raise ValueError("not a permutation of 0..n-1")
         object.__setattr__(self, "images0", t)
 
+    @classmethod
+    def _of(cls, images0: tuple) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation, without
+        validating it again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images0", images0)
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
 
@@ -54,19 +111,15 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
+        return Permutation._of(tuple(range(n)))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        p, q = self.images0, other.images0
-        return Permutation(tuple(p[j] for j in q))
+        return Permutation._of(_compose(self.images0, other.images0))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images0):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation._of(_inverse(self.images0))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images0 == other.images0
@@ -77,29 +130,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.images0 == tuple(range(self.n))
 
-    def cycles(self) -> List[Tuple[int, ...]]:
-        """Zero-based cycle decomposition, fixed points included."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images0[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images0[j]
-            out.append(tuple(cyc))
-        return out
-
     def cycle_type(self) -> Tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def conjugate_by(self, s: "Permutation") -> "Permutation":
-        """s * self * s^-1."""
-        return s * self * s.inverse()
+        return _cycle_type(self.images0)
 
     def __repr__(self):
         return f"Permutation({list(self.images0)})"
@@ -156,36 +188,34 @@ def _beta_mask(lam: Tuple[int, ...], beads: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _beta_index(k: int) -> dict:
-    """Index in partitions(k) of each partition's beta-set mask with k
-    beads, keyed in partitions(k) order."""
-    return {_beta_mask(lam, k): i for i, lam in enumerate(partitions(k))}
+def _beta_masks(k: int) -> np.ndarray:
+    """The beta-set mask with k beads of every partition of k, in
+    partitions(k) order, as int64 (below 2^(2k))."""
+    return np.array([_beta_mask(lam, k) for lam in partitions(k)], dtype=np.int64)
 
 
 def _strip_matrix(k: int, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signed border-strip-removal matrix R_{k,r} as its entries (rows,
-    cols, signs), intp indices and int64 signs: rows are the partitions lam
-    of k, columns the partitions nu of k - r, and the entry is
-    (-1)^height when removing one border strip of length r takes lam to nu.
+    cols, signs), intp indices and int64 signs, sorted by row: rows are the
+    partitions lam of k, columns the partitions nu of k - r, and the entry
+    is (-1)^height when removing one border strip of length r takes lam to
+    nu.
 
     On the beta-set mask of lam, a strip is a bead at b with b - r free, and
-    its height is the number of beads strictly between. nu has at most
-    k - r parts, so its r lowest beads sit at 0..r-1 and shifting them out
-    leaves its mask with k - r beads."""
-    cols = _beta_index(k - r)
-    between = (1 << (r - 1)) - 1
-    rows, indices, signs = [], [], []
-    for row, mask in enumerate(_beta_index(k)):
-        cand = mask & ~(mask << r) & ~((1 << r) - 1)
-        while cand:
-            bead = cand & -cand
-            cand ^= bead
-            low = bead.bit_length() - 1 - r
-            rows.append(row)
-            indices.append(cols[(mask ^ bead ^ (1 << low)) >> r])
-            signs.append(-1 if ((mask >> (low + 1)) & between).bit_count() & 1 else 1)
-    return (np.array(rows, dtype=np.intp), np.array(indices, dtype=np.intp),
-            np.array(signs, dtype=np.int64))
+    its height is the number of beads strictly between; every mask and
+    every bead position b < 2k is tested at once. nu has at most k - r
+    parts, so its r lowest beads sit at 0..r-1 and shifting them out leaves
+    its mask with k - r beads."""
+    masks = _beta_masks(k)[:, None]
+    low = np.arange(2 * k - r)  # b - r for every bead position b in [r, 2k)
+    rows, low = np.nonzero((masks >> (low + r)) & ~(masks >> low) & 1)
+    mask = masks[rows, 0]
+    nu = (mask ^ (1 << (low + r)) ^ (1 << low)) >> r
+    height = np.bitwise_count((mask >> (low + 1)) & ((1 << (r - 1)) - 1))
+    sub = _beta_masks(k - r)
+    order = np.argsort(sub)
+    cols = order[np.searchsorted(sub, nu, sorter=order)]
+    return rows, cols, np.where(height & 1, -1, 1).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -196,11 +226,12 @@ def _table_array(k: int) -> np.ndarray:
     The columns mu with largest part r are one contiguous block, and their
     remainders nu = mu[1:] are, in the same order, the partitions of k - r
     with largest part at most r: a suffix of partitions(k - r). By
-    Murnaghan-Nakayama the block is R_{k,r} @ T_{k-r}[:, suffix], added up
-    entry by entry of R_{k,r} with np.add.at into a zero int64 block. int64
-    is exact: every entry satisfies |chi| <= sqrt(k!) (column
-    orthogonality), and each output is a signed sum of at most k entries
-    (one per bead), which stays below 2^63 for every k <= 31."""
+    Murnaghan-Nakayama the block is R_{k,r} @ T_{k-r}[:, suffix], each row
+    of it the sum of its strips' signed rows of T_{k-r} (np.add.reduceat
+    over R_{k,r}'s entries, sorted by row). int64 is exact: every entry
+    satisfies |chi| <= sqrt(k!) (column orthogonality), and each output is
+    a signed sum of at most k entries (one per bead), which stays below
+    2^63 for every k <= 31."""
     parts = partitions(k)
     # k = 0 keeps the ones, the table [[1]] of S_0; for k > 0 the blocks
     # overwrite every column
@@ -211,37 +242,89 @@ def _table_array(k: int) -> np.ndarray:
         first = next(j for j, nu in enumerate(rest) if not nu or nu[0] <= r)
         stop = start + len(rest) - first
         rows, cols, signs = _strip_matrix(k, r)
+        lams, heads = np.unique(rows, return_index=True)
+        terms = _table_array(k - r)[cols, first:]
+        np.negative(terms, out=terms, where=(signs < 0)[:, None])
         block = np.zeros((len(parts), stop - start), dtype=np.int64)
-        np.add.at(block, rows, signs[:, None] * _table_array(k - r)[cols, first:])
+        block[lams] = np.add.reduceat(terms, heads, axis=0)
         out[:, start:stop] = block
         start = stop
     out.flags.writeable = False
     return out
 
 
-@dataclass(frozen=True)
+def _square_limbs(X: np.ndarray) -> List[np.ndarray]:
+    """X * X entrywise as base-2^32 limbs, float64 arrays with entries in
+    [0, 2^32), lowest first, trailing all-zero limbs dropped. Exact for
+    every int64 X with |X| < 2^63: |X| = hi 2^32 + lo splits each square
+    into lo^2 + 2 hi lo 2^32 + hi^2 2^64, and the carries run in uint64,
+    where lo^2 < 2^64, 2 hi lo + (lo^2 >> 32) < 2^64 and
+    hi^2 + carry < 2^63."""
+    x = np.abs(X).astype(np.uint64)
+    lo, hi = x & 0xFFFFFFFF, x >> 32
+    t = lo * lo
+    limbs = [t & 0xFFFFFFFF]
+    t = 2 * hi * lo + (t >> 32)
+    limbs.append(t & 0xFFFFFFFF)
+    t = hi * hi + (t >> 32)
+    limbs += [t & 0xFFFFFFFF, t >> 32]
+    while len(limbs) > 1 and not limbs[-1].any():
+        limbs.pop()
+    return [L.astype(np.float64) for L in limbs]
+
+
+def _exact_tdot(limbs: List[np.ndarray], shift: int, v) -> List[int]:
+    """sum_lam A[lam, K] v_lam for every column K of A = sum_i limbs[i]
+    2^(shift i), exactly, as Python ints; the limbs are float64 arrays of
+    integers and v is a sequence of Python ints, one per row.
+
+    v is split into base-2^b digits, all but the top one in [0, 2^b) and
+    the top one signed with |digit| < 2^b, and each limb meets all digits
+    in one float64 BLAS product. With p < 2^P rows and |limb entry| <
+    2^alpha, b = 53 - P - alpha makes every partial sum of every product an
+    integer of size below p 2^alpha 2^b <= 2^53, so no addition rounds in
+    any order. Each column's result is rebuilt from the products' int64
+    values, shifted, in Python ints."""
+    alpha = int(max(max(L.max(), -L.min()) for L in limbs)).bit_length()
+    b = 53 - len(v).bit_length() - alpha
+    if b < 1:
+        raise ArithmeticError("limbs too wide for an exact float64 product")
+    top = max(abs(x) for x in v).bit_length() + 1  # |v| < 2^(top - 1)
+    count = -(-top // b)
+    V = np.array(v, dtype=object)
+    digits = [(V >> (b * j)) & ((1 << b) - 1) for j in range(count - 1)]
+    D = np.stack(digits + [V >> (b * (count - 1))], axis=1).astype(np.float64)
+    out = 0
+    for i, L in enumerate(limbs):
+        scale = np.array([1 << (shift * i + b * j) for j in range(count)], dtype=object)
+        out = out + ((L.T @ D).astype(np.int64).astype(object) * scale).sum(axis=1)
+    return out.tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """The character table of S_n with the class data the sampler reads.
 
-    chi_by_class[mu][lam] is chi_lam at the class of cycle type mu, both in
-    partitions(n) order. The last class is (1^n), so its vector is the
-    degrees d_lam. Every value is a Python int: the sampler multiplies
-    character values and codimensions beyond int64.
+    chi[lam, mu] is chi_lam at the class of cycle type mu, both in
+    partitions(n) order, as the read-only int64 array _table_array(n). The
+    last class is (1^n), so its column is the degrees d_lam. Products of
+    character values and codimensions leave int64; every weight computes
+    them exactly (_exact_tdot, triple_count) and returns Python ints.
     """
 
     n: int
     partitions: Tuple[Tuple[int, ...], ...]
     class_sizes: Tuple[int, ...]
-    chi_by_class: Tuple[Tuple[int, ...], ...]
+    chi: np.ndarray
 
     @cached_property
     def index(self) -> dict:
         """Position of each partition (cycle type) in partitions."""
         return {lam: i for i, lam in enumerate(self.partitions)}
 
-    @property
+    @cached_property
     def degrees(self) -> Tuple[int, ...]:
-        return self.chi_by_class[-1]
+        return tuple(self.chi[:, -1].tolist())
 
     @cached_property
     def order(self) -> int:
@@ -253,12 +336,14 @@ class CharacterTable:
         exact, since character_table checks that every degree divides n!."""
         return tuple(self.order // d for d in self.degrees)
 
-    def triple_count(self, e_idx: int, c_idx: int, z_idx: int) -> int:
-        """#{(y, x) in E x C : y x = z} for one fixed z in class Z:
-        |E||C| sum chi_E chi_C chi_Z codim / (n!)^2."""
-        chi = self.chi_by_class
-        s = sum(a * b * c * w
-                for a, b, c, w in zip(chi[e_idx], chi[c_idx], chi[z_idx], self.codims))
+    @cached_property
+    def square_limbs(self) -> List[np.ndarray]:
+        """chi * chi entrywise as base-2^32 float64 limbs (_square_limbs)."""
+        return _square_limbs(self.chi)
+
+    def class_count(self, e_idx: int, c_idx: int, s: int) -> int:
+        """|E||C| s / (n!)^2, checked to be a natural number: the class
+        triple count for s = sum_lam chi_E chi_C chi_Z codim."""
         val, rem = divmod(self.class_sizes[e_idx] * self.class_sizes[c_idx] * s,
                           self.order**2)
         if rem or val < 0:
@@ -268,8 +353,15 @@ class CharacterTable:
             )
         return val
 
+    def triple_count(self, e_idx: int, c_idx: int, z_idx: int) -> int:
+        """#{(y, x) in E x C : y x = z} for one fixed z in class Z:
+        |E||C| sum chi_E chi_C chi_Z codim / (n!)^2."""
+        cols = self.chi[:, [e_idx, c_idx, z_idx]].tolist()
+        s = sum(a * b * c * w for (a, b, c), w in zip(cols, self.codims))
+        return self.class_count(e_idx, c_idx, s)
 
-MAX_N = 16
+
+MAX_N = 24
 
 
 @lru_cache(maxsize=None)
@@ -283,33 +375,50 @@ def character_table(n: int) -> CharacterTable:
     parts = partitions(n)
     tab = CharacterTable(
         n=n, partitions=parts,
-        class_sizes=tuple(class_size(n, mu) for mu in parts),
-        chi_by_class=tuple(map(tuple, X.T.tolist())),
+        class_sizes=tuple(class_size(n, mu) for mu in parts), chi=X,
     )
     if any(tab.order % d for d in tab.degrees):
         raise ArithmeticError(f"a character degree does not divide {n}!")
     return tab
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """X^T X of an integer table as a float64 BLAS product."""
-    Xf = X.astype(np.float64)
-    return Xf.T @ Xf
+def _gram(X: np.ndarray) -> Tuple[int, List[np.ndarray]]:
+    """X^T X of an int64 table exactly, as (h, G): int64 arrays with
+    X^T X = sum_s G[s] 2^(h s), every G[s] but the last in [0, 2^h) and the
+    last signed, so that the digits of an integer matrix are unique.
+
+    X is split into m signed base-2^h digits D_i, m the fewest with
+    p 2^(2h) <= 2^53 for p rows, and each D_i^T D_j is one float64 BLAS
+    product: every |digit| <= 2^h, so every partial sum is an integer of
+    size at most 2^53 and no addition rounds in any order. The products of
+    each weight 2^(h (i + j)) are added in int64 and the carries
+    propagated."""
+    p = len(X)
+    alpha = int(np.abs(X).max()).bit_length()
+    m = 1
+    while p << (2 * -(-alpha // m)) > 1 << 53:
+        m += 1
+    h = max(-(-alpha // m), 1)
+    D = [(X >> (h * i)) & ((1 << h) - 1) for i in range(m - 1)] + [X >> (h * (m - 1))]
+    D = [d.astype(np.float64) for d in D]
+    G = [0] * (2 * m - 1)
+    for i in range(m):
+        for j in range(i, m):
+            prod = (D[i].T @ D[j]).astype(np.int64)
+            G[i + j] = G[i + j] + (prod if i == j else prod + prod.T)
+    for s in range(2 * m - 2):
+        G[s + 1] = G[s + 1] + (G[s] >> h)
+        G[s] = G[s] & ((1 << h) - 1)
+    return h, G
 
 
 def _verify_table(n: int, X: np.ndarray) -> None:
     """Check the int64 character table X of S_n (rows lambda, columns mu in
     partitions(n) order): the trivial row, the squared degrees, the size of
-    every value and column orthogonality.
-
-    The Gram product X^T X is taken in float64, where BLAS runs it, and is
-    exact once |chi| <= sqrt(n!) holds, which is checked before it: each
-    product is then an integer of size at most n!, and for n <= MAX_N = 16
-    every partial sum of p(16) = 231 such terms is an integer below
-    231 * 16! ~ 4.8e15 < 2^53, so no addition rounds in any order. For a
-    true table the sums are even smaller,
-    |sum_lam chi_lam(mu) chi_lam(nu)| <= sqrt(z_mu z_nu) <= 16! ~ 2.1e13 by
-    Cauchy-Schwarz.
+    every value and column orthogonality,
+    sum_lam chi_lam(mu) chi_lam(nu) = z_mu delta_mu,nu, exactly: the
+    Gram matrix X^T X comes as base-2^h digits (_gram), compared with the
+    digits of diag(z_mu).
     """
     fact = math.factorial(n)
     if (X[0] != 1).any():
@@ -319,9 +428,15 @@ def _verify_table(n: int, X: np.ndarray) -> None:
         raise AssertionError("sum of squared dimensions != n!")
     if np.abs(X).max() > math.isqrt(fact):
         raise AssertionError("character value exceeds sqrt(n!)")
-    # column orthogonality: sum_lam chi_lam(mu) chi_lam(nu) = z_mu delta_mu,nu
-    want = np.diag([float(centralizer_order(mu)) for mu in partitions(n)])
-    bad = np.argwhere(np.triu(_gram(X) != want))
+    h, G = _gram(X)
+    z = [centralizer_order(mu) for mu in partitions(n)]
+    bad = np.zeros(G[0].shape, dtype=bool)
+    for s, digits in enumerate(G):
+        want = [c >> (h * s) for c in z]
+        if s < len(G) - 1:
+            want = [w & ((1 << h) - 1) for w in want]
+        bad |= digits != np.diag(np.array(want, dtype=np.int64))
+    bad = np.argwhere(np.triu(bad))
     if len(bad):
         mu, nu = bad[0]
         raise AssertionError(f"column orthogonality fails at {mu},{nu}")
@@ -343,10 +458,11 @@ def count_homs(n: int, g: int) -> int:
 def _f_k(n: int, k: int) -> Tuple[int, ...]:
     """Per class, the number of 2k-tuples whose commutator product equals
     one fixed representative of the class: (n!)^{2k-1} sum chi(c) / d^{2k-1}
-    = sum chi(c) codim^{2k-1}."""
+    = sum chi(c) codim^{2k-1}, for all classes as one exact product
+    chi^T codim^{2k-1} (_exact_tdot)."""
     tab = character_table(n)
     powers = [w ** (2 * k - 1) for w in tab.codims]
-    return tuple(sum(c * w for c, w in zip(chi, powers)) for chi in tab.chi_by_class)
+    return tuple(_exact_tdot([tab.chi.astype(np.float64)], 0, powers))
 
 
 @lru_cache(maxsize=None)
@@ -365,13 +481,18 @@ def _identity_target_weights(n: int, k: int) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _pair_class_weights(n: int, c_type: Tuple[int, ...]) -> Tuple[int, ...]:
-    """For [A,B] = c: weights N_K(c) * |Z_K| over the class K of A; the
+    """For [A,B] = c: weights N_K(c) * |Z_K| over the class K of A, with
+    N_K(c) the class triple count |K|^2 S_K / (n!)^2 and
+    S_K = sum_lam chi_lam(K)^2 chi_lam(c) codim_lam; every S_K comes from
+    one exact product (chi * chi)^T v, v = chi(c) codim (_exact_tdot). The
     total must equal M(c), which is asserted."""
     tab = character_table(n)
     c_idx = tab.index[c_type]
+    v = [x * w for x, w in zip(tab.chi[:, c_idx].tolist(), tab.codims)]
+    sums = _exact_tdot(tab.square_limbs, 32, v)
     ws = tuple(
-        tab.triple_count(k, k, c_idx) * (tab.order // size)
-        for k, size in enumerate(tab.class_sizes)
+        tab.class_count(k, k, s) * (tab.order // size)
+        for k, (s, size) in enumerate(zip(sums, tab.class_sizes))
     )
     if not sum(ws) == _f_k(n, 1)[c_idx]:
         raise ArithmeticError(f"pair class weights miss M(c) at n={n}, c={c_type}")
@@ -379,9 +500,13 @@ def _pair_class_weights(n: int, c_type: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 # ------------------------------------------------------------- realizations
+#
+# The rejection loops and realizations below run on image tuples (p[i] is
+# the image of i) and wrap only their results as Permutation.
 
 
-def _canonical_of_type(n: int, ctype: Tuple[int, ...]) -> Permutation:
+@lru_cache(maxsize=None)
+def _canonical_of_type(n: int, ctype: Tuple[int, ...]) -> tuple:
     """Cycles laid out consecutively: (0 1 .. k1-1)(k1 ..)..."""
     img = [0] * n
     pos = 0
@@ -389,37 +514,42 @@ def _canonical_of_type(n: int, ctype: Tuple[int, ...]) -> Permutation:
         for j in range(length):
             img[pos + j] = pos + (j + 1) % length
         pos += length
-    return Permutation(img)
+    return tuple(img)
 
 
-def _uniform_in_class(n: int, ctype: Tuple[int, ...], rng) -> Permutation:
+def _uniform_in_class(n: int, ctype: Tuple[int, ...], rng) -> tuple:
+    """s r s^-1 for the canonical r of the class and a uniform shuffle s:
+    it maps s(i) to s(r(i))."""
     rep = _canonical_of_type(n, ctype)
     s = list(range(n))
     rng.shuffle(s)
-    return rep.conjugate_by(Permutation(s))
+    img = [0] * n
+    for i, j in enumerate(rep):
+        img[s[i]] = s[j]
+    return tuple(img)
 
 
-def _matching_conjugator(p: Permutation, q: Permutation) -> Permutation:
+def _matching_conjugator(p: tuple, q: tuple) -> tuple:
     """Some b with b p b^-1 = q (p, q of equal cycle type)."""
     by_len_p, by_len_q = {}, {}
-    for c in p.cycles():
+    for c in _cycles(p):
         by_len_p.setdefault(len(c), []).append(c)
-    for c in q.cycles():
+    for c in _cycles(q):
         by_len_q.setdefault(len(c), []).append(c)
-    img = [0] * p.n
+    img = [0] * len(p)
     for length, cps in by_len_p.items():
         for cp, cq in zip(cps, by_len_q[length]):
             for a, b in zip(cp, cq):
                 img[a] = b
-    return Permutation(img)
+    return tuple(img)
 
 
-def _uniform_centralizer(p: Permutation, rng) -> Permutation:
+def _uniform_centralizer(p: tuple, rng) -> tuple:
     """Uniform element of Z(p): permute equal-length cycles and rotate each."""
     by_len = {}
-    for c in p.cycles():
+    for c in _cycles(p):
         by_len.setdefault(len(c), []).append(c)
-    img = [0] * p.n
+    img = [0] * len(p)
     for length, cycs in by_len.items():
         order = list(range(len(cycs)))
         rng.shuffle(order)
@@ -428,7 +558,7 @@ def _uniform_centralizer(p: Permutation, rng) -> Permutation:
             off = rng.randrange(length)
             for j in range(length):
                 img[c[j]] = target[(j + off) % length]
-    return Permutation(img)
+    return tuple(img)
 
 
 def _weighted_choice(weights, rng) -> int:
@@ -460,16 +590,18 @@ def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
     ktype = partitions(n)[_weighted_choice(weights, rng)]
     for _ in range(_REJECT_CAP):
         u = _uniform_in_class(n, ktype, rng)
-        if (u.inverse() * c).cycle_type() == ktype:
+        u_inv = _inverse(u)
+        v = _compose(u_inv, c.images0)
+        if _cycle_type(v) == ktype:
             break
     else:
         raise RuntimeError("commutator realization did not converge")
-    v = u.inverse() * c
-    b0 = _matching_conjugator(u.inverse(), v)
-    B = b0 * _uniform_centralizer(u.inverse(), rng)
-    if not commutator(u, B) == c:
+    b0 = _matching_conjugator(u_inv, v)
+    A = Permutation._of(u)
+    B = Permutation._of(_compose(b0, _uniform_centralizer(u_inv, rng)))
+    if not commutator(A, B) == c:
         raise RuntimeError("commutator realization does not hit its target")
-    return u, B
+    return A, B
 
 
 # ------------------------------------------------------------------- tuples
@@ -542,15 +674,16 @@ def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
     tab = character_table(n)
     types = tab.partitions
     pairs: List[Tuple[Permutation, Permutation]] = []  # (A_g,B_g) first
-    target = Permutation.identity(n)
+    identity = tuple(range(n))
+    target = identity  # image tuples, as in the realizations
     for k in range(g, 1, -1):
-        if target.is_identity():
+        if target == identity:
             # E is forced to C (classes are self-paired) and the triple
             # count degenerates to |C|
             ci = _weighted_choice(_identity_target_weights(n, k), rng)
             x = _uniform_in_class(n, types[ci], rng)
         else:
-            z_idx = tab.index[target.cycle_type()]
+            z_idx = tab.index[_cycle_type(target)]
             fes = _f_k(n, k - 1)
             cand, weights = [], []
             for ci, mc in enumerate(_f_k(n, 1)):
@@ -567,13 +700,13 @@ def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
             etype = types[ei]
             for _ in range(_REJECT_CAP):
                 x = _uniform_in_class(n, types[ci], rng)
-                if (target * x.inverse()).cycle_type() == etype:
+                if _cycle_type(_compose(target, _inverse(x))) == etype:
                     break
             else:
                 raise RuntimeError("class-pair rejection did not converge")
-        pairs.append(_commutator_pair(x, rng))
-        target = target * x.inverse()
-    pairs.append(_commutator_pair(target, rng))
+        pairs.append(_commutator_pair(Permutation._of(x), rng))
+        target = _compose(target, _inverse(x))
+    pairs.append(_commutator_pair(Permutation._of(target), rng))
     flat = tuple(p for ab in reversed(pairs) for p in ab)
     out = make_hom_tuple(n, g, flat)
     if not out.relation_ok:

@@ -4,12 +4,15 @@ Everything runs in-process through main(argv) so exit codes and stdout can
 be asserted without subprocess overhead; file outputs land in tmp dirs.
 """
 
+import csv
 import json
+import math
 
 import pytest
 
 import covergap.experiments as experiments
 from covergap.cli import main
+from covergap.symmetric_group import MAX_N, evaluate_word
 
 
 def test_selberg_table_end_to_end(tmp_path, capsys):
@@ -221,6 +224,36 @@ def test_gap_sweep_rejects_threads_and_repeats_byte_identical(tmp_path, capsys):
     assert (a / "gap_sweep.csv").read_bytes() == (b / "gap_sweep.csv").read_bytes()
     assert (a / "gap_sweep_summary.json").read_bytes() == \
         (b / "gap_sweep_summary.json").read_bytes()
+
+
+def test_gap_sweep_above_the_old_degree_cap(tmp_path, capsys, monkeypatch):
+    # n = 20 and MAX_N = 24 draw, build and solve end to end; n = 25 is a
+    # usage error before any work
+    drawn = []
+    sample = experiments.sample_uniform_hom
+
+    def recorded(*args, **kwargs):
+        drawn.append(sample(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiments, "sample_uniform_hom", recorded)
+    rc = main(["gap-sweep", "--n-list", f"20,{MAX_N}", "--grid-m", "50",
+               "--samples-per-n", "1", "--require-transitive", "--out", str(tmp_path)])
+    assert rc == 0 and MAX_N == 24
+    assert {t.n for t in drawn} == {20, 24}
+    relator = (1, 2, -1, -2, 3, 4, -3, -4)
+    assert all(t.relation_ok and evaluate_word(t, relator).is_identity() for t in drawn)
+    with open(tmp_path / "gap_sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["n"], r["transitive"]) for r in rows] == [("20", "True"), ("24", "True")]
+    for r in rows:
+        for key in ("op_norm", "lambda_lower_bound", "krylov_residual"):
+            assert math.isfinite(float(r[key]))
+    capsys.readouterr()
+    rc = main(["gap-sweep", "--n-list", f"{MAX_N + 1}", "--grid-m", "50",
+               "--samples-per-n", "1", "--out", str(tmp_path / "over")])
+    assert rc == 2
+    assert "cover degree 25 outside [2, 24]" in capsys.readouterr().err
 
 
 def test_negative_seed_exit_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
 
 from covergap.surface_group import build_bolza_realization, support_set
@@ -362,6 +363,94 @@ def test_lanczos_against_dense_symmetric():
         w = np.linalg.eigvalsh(S)
         res = _lanczos_top(lambda x: S @ x, dim, seed=0)
         assert abs(res.top - w[-1]) <= 1e-8 * max(1, abs(w[-1]))
+
+
+def _per_step_lanczos(apply, dim, seed, maxiter=400):
+    """The Lanczos loop that runs the Ritz solve at every step, kept as the
+    reference for the lazily tested one."""
+    cap = min(maxiter, dim)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    V = np.empty((cap + 1, dim))
+    V[0] = v
+    alphas, betas = [], []
+    beta_prev = 0.0
+    for j in range(cap):
+        w = apply(V[j])
+        if j:
+            w = w - beta_prev * V[j - 1]
+        a = float(V[j] @ w)
+        alphas.append(a)
+        w = w - a * V[j]
+        for _ in range(2):
+            w = w - V[: j + 1].T @ (V[: j + 1] @ w)
+        b = float(np.linalg.norm(w))
+        theta, U = eigh_tridiagonal(np.array(alphas), np.array(betas))
+        top = float(theta[-1])
+        res_top = b * abs(float(U[-1, -1]))
+        scale = max(abs(top), abs(float(theta[0])))
+        if (res_top <= cover_spectrum.KRYLOV_TOL * scale
+                or b <= 1e-14 * max(1.0, scale) or j + 1 == dim):
+            return cover_spectrum.LanczosResult(top, res_top, j + 1)
+        betas.append(b)
+        beta_prev = b
+        V[j + 1] = w / b
+    raise KrylovConvergenceError(top, res_top, cap)
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except KrylovConvergenceError as exc:
+        return ("cap", exc.best_estimate, exc.residual, exc.iterations)
+
+
+@pytest.mark.parametrize("family", ["small", "dense_t2"])
+def test_lazy_ritz_tests_equal_the_per_step_loop(request, family, monkeypatch):
+    # 30 covers per family (t = 1 and t = 2): the same top, residual and
+    # step count bit for bit, with one matvec per step and fewer Ritz
+    # solves than steps; with small caps, the same result or the same
+    # KrylovConvergenceError
+    _, blocks = request.getfixturevalue(family)
+    solves, matvecs = [], []
+    ritz = cover_spectrum.eigh_tridiagonal
+
+    def counted(*args):
+        solves.append(1)
+        return ritz(*args)
+
+    steps = 0
+    for n in (4, 8, 16):
+        for s in range(10):
+            op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=s))
+            apply = functools.partial(matvec, op)
+            want = _per_step_lanczos(apply, op.dimension, s)
+            monkeypatch.setattr(cover_spectrum, "eigh_tridiagonal", counted)
+            assert _lanczos_top(lambda x: matvecs.append(1) or apply(x),
+                                op.dimension, s) == want
+            monkeypatch.setattr(cover_spectrum, "eigh_tridiagonal", ritz)
+            steps += want.iterations
+            if s == 0:
+                for cap in (1, 2, 5, 12, want.iterations - 1, want.iterations):
+                    assert _outcome(_lanczos_top, apply, op.dimension, s, maxiter=cap) \
+                        == _outcome(_per_step_lanczos, apply, op.dimension, s, maxiter=cap)
+    assert len(matvecs) == steps and len(solves) < steps / 2
+
+
+def test_lazy_ritz_tests_survive_a_misjudging_estimate(small, monkeypatch):
+    # an estimate that never sees a stop leaves only step 0 and the cap to
+    # the full solve; the untested steps are then tested in order, and the
+    # first stop is still the per-step loop's
+    _, blocks = small
+    monkeypatch.setattr(cover_spectrum, "_top_residual_estimate",
+                        lambda *args: math.inf)
+    for n, s in ((4, 0), (8, 1)):
+        op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=s))
+        apply = functools.partial(matvec, op)
+        want = _per_step_lanczos(apply, op.dimension, s)
+        for cap in (want.iterations + 7, 400):
+            assert _lanczos_top(apply, op.dimension, s, maxiter=cap) == want
 
 
 def test_lanczos_zero_operator():

@@ -3,7 +3,9 @@
 Counting oracles here are brute force: commutator tables over all of S_3 and
 S_4, hook-length dimensions, and the fixed-point formula for the standard
 character. Sampler uniformity is checked by chi-square against fully
-enumerated solution sets.
+enumerated solution sets, and at n = 8 against the exact class law of the
+first generator. The Python-integer weight and Gram computations the
+machine-word products replaced are kept here as oracles for n <= 16.
 """
 
 import copy
@@ -12,6 +14,7 @@ import math
 import operator
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +29,7 @@ from covergap.symmetric_group import (
     Permutation,
     _beta_mask,
     _commutator_pair,
+    _exact_tdot,
     _f_k,
     _gram,
     _identity_target_weights,
@@ -95,7 +99,7 @@ def test_inverse_and_identity():
 def test_cycle_structure():
     p = Permutation([1, 0, 3, 4, 2])
     assert p.cycle_type() == (3, 2)
-    assert sorted(len(c) for c in p.cycles()) == [2, 3]
+    assert symmetric_group._cycles(p.images0) == [(0, 1), (2, 3, 4)]
     assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
 
 
@@ -104,9 +108,10 @@ def test_conjugation_preserves_type_and_moves_points():
     perms = _perm_objects(4)
     for _ in range(50):
         p, s = rng.choice(perms), rng.choice(perms)
-        q = p.conjugate_by(s)
+        q = s * p * s.inverse()
         assert q.cycle_type() == p.cycle_type()
-        assert q == s * p * s.inverse()
+        # s p s^-1 maps s(i) to s(p(i))
+        assert all(q.images0[s.images0[i]] == s.images0[p.images0[i]] for i in range(4))
 
 
 def test_permutation_validation_and_immutability():
@@ -142,9 +147,10 @@ def test_commutator_identities():
         assert commutator(a, a).is_identity()
         assert commutator(a, b) * commutator(b, a) == Permutation.identity(4)
         s = rng.choice(perms)
-        assert commutator(a, b).conjugate_by(s) == commutator(
-            a.conjugate_by(s), b.conjugate_by(s)
-        )
+        def conj(p):
+            return s * p * s.inverse()
+
+        assert conj(commutator(a, b)) == commutator(conj(a), conj(b))
 
 
 # ======================================================= partitions, classes
@@ -223,10 +229,8 @@ def _beta_list_character(lam, mu):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_bitmask_table_equals_beta_list_recursion(n):
     parts = partitions(n)
-    want = tuple(
-        tuple(_beta_list_character(lam, mu) for lam in parts) for mu in parts
-    )
-    assert character_table(n).chi_by_class == want
+    want = [[_beta_list_character(lam, mu) for mu in parts] for lam in parts]
+    assert character_table(n).chi.tolist() == want
 
 
 @lru_cache(maxsize=None)
@@ -250,20 +254,17 @@ def _bitmask_character(mask, mu):
     return total
 
 
-@pytest.mark.parametrize("n", range(11, MAX_N + 1))
+# the per-entry recursion is pinned to n <= 16, where it takes seconds
+@pytest.mark.parametrize("n", range(11, 17))
 def test_strip_matrix_table_equals_bitmask_recursion(n):
     parts = partitions(n)
-    want = tuple(
-        tuple(_bitmask_character(_beta_mask(lam, n), mu) for lam in parts)
-        for mu in parts
-    )
+    want = [[_bitmask_character(_beta_mask(lam, n), mu) for mu in parts]
+            for lam in parts]
     _bitmask_character.cache_clear()  # every key holds n beads
-    chi = character_table(n).chi_by_class
-    assert chi == want
-    if n == MAX_N:
-        # the sampler's products of three values and a codimension need
-        # Python ints, which never wrap
-        assert all(type(v) is int for row in chi for v in row)
+    chi = character_table(n).chi
+    assert chi.tolist() == want
+    # the table is shared by every weight: int64 and read-only
+    assert chi.dtype == np.int64 and not chi.flags.writeable
 
 
 def test_table_build_is_one_public_call(monkeypatch):
@@ -292,7 +293,7 @@ def test_s3_table_exact():
     }
     for li, lam in enumerate(tab.partitions):
         for mi, mu in enumerate(tab.partitions):
-            assert tab.chi_by_class[mi][li] == want[lam][mu]
+            assert tab.chi[li, mi] == want[lam][mu]
 
 
 def test_s4_dimensions_and_values():
@@ -300,9 +301,9 @@ def test_s4_dimensions_and_values():
     assert sorted(tab.degrees) == [1, 1, 2, 3, 3]
     idx = tab.index
     # standard representation (3,1) at a transposition has trace 1
-    assert tab.chi_by_class[idx[(2, 1, 1)]][idx[(3, 1)]] == 1
+    assert tab.chi[idx[(3, 1)], idx[(2, 1, 1)]] == 1
     # sign of a 4-cycle is -1
-    assert tab.chi_by_class[idx[(4,)]][idx[(1, 1, 1, 1)]] == -1
+    assert tab.chi[idx[(1, 1, 1, 1)], idx[(4,)]] == -1
 
 
 def test_dimensions_match_hook_lengths():
@@ -321,19 +322,19 @@ def test_standard_and_sign_character_formulas():
         std, sgn = idx[(n - 1, 1)], idx[(1,) * n]
         for mi, mu in enumerate(tab.partitions):
             fix = sum(1 for part in mu if part == 1)
-            assert tab.chi_by_class[mi][std] == fix - 1
-            assert tab.chi_by_class[mi][sgn] == (-1) ** (n - len(mu))
+            assert tab.chi[std, mi] == fix - 1
+            assert tab.chi[sgn, mi] == (-1) ** (n - len(mu))
 
 
 def test_row_orthogonality():
     tab = character_table(6)
     fact = math.factorial(6)
     ncls = len(tab.partitions)
+    rows = tab.chi.tolist()
     for a in range(ncls):
         for b in range(a, ncls):
             s = sum(
-                tab.class_sizes[m] * tab.chi_by_class[m][a] * tab.chi_by_class[m][b]
-                for m in range(ncls)
+                tab.class_sizes[m] * rows[a][m] * rows[b][m] for m in range(ncls)
             )
             assert s == (fact if a == b else 0)
 
@@ -362,19 +363,51 @@ def test_verify_table_checks_trivial_row_degrees_and_bound():
             _verify_table(5, broken)
 
 
+def _python_int_gram(X):
+    """X^T X in Python integers, the slow reference."""
+    cols = X.T.tolist()
+    return [[sum(map(operator.mul, ci, cj)) for cj in cols] for ci in cols]
+
+
+def _from_digits(h, digits):
+    """The integer matrix sum_s digits[s] 2^(h s) as nested Python ints."""
+    rows = [d.tolist() for d in digits]
+    return [[sum(r[i][j] << (h * s) for s, r in enumerate(rows))
+             for j in range(len(rows[0][i]))] for i in range(len(rows[0]))]
+
+
+def test_verify_table_catches_a_broken_table_at_n20():
+    # at n = 20 the Gram matrix runs in two digits per entry; a change in
+    # either digit of one value breaks orthogonality at its column
+    X = _table_array(20)
+    _verify_table(20, X)
+    for delta in (1, 1 << 20):
+        broken = X.copy()
+        broken[7, 3] += delta
+        with pytest.raises(AssertionError,
+                           match=r"column orthogonality fails at \d+,\d+") as err:
+            _verify_table(20, broken)
+        assert "3" in err.value.args[0].rsplit(" ", 1)[1].split(",")
+
+
 def test_float64_gram_is_exact_at_max_n():
-    # slow reference: the same Gram matrix in Python integers
-    tab = character_table(MAX_N)
-    cols = tab.chi_by_class
-    X = _table_array(MAX_N)
-    gram = _gram(X)
-    assert gram.dtype == np.float64
-    fact = math.factorial(MAX_N)
-    for i, ci in enumerate(cols):
-        for j in range(i, len(cols)):
-            exact = sum(map(operator.mul, ci, cols[j]))
-            assert int(gram[i, j]) == exact == int(gram[j, i])
-            assert exact == (fact // tab.class_sizes[i] if i == j else 0)
+    # the Python-integer oracle runs on the whole table at n = 16 only; at
+    # MAX_N it checks the last 24 columns, which hold the degrees (the
+    # largest values), over all p(MAX_N) rows, in the same several-digit
+    # products as the whole table
+    tab = character_table(16)
+    h, digits = _gram(tab.chi)
+    assert len(digits) == 1  # one float64 product suffices at n = 16
+    exact = _python_int_gram(tab.chi)
+    assert _from_digits(h, digits) == exact
+    fact = math.factorial(16)
+    assert exact == [[fact // size if i == j else 0 for j in range(len(exact))]
+                     for i, size in enumerate(tab.class_sizes)]
+    X = _table_array(MAX_N)[:, -24:]
+    h, digits = _gram(X)
+    assert len(digits) > 1 and all(d.dtype == np.int64 for d in digits)
+    assert all(((0 <= d) & (d < 1 << h)).all() for d in digits[:-1])
+    assert _from_digits(h, digits) == _python_int_gram(X)
 
 
 def test_table_bounds():
@@ -440,7 +473,7 @@ def test_commuting_pair_count():
 
 def _fraction_triple_count(tab, e, c, z):
     """The Fraction form of the class triple count, as a dense reference."""
-    chi = tab.chi_by_class
+    chi = tab.chi.T.tolist()
     s = sum(
         Fraction(a * b * x, d)
         for a, b, x, d in zip(chi[e], chi[c], chi[z], tab.degrees)
@@ -452,7 +485,7 @@ def _fraction_triple_count(tab, e, c, z):
 
 def _fraction_f_k(tab, i, k):
     s = sum(Fraction(x, d ** (2 * k - 1))
-            for x, d in zip(tab.chi_by_class[i], tab.degrees))
+            for x, d in zip(tab.chi[:, i].tolist(), tab.degrees))
     val = Fraction(math.factorial(tab.n)) ** (2 * k - 1) * s
     assert val.denominator == 1
     return int(val)
@@ -485,6 +518,55 @@ def test_integer_weights_equal_fraction_weights(n):
     assert _identity_target_weights(n, 2) == want
     for g in (1, 2, 3):
         assert count_homs(n, g) == _fraction_count_homs(tab, g)
+
+
+def test_exact_tdot_equals_python_ints():
+    # digits of either sign and limbs at the full 2^32 width, on sizes where
+    # the digit width b = 53 - P - alpha is small
+    rng = random.Random(4)
+    for rows, cols, limbs, bits in ((300, 7, 3, 200), (5, 4, 1, 70), (1, 1, 2, 3)):
+        L = [np.array([[rng.randrange(1 << 32) for _ in range(cols)]
+                       for _ in range(rows)], dtype=np.float64) for _ in range(limbs)]
+        v = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(rows)]
+        A = [[sum(int(L[i][r, c]) << (32 * i) for i in range(limbs))
+              for c in range(cols)] for r in range(rows)]
+        want = [sum(A[r][c] * v[r] for r in range(rows)) for c in range(cols)]
+        got = _exact_tdot(L, 32, v)
+        assert got == want and all(type(x) is int for x in got)
+    with pytest.raises(ArithmeticError, match="too wide"):
+        _exact_tdot([np.full((4, 1), 2.0**50)], 0, [1, 2, 3, 4])
+
+
+def _oracle_weights(n):
+    """f_1, f_2, the identity-target weights and every class's pair weights
+    by the Python-integer sums the exact products replaced."""
+    tab = character_table(n)
+    by_class = tab.chi.T.tolist()
+    f = {}
+    for k in (1, 2):
+        powers = [w ** (2 * k - 1) for w in tab.codims]
+        f[k] = tuple(sum(c * w for c, w in zip(col, powers)) for col in by_class)
+    identity = tuple(size * m * m for size, m in zip(tab.class_sizes, f[1]))
+    pairs = {}
+    for ci, ctype in enumerate(tab.partitions):
+        ws = []
+        for k, size in enumerate(tab.class_sizes):
+            s = sum(a * a * x * w for a, x, w in
+                    zip(by_class[k], by_class[ci], tab.codims))
+            val, rem = divmod(size * size * s, tab.order**2)
+            assert rem == 0 and val >= 0
+            ws.append(val * (tab.order // size))
+        pairs[ctype] = tuple(ws)
+    return f, identity, pairs
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_weights_equal_python_int_oracle(n):
+    f, identity, pairs = _oracle_weights(n)
+    assert _f_k(n, 1) == f[1] and _f_k(n, 2) == f[2]
+    assert _identity_target_weights(n, 2) == identity
+    for ctype, want in pairs.items():
+        assert _pair_class_weights(n, ctype) == want
 
 
 def test_pair_class_weights_total():
@@ -629,6 +711,54 @@ def test_genus3_class_marginals_match_enumeration():
         for k in cells
     )
     assert stat < chi2.ppf(0.999, len(cells) - 1)
+
+
+def _first_generator_class_law(n):
+    """P(A_1 in K) for a uniform genus-2 tuple, per class K: a commutator
+    [A_1, B_1] = x in class C closes with M(C) pairs (A_2, B_2), and
+    w_K(C) of the pairs with commutator x have A_1 in K, so
+    P(A_1 in K) = sum_C |C| M(C) w_K(C) / |Hom|."""
+    tab = character_table(n)
+    counts = [0] * len(tab.partitions)
+    for ci, ctype in enumerate(tab.partitions):
+        closing = tab.class_sizes[ci] * _f_k(n, 1)[ci]
+        for k, w in enumerate(_pair_class_weights(n, ctype)):
+            counts[k] += closing * w
+    total = count_homs(n, 2)
+    assert sum(counts) == total
+    return {ctype: Fraction(c, total) for ctype, c in zip(tab.partitions, counts)}
+
+
+def test_first_generator_class_law_matches_enumeration_at_n4():
+    n = 4
+    counts = _commutator_counts(n)
+    hits = Counter()
+    for (a, _), x in _comm_table(n).items():
+        hits[Permutation(a).cycle_type()] += counts.get(x.inverse().images0, 0)
+    total = sum(hits.values())
+    assert total == count_homs(n, 2)
+    assert _first_generator_class_law(n) == {
+        ctype: Fraction(hits[ctype], total) for ctype in partitions(n)}
+
+
+def test_first_generator_class_chi_square_at_n8():
+    n, draws = 8, 4000
+    obs = Counter(sample_uniform_hom(n, 2, seed=s).gens[0].cycle_type()
+                  for s in range(draws))
+    cells = sorted((draws * float(p), obs[ctype])
+                   for ctype, p in _first_generator_class_law(n).items())
+    # merge the smallest cells until each expects at least 5 draws
+    merged, pool = [], [0.0, 0]
+    for e, o in cells:
+        pool = [pool[0] + e, pool[1] + o]
+        if pool[0] >= 5:
+            merged.append(pool)
+            pool = [0.0, 0]
+    if pool[0]:
+        merged[-1] = [merged[-1][0] + pool[0], merged[-1][1] + pool[1]]
+    assert len(merged) > 10
+    stat = sum((o - e) ** 2 / e for e, o in merged)
+    assert chi2.sf(stat, len(merged) - 1) > 1e-3
 
 
 def test_transitive_fraction_is_high():
