@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface.
 
 Everything runs in-process through main(argv) so exit codes and stdout can
-be asserted without subprocess overhead; file outputs land in tmp dirs.
+be asserted without subprocess overhead; file outputs land in tmp dirs. The
+one exception is the import-cost check, which needs a fresh interpreter.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +295,16 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats alone costs about a third of the CLI's import memory and
+    # half its import time; other tests load it into this process, so only
+    # a fresh interpreter can tell
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, covergap.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from covergap.hyperbolic import ball_area
 from covergap.selberg import h_peak
@@ -526,11 +527,14 @@ def test_selberg_table_values(tmp_path):
 
 
 def test_sampler_validate_tiny(tmp_path):
-    cfg = _tiny_cfg(tmp_path, n_max=2, gof_draws=2000)
+    cfg = _tiny_cfg(tmp_path, n_max=3, gof_draws=2000)
     res = cmd_sampler_validate(cfg)
     rep = res["report"]["per_n"]["2"]
     assert rep["enumerated"] == rep["count_homs"] == count_homs(2, 2) == 16
     assert rep["count_match"] and rep["pass"]
+    # the p-value must be scipy.stats' own, bit for bit
+    for entry in res["report"]["per_n"].values():
+        assert entry["pvalue"] == chi2.sf(entry["chi2_stat"], entry["df"])
     assert res["report"]["pass"] is True
     assert json.loads(Path(res["data"]).read_text())["pass"] is True
 
