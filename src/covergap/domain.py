@@ -131,16 +131,23 @@ class OperatorBlock:
         return self.hs_norm == 0.0
 
 
-def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
+def assemble_block(gamma, t: float, grid: QuadratureGrid, _squares=None) -> OperatorBlock:
     """Indicator-kernel block for one translate, stored sparse below 25%
     density. The kernel is compared on the cosh scale, matching ball_kernel.
 
     Only the node pairs that ball_candidates returns for the grid's tree are
     tested; they include every pair within cosh t, so the kept pairs are
     exactly those of the full m x m test. Sorted by row and then column they
-    are in CSR order, and the Hilbert-Schmidt norm sums the full m x m array
-    of squares, so both are bit-identical to the dense build.
+    are in CSR order, and the Hilbert-Schmidt norm sums an m x m array that
+    holds the squares at the kept pairs and zeros elsewhere: the dense
+    block times itself, the same values in the same layout, so numpy sums
+    them in the same order. Both are therefore bit-identical to the dense
+    build.
+    That array is allocated per call unless _squares supplies it, all zero;
+    the call leaves it all zero again, so assemble_support_blocks shares
+    one across a family.
     """
+    squares = np.zeros((grid.m, grid.m)) if _squares is None else _squares
     word, M = gamma
     image = mobius_apply(M.m, grid.xy)
     cosh_t = math.cosh(t)
@@ -152,12 +159,15 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     sqw = np.sqrt(grid.weights)
     m = grid.m
     vals = sqw[i] * sqw[j]
-    mat = np.zeros((m, m))
-    mat[i, j] = vals
-    hs = float(np.sqrt((mat * mat).sum()))
+    squares[i, j] = vals * vals
+    hs = float(np.sqrt(squares.sum()))
+    squares[i, j] = 0.0
     if len(i) / (m * m) < SPARSE_DENSITY:
         indptr = np.searchsorted(i, np.arange(m + 1))
         mat = csr_matrix((vals, j, indptr), shape=(m, m))
+    else:
+        mat = np.zeros((m, m))
+        mat[i, j] = vals
     return OperatorBlock(gamma=gamma, matrix=mat, hs_norm=hs, t=t)
 
 
@@ -199,12 +209,18 @@ class BlockFamily(tuple):
             if any(abs(letter) > 2 * cls.genus for letter in b.gamma[0]):
                 raise ValueError("block word uses letters outside the generators")
         partners = inverse_partners([b.gamma[1] for b in self])
-        for b, j in zip(self, partners):
+        for i, (b, j) in enumerate(zip(self, partners)):
             word = tuple(b.gamma[0])
             if j is None:
                 raise ValueError(f"family is not inverse-closed at {word}")
+            # max|A_i^T - A_j| is max|A_j^T - A_i|, so a mutual pair is
+            # checked once, against the tighter of its two tolerances
+            mutual = partners[j] == i
+            if j < i and mutual:
+                continue
+            hs = min(b.hs_norm, self[j].hs_norm) if mutual else b.hs_norm
             dev = abs(b.matrix.T - self[j].matrix).max()
-            if dev > 1e-10 * max(1.0, b.hs_norm):
+            if dev > 1e-10 * max(1.0, hs):
                 raise ValueError(f"adjoint block mismatch at {word}: {dev}")
         u = np.ones(m)
         for b in self:
@@ -277,8 +293,12 @@ class RowLayout:
 
 def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:
     """Blocks for every element of a support set, dropping all-zero ones
-    (their translate's qualifying region missed every node pair)."""
-    blocks = [assemble_block(g, t, grid) for g in support.elements]
+    (their translate's qualifying region missed every node pair). The
+    blocks share one m x m array for their Hilbert-Schmidt sums (see
+    assemble_block), so only a dense block allocates an m x m array of its
+    own."""
+    squares = np.zeros((grid.m, grid.m))
+    blocks = [assemble_block(g, t, grid, _squares=squares) for g in support.elements]
     return BlockFamily(b for b in blocks if not b.is_zero)
 
 

@@ -82,7 +82,7 @@ class ComputeError(RuntimeError):
     """Numerical failure mid-run; maps to exit code 1, output flagged partial."""
 
 
-# assemble_block fills an m x m float64 scratch array per block (800 MB at
+# block assembly sums squares in one m x m float64 scratch array (800 MB at
 # m = 10000), so larger grids exhaust memory long before they finish
 MAX_GRID_M = 10000
 

@@ -258,6 +258,9 @@ class SupportSet:
 
 MAX_R = 12.0  # displacement cap of lattice_points and support_set
 _PER_SIDE = 64  # boundary samples per polygon side in support_set
+# support_set tests every this-many-th sample first; a divisor of
+# _PER_SIDE, so the polygon vertices are among them
+_EARLY_STRIDE = 64
 
 
 def _orbit_points(mats: np.ndarray):
@@ -399,6 +402,14 @@ def _boundary_samples(real: FuchsianRealization):
     return np.array([[p.x, p.y] for p in pts]), gap
 
 
+def _some_pair_within(tree, S: np.ndarray, image: np.ndarray, cosh_t: float) -> bool:
+    """Whether some pair of a point of S (tree = disk_tree(S)) and a row of
+    image lies within cosh distance cosh_t, testing only the pairs that
+    ball_candidates returns."""
+    i, j = ball_candidates(tree, image, cosh_t)
+    return bool((pairwise_cosh_distance(S[i, None], image[j, None]) <= cosh_t).any())
+
+
 def support_radius(t: float, circumradius: float = BOLZA_CIRCUMRADIUS) -> float:
     """Displacement out to which support_set enumerates candidates at t."""
     return 2.0 * circumradius + t + 1e-6
@@ -416,8 +427,11 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     The sample pairs are culled by a KD-tree search in the disk model
     (ball_candidates), whose candidates include every pair that passes, and
     only they are tested on the cosh scale; so the result equals that of
-    testing every sample pair. The result is inverse-closed and contains the
-    identity.
+    testing every sample pair. Every _EARLY_STRIDE-th translated sample, the
+    polygon vertices among them, is tested first: a pair that passes there
+    passes in the full test too, so the candidate is accepted at once, and
+    otherwise every sample is tested. The result is inverse-closed and
+    contains the identity.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -430,8 +444,8 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     accept = []
     for M in cand.isometries():
         image = mobius_apply(M.m, S)
-        i, j = ball_candidates(tree, image, cosh_t)
-        accept.append(bool((pairwise_cosh_distance(S[i, None], image[j, None]) <= cosh_t).any()))
+        accept.append(_some_pair_within(tree, S, image[::_EARLY_STRIDE], cosh_t)
+                      or _some_pair_within(tree, S, image, cosh_t))
 
     # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair
     # predicate is symmetric in exact arithmetic, make it so in floats too

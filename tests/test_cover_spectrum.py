@@ -7,6 +7,7 @@ restricted to the mean-zero fiber through the Helmert basis).
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,17 +148,71 @@ def test_build_validation(small):
         build_cover_operator(blocks, sample_uniform_hom(4, 3, seed=0))
 
 
+def _partner_pair(blocks):
+    """Family positions (i, j), i < j, of the first two-block inverse pair."""
+    return next((i, j) for i, j in enumerate(blocks.partners) if i < j)
+
+
 def test_block_family_rejects_adjoint_mismatch(small):
+    # a pair is checked once, from its first position, whichever of its
+    # two blocks is off
     _, blocks = small
     assert isinstance(blocks, BlockFamily)
     assert (blocks.m, blocks.t, blocks.genus) == (blocks[0].matrix.shape[0], T_RADIUS, 2)
-    word = next(b.gamma[0] for b in blocks if b.gamma[0])
-    skewed = [
-        dataclasses.replace(b, matrix=b.matrix * 1.01) if b.gamma[0] == word else b
-        for b in blocks
-    ]
+    for k in _partner_pair(blocks):
+        skewed = list(blocks)
+        skewed[k] = dataclasses.replace(blocks[k], matrix=blocks[k].matrix * 1.01)
+        with pytest.raises(ValueError, match="adjoint block mismatch at"):
+            BlockFamily(skewed)
+
+
+def test_block_family_checks_a_repeated_element(small):
+    # the inverse lookup keeps an element's last position, so with a clean
+    # copy of block j appended the pair (i, j) is not mutual, and j is
+    # still checked against i
+    _, blocks = small
+    i, j = _partner_pair(blocks)
+    skewed = list(blocks)
+    skewed[j] = dataclasses.replace(blocks[j], matrix=blocks[j].matrix * 1.01)
+    with pytest.raises(ValueError, match="adjoint block mismatch"):
+        BlockFamily(skewed + [blocks[j]])
+
+
+def test_block_family_rejects_a_missing_partner(small):
+    _, blocks = small
+    i, j = _partner_pair(blocks)
+    for gone, left in ((i, j), (j, i)):
+        word = re.escape(str(tuple(blocks[left].gamma[0])))
+        with pytest.raises(ValueError, match=f"not inverse-closed at {word}"):
+            BlockFamily(b for k, b in enumerate(blocks) if k != gone)
+
+
+def test_block_family_adjoint_tolerance_is_the_smaller_norm(small):
+    # the pair's one check allows 1e-10 max(1, min(hs_i, hs_j)): a deviation
+    # just inside the smaller norm's tolerance passes and one just outside
+    # fails, whichever block carries that norm, however large the other's
+    _, blocks = small
+    i, j = _partner_pair(blocks)
+
+    def family(scale, hs):
+        out = list(blocks)
+        out[j] = dataclasses.replace(out[j], matrix=blocks[j].matrix * scale)
+        for k, h in hs.items():
+            out[k] = dataclasses.replace(out[k], hs_norm=h)
+        return BlockFamily(out)
+
+    dev = abs(blocks[i].matrix.T - blocks[j].matrix * (1.0 + 1e-9)).max()
+    edge = dev / 1e-10
+    assert edge > 1.0
+    for low, high in ((i, j), (j, i)):
+        family(1.0 + 1e-9, {low: edge * (1 + 1e-6), high: 1e3 * edge})
+        with pytest.raises(ValueError, match="adjoint"):
+            family(1.0 + 1e-9, {low: edge * (1 - 1e-6), high: 1e3 * edge})
+    # below hs = 1 the tolerance stays 1e-10
     with pytest.raises(ValueError, match="adjoint"):
-        BlockFamily(skewed)
+        family(1.0 + 1e-9, {i: 1e-3, j: 1e-3})
+    assert abs(blocks[i].matrix.T - blocks[j].matrix * (1.0 + 1e-11)).max() < 1e-10
+    family(1.0 + 1e-11, {i: 1e-3, j: 1e-3})
 
 
 def test_family_is_reused_per_cover(small):

@@ -175,25 +175,40 @@ def _dense_block(gamma, t, grid):
     return mat, hs
 
 
+def _assert_block_is(b, mat, hs):
+    assert b.hs_norm == hs
+    assert b.is_sparse == (not isinstance(mat, np.ndarray))
+    if b.is_sparse:
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(b.matrix, name), getattr(mat, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    else:
+        assert b.matrix.tobytes() == mat.tobytes()
+
+
 @pytest.mark.parametrize("t, target", [(1.0, 400), (2.0, 400), (1.0, 1600)])
 def test_blocks_equal_dense_assembly(real, t, target):
+    # each block alone, through one array of squares left zeroed after
+    # every block, and in two families built on one grid (each family
+    # shares one such array across its blocks) equals the dense build
     grid = build_grid(real, target)
-    dense_seen = False
-    for g in support_set(real, t).elements:
-        b = assemble_block(g, t, grid)
-        mat, hs = _dense_block(g, t, grid)
-        assert b.hs_norm == hs
-        assert b.is_sparse == (not isinstance(mat, np.ndarray))
-        if b.is_sparse:
-            for name in ("data", "indices", "indptr"):
-                got, want = getattr(b.matrix, name), getattr(mat, name)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
-        else:
-            dense_seen = True
-            assert b.matrix.tobytes() == mat.tobytes()
+    support = support_set(real, t)
+    oracle = {g[0]: _dense_block(g, t, grid) for g in support.elements}
+    squares = np.zeros((grid.m, grid.m))
+    for g in support.elements:
+        _assert_block_is(assemble_block(g, t, grid), *oracle[g[0]])
+        _assert_block_is(assemble_block(g, t, grid, _squares=squares), *oracle[g[0]])
+        assert not squares.any()
+    kept = [w for w, _ in support.elements if oracle[w][1] > 0.0]
+    for _ in range(2):
+        family = assemble_support_blocks(support, t, grid)
+        assert [b.gamma[0] for b in family] == kept
+        for b in family:
+            _assert_block_is(b, *oracle[b.gamma[0]])
     # t = 2 on 392 nodes has the one dense block, the identity's
-    assert dense_seen == (t == 2.0)
+    dense = [w for w, (mat, _) in oracle.items() if isinstance(mat, np.ndarray)]
+    assert dense == ([()] if t == 2.0 else [])
 
 
 def test_threshold_pair_kept_and_pair_above_dropped():

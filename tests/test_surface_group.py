@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import covergap.surface_group as surface_group
 from covergap.hyperbolic import HPoint, distance, mobius_apply, pairwise_cosh_distance
 from covergap.surface_group import (
     MAX_R,
@@ -475,7 +476,7 @@ def _dense_support_set(real, t):
     return [e for e, a in zip(cand.elements, accept) if a]
 
 
-@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
 def test_support_set_equals_dense_filter(real, t):
     # same elements in the same order, same matrices
     got = support_set(real, t)
@@ -483,3 +484,28 @@ def test_support_set_equals_dense_filter(real, t):
     assert [w for w, _ in got.elements] == [w for w, _ in want]
     assert [M.m.tobytes() for M in got.isometries()] == \
         [M.m.tobytes() for _, M in want]
+
+
+def test_support_set_tests_every_sample_only_after_a_vertex_miss(real, monkeypatch):
+    # each candidate is tested first at the polygon vertices, then at all
+    # 512 samples only if no vertex pair passed; at t = 2.5 both tests
+    # accept some candidates (the result is checked against the full
+    # filter above)
+    within = surface_group._some_pair_within
+    calls = []
+
+    def recorded(tree, S, image, cosh_t):
+        hit = within(tree, S, image, cosh_t)
+        calls.append((len(image), hit))
+        return hit
+
+    monkeypatch.setattr(surface_group, "_some_pair_within", recorded)
+    ss = support_set(real, 2.5)
+    samples = len(_boundary_samples(real)[0])
+    vertices = [hit for n, hit in calls if n == 8]
+    full = [hit for n, hit in calls if n == samples]
+    assert len(vertices) + len(full) == len(calls)
+    assert len(vertices) == len(lattice_points(real, support_radius(2.5)))
+    assert len(full) == vertices.count(False)
+    assert 0 < full.count(True) < len(full)
+    assert vertices.count(True) + full.count(True) <= len(ss)
