@@ -502,7 +502,7 @@ def test_support_set_tests_every_sample_only_after_a_vertex_miss(real, monkeypat
     monkeypatch.setattr(surface_group, "_some_pair_within", recorded)
     ss = support_set(real, 2.5)
     samples = len(_boundary_samples(real)[0])
-    vertices = [hit for n, hit in calls if n == 8]
+    vertices = [hit for n, hit in calls if n == len(real.domain_vertices)]
     full = [hit for n, hit in calls if n == samples]
     assert len(vertices) + len(full) == len(calls)
     assert len(vertices) == len(lattice_points(real, support_radius(2.5)))
