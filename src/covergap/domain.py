@@ -131,23 +131,18 @@ class OperatorBlock:
         return self.hs_norm == 0.0
 
 
-def assemble_block(gamma, t: float, grid: QuadratureGrid, _squares=None) -> OperatorBlock:
+def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     """Indicator-kernel block for one translate, stored sparse below 25%
     density. The kernel is compared on the cosh scale, matching ball_kernel.
 
     Only the node pairs that ball_candidates returns for the grid's tree are
     tested; they include every pair within cosh t, so the kept pairs are
     exactly those of the full m x m test. Sorted by row and then column they
-    are in CSR order, and the Hilbert-Schmidt norm sums an m x m array that
-    holds the squares at the kept pairs and zeros elsewhere: the dense
-    block times itself, the same values in the same layout, so numpy sums
-    them in the same order. Both are therefore bit-identical to the dense
-    build.
-    That array is allocated per call unless _squares supplies it, all zero;
-    the call leaves it all zero again, so assemble_support_blocks shares
-    one across a family.
+    are in CSR order. The Hilbert-Schmidt norm is the square root of the
+    correctly rounded (math.fsum) sum of the kept values' squares, so it
+    depends on neither storage nor summation order, and a sparse block
+    allocates no m x m array.
     """
-    squares = np.zeros((grid.m, grid.m)) if _squares is None else _squares
     word, M = gamma
     image = mobius_apply(M.m, grid.xy)
     cosh_t = math.cosh(t)
@@ -159,9 +154,7 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid, _squares=None) -> Oper
     sqw = np.sqrt(grid.weights)
     m = grid.m
     vals = sqw[i] * sqw[j]
-    squares[i, j] = vals * vals
-    hs = float(np.sqrt(squares.sum()))
-    squares[i, j] = 0.0
+    hs = math.sqrt(math.fsum(vals * vals))
     if len(i) / (m * m) < SPARSE_DENSITY:
         indptr = np.searchsorted(i, np.arange(m + 1))
         mat = csr_matrix((vals, j, indptr), shape=(m, m))
@@ -293,26 +286,23 @@ class RowLayout:
 
 def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:
     """Blocks for every element of a support set, dropping all-zero ones
-    (their translate's qualifying region missed every node pair). The
-    blocks share one m x m array for their Hilbert-Schmidt sums (see
-    assemble_block), so only a dense block allocates an m x m array of its
-    own."""
-    squares = np.zeros((grid.m, grid.m))
-    blocks = [assemble_block(g, t, grid, _squares=squares) for g in support.elements]
+    (their translate's qualifying region missed every node pair)."""
+    blocks = [assemble_block(g, t, grid) for g in support.elements]
     return BlockFamily(b for b in blocks if not b.is_zero)
 
 
 def svd_truncate(block: OperatorBlock, ranks) -> tuple:
     """(left, right, rows, cols, errors) from one SVD of the block's
-    nonzero rows x nonzero columns, read off indptr and indices for a CSR
-    block, so no m x m dense copy is formed. rows and cols are those
-    indices in increasing order; left (len(rows) x k) is the top of U
-    scaled by s and right (k x len(cols)) the top of Vt, k = min(max(ranks),
-    len(s)): the rank-r truncation of the block is the first r columns of
-    the one times the first r rows of the other, placed at rows x cols and
-    zero elsewhere. A block whose rows and columns are all nonzero gives
-    LAPACK the dense block's values, so its factors are the dense SVD's
-    bit for bit.
+    nonzero rows x nonzero columns, read off the indptr and indices of the
+    block in CSR form, whether it is stored sparse or dense, so a sparse
+    block forms no m x m dense copy. rows and cols are those indices in
+    increasing order; left (len(rows) x k) is the top of U scaled by s and
+    right (k x len(cols)) the top of Vt, k = min(max(ranks), len(s)): the
+    rank-r truncation of the block is the first r columns of the one times
+    the first r rows of the other, placed at rows x cols and zero
+    elsewhere. A block whose rows and columns are all nonzero gives LAPACK
+    the dense block's values, so its factors are the dense SVD's bit for
+    bit.
 
     errors[i] = sigma_{r_i+1} (0.0 for r_i >= len(s)) is the spectral-norm
     error of rank ranks[i], certified <= hs_norm / sqrt(r) because
@@ -331,13 +321,9 @@ def svd_truncate(block: OperatorBlock, ranks) -> tuple:
     eigenvalues is split."""
     if min(ranks, default=0) < 1:
         raise ValueError("ranks must be nonempty and at least 1")
-    A = block.matrix
-    if block.is_sparse:
-        rows, cols = np.flatnonzero(np.diff(A.indptr)), np.unique(A.indices)
-        core = A[rows][:, cols].toarray()
-    else:
-        rows, cols = np.flatnonzero(A.any(axis=1)), np.flatnonzero(A.any(axis=0))
-        core = A[np.ix_(rows, cols)]
+    A = csr_matrix(block.matrix)
+    rows, cols = np.flatnonzero(np.diff(A.indptr)), np.unique(A.indices)
+    core = A[rows][:, cols].toarray()
     U, s, Vt = np.linalg.svd(core, full_matrices=False)
     k = min(max(ranks), len(s))
     errors = []

@@ -82,8 +82,8 @@ class ComputeError(RuntimeError):
     """Numerical failure mid-run; maps to exit code 1, output flagged partial."""
 
 
-# block assembly sums squares in one m x m float64 scratch array (800 MB at
-# m = 10000), so larger grids exhaust memory long before they finish
+# a block stored dense is one m x m float64 array (800 MB at m = 10000),
+# so larger grids exhaust memory long before they finish
 MAX_GRID_M = 10000
 
 
@@ -123,8 +123,8 @@ class ExperimentConfig:
             raise UsageError("t must lie in (0, 4]")
         if not 50 <= self.grid_m <= MAX_GRID_M:
             raise UsageError(
-                f"grid_m must lie in [50, {MAX_GRID_M}]: block assembly "
-                "fills an m x m scratch array")
+                f"grid_m must lie in [50, {MAX_GRID_M}]: a block stored "
+                "dense is an m x m array")
         if not self.n_list or not _strictly_ascending(self.n_list):
             raise UsageError("n_list must be nonempty and strictly ascending")
         for n in self.n_list:
@@ -238,6 +238,8 @@ def load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file: {exc}")
     except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise UsageError(f"cannot parse config file: {exc}")
+    except RecursionError:  # arrays or objects nested past the parser's stack
+        raise UsageError("cannot parse config file: nested too deeply") from None
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
     return values
@@ -286,9 +288,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(path, "w") as f:
+            json.dump(payload, f, indent=1, sort_keys=True)
+            f.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_table(path: str, header, rows, fmt: str) -> str:
@@ -296,10 +301,13 @@ def _write_table(path: str, header, rows, fmt: str) -> str:
         path = os.path.splitext(path)[0] + ".json"
         _write_json(path, [dict(zip(header, r)) for r in rows])
         return path
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\r\n")
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\r\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -351,8 +359,7 @@ def _draw_homs(cfg: ExperimentConfig, n: int):
 def _assemble(cfg: ExperimentConfig):
     real = build_bolza_realization()
     grid = build_grid(real, cfg.grid_m)
-    blocks = assemble_support_blocks(support_set(real, cfg.t), cfg.t, grid)
-    return real, grid, blocks
+    return grid, assemble_support_blocks(support_set(real, cfg.t), cfg.t, grid)
 
 
 _family = None  # a pool worker's BlockFamily, set by its initializer
@@ -464,7 +471,7 @@ def _fit_loglog(xs, ys):
 def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Per-sample gap records plus a per-n median-deficit summary."""
     marks = [time.perf_counter()]
-    _, _, blocks = _assemble(cfg)
+    _, blocks = _assemble(cfg)
     marks.append(time.perf_counter())
     draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
     marks.append(time.perf_counter())
@@ -551,7 +558,7 @@ def cmd_strong_convergence(cfg: ExperimentConfig) -> dict:
 def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Certified truncation budgets vs observed norm shifts across ranks."""
     t_start = time.perf_counter()
-    _, grid, blocks = _assemble(cfg)
+    grid, blocks = _assemble(cfg)
     ranks = [r for r in cfg.truncation_r_list if r <= grid.m]
     skipped = [r for r in cfg.truncation_r_list if r > grid.m]
     rows = []

@@ -258,9 +258,6 @@ class SupportSet:
 
 MAX_R = 12.0  # displacement cap of lattice_points and support_set
 _PER_SIDE = 64  # boundary samples per polygon side in support_set
-# support_set tests every this-many-th sample first; a divisor of
-# _PER_SIDE, so the polygon vertices are among them
-_EARLY_STRIDE = 64
 
 
 def _orbit_points(mats: np.ndarray):
@@ -427,8 +424,8 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     The sample pairs are culled by a KD-tree search in the disk model
     (ball_candidates), whose candidates include every pair that passes, and
     only they are tested on the cosh scale; so the result equals that of
-    testing every sample pair. Every _EARLY_STRIDE-th translated sample, the
-    polygon vertices among them, is tested first: a pair that passes there
+    testing every sample pair. The translated polygon vertices, every
+    _PER_SIDE-th sample, are tested first: a pair that passes there
     passes in the full test too, so the candidate is accepted at once, and
     otherwise every sample is tested. The result is inverse-closed and
     contains the identity.
@@ -444,7 +441,7 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     accept = []
     for M in cand.isometries():
         image = mobius_apply(M.m, S)
-        accept.append(_some_pair_within(tree, S, image[::_EARLY_STRIDE], cosh_t)
+        accept.append(_some_pair_within(tree, S, image[::_PER_SIDE], cosh_t)
                       or _some_pair_within(tree, S, image, cosh_t))
 
     # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair

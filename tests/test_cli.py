@@ -92,8 +92,9 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
 def test_malformed_config_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     # the second is valid JSON, but Python's json refuses integers of more
-    # than 4300 digits
-    for text in ("not json at all {", '{"seed": 1' + "0" * 5000 + "}"):
+    # than 4300 digits; the third nests arrays past the parser's stack
+    for text in ("not json at all {", '{"seed": 1' + "0" * 5000 + "}",
+                 "[" * 100000 + "]" * 100000):
         cfgfile.write_text(text)
         rc = main(["lattice-count", "--config", str(cfgfile)])
         assert rc == 2
@@ -198,6 +199,17 @@ def test_unusable_output_dir_exit_code(tmp_path, capsys, monkeypatch, command):
     assert "usage error: cannot use output directory" in capsys.readouterr().err
     assert draws == []
     assert blocker.read_text() == ""
+
+
+def test_unwritable_output_file_exit_code(tmp_path, capsys):
+    # a directory where the data file goes: exit 2 with one line, as for
+    # an unusable --out, not a traceback
+    (tmp_path / "selberg_table.csv").mkdir()
+    rc = main(["selberg-table", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write ")
+    assert "selberg_table.csv" in err and err.count("\n") == 1
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the quadrature grid, Nystrom blocks, and SVD truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def _dense_block(gamma, t, grid):
     mask = pairwise_cosh_distance(grid.xy, mobius_apply(gamma[1].m, grid.xy)) <= math.cosh(t)
     sqw = np.sqrt(grid.weights)
     mat = sqw[:, None] * mask * sqw[None, :]
-    hs = float(np.sqrt((mat * mat).sum()))
+    hs = math.sqrt(math.fsum((mat * mat).ravel()))
     if mask.mean() < SPARSE_DENSITY:
         mat = csr_matrix(mat)
     return mat, hs
@@ -189,17 +190,13 @@ def _assert_block_is(b, mat, hs):
 
 @pytest.mark.parametrize("t, target", [(1.0, 400), (2.0, 400), (1.0, 1600)])
 def test_blocks_equal_dense_assembly(real, t, target):
-    # each block alone, through one array of squares left zeroed after
-    # every block, and in two families built on one grid (each family
-    # shares one such array across its blocks) equals the dense build
+    # each block alone, and in two families built on one grid, equals the
+    # dense build
     grid = build_grid(real, target)
     support = support_set(real, t)
     oracle = {g[0]: _dense_block(g, t, grid) for g in support.elements}
-    squares = np.zeros((grid.m, grid.m))
     for g in support.elements:
         _assert_block_is(assemble_block(g, t, grid), *oracle[g[0]])
-        _assert_block_is(assemble_block(g, t, grid, _squares=squares), *oracle[g[0]])
-        assert not squares.any()
     kept = [w for w, _ in support.elements if oracle[w][1] > 0.0]
     for _ in range(2):
         family = assemble_support_blocks(support, t, grid)
@@ -209,6 +206,22 @@ def test_blocks_equal_dense_assembly(real, t, target):
     # t = 2 on 392 nodes has the one dense block, the identity's
     dense = [w for w, (mat, _) in oracle.items() if isinstance(mat, np.ndarray)]
     assert dense == ([()] if t == 2.0 else [])
+
+
+def test_sparse_block_allocates_no_m_by_m_array(real):
+    # a sparse block's values, indices and norm come from its kept pairs
+    # alone, so its assembly peaks well below one m x m float64 array
+    grid = build_grid(real, 1600)
+    grid.tree  # built once per grid, before the traced assembly
+    g = (real.side_pairing_words[0], real.side_pairings[0])
+    tracemalloc.start()
+    try:
+        b = assemble_block(g, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.is_sparse and b.hs_norm > 0.0
+    assert peak < grid.m * grid.m * 8
 
 
 def test_threshold_pair_kept_and_pair_above_dropped():
@@ -342,6 +355,23 @@ def test_svd_factors_the_nonzero_part_once_per_block(real, grid, support, monkey
     first = [b for i, (b, j) in enumerate(zip(op.blocks, op.blocks.partners)) if i <= j]
     assert len(calls) == len(first) == (len(blocks) + 1) // 2
     assert all(c is d for c, d in zip(calls, first))
+
+
+def test_svd_of_dense_block_reads_its_nonzero_core(real):
+    # the identity at t = 2 on 392 nodes is stored dense; read through CSR
+    # like every block, its core is the dense block's nonzero rows x
+    # columns, so its factors are LAPACK's for that core bit for bit
+    grid = build_grid(real, 400)
+    b = assemble_block(((), IDENTITY), 2.0, grid)
+    assert not b.is_sparse
+    A = b.matrix
+    left, right, rows, cols, errors = svd_truncate(b, [1, 8, 64])
+    assert np.array_equal(rows, np.flatnonzero(A.any(axis=1)))
+    assert np.array_equal(cols, np.flatnonzero(A.any(axis=0)))
+    U, s, Vt = np.linalg.svd(A[np.ix_(rows, cols)], full_matrices=False)
+    assert left.tobytes() == (U[:, :64] * s[:64]).tobytes()
+    assert right.tobytes() == Vt[:64].tobytes()
+    assert errors == [s[1], s[8], s[64]]
 
 
 def test_svd_rejects_bad_rank(real, grid):

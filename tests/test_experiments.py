@@ -298,7 +298,7 @@ def test_pooled_failure_always_reaches_the_driver(sweep, monkeypatch):
         raise _TwoFieldError(1, 2)
 
     monkeypatch.setattr(experiments, "estimate_gap", failing)
-    monkeypatch.setattr(experiments, "_family", _assemble(cfg)[2])
+    monkeypatch.setattr(experiments, "_family", _assemble(cfg)[1])
     sent = experiments._pooled_gap_record(job)
     back = pickle.loads(pickle.dumps(sent))
     assert back == "fields 1 and 2"
@@ -446,7 +446,7 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     res = cmd_truncation_study(cfg)
     # one SVD per inverse pair of blocks, not per block or per rank
-    partners = _assemble(cfg)[2].partners
+    partners = _assemble(cfg)[1].partners
     assert len(calls) == sum(i <= j for i, j in enumerate(partners)) == 5
     assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == [64]
     assert len(res["rows"]) == 3
