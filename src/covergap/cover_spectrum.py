@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 from .domain import SPARSE_DENSITY, BlockFamily, RowLayout, svd_truncate
 from .selberg import (
@@ -297,12 +297,12 @@ def _pair_factors(family: BlockFamily, ranks) -> list:
     return factors
 
 
-def _truncated_layout(factors, own, j: int, r: int, m: int) -> RowLayout:
+def _truncated_layout(family: BlockFamily, factors, j: int, r: int) -> RowLayout:
     """RowLayout of the rank-r truncation, r = ranks[j], on every block's
     nonzero rows, each block in the cheapest exact form of its truncation,
     q = min(r, number of its factors):
-    - sigma_{r+1} = 0: the block itself, its nonzero rows taken from own
-      (every block's m rows stacked as one CSR matrix);
+    - sigma_{r+1} = 0: the block itself, from the family's exact_rows, as
+      matvec applies it;
     - rows x cols dense by the family's storage rule (SPARSE_DENSITY):
       L[:, :q] @ (R[:q] @ X[cols]) by BLAS, as the family layout applies
       its dense blocks;
@@ -311,6 +311,7 @@ def _truncated_layout(factors, own, j: int, r: int, m: int) -> RowLayout:
       then the first q columns of each left factor, block-diagonal.
     CSR sums each row in index order, so every partial row is
     bit-identical to that block's own product in its form."""
+    m = family.m
     exact, thin, dense = [], [], []
     for b, (_, _, rows, cols, errors) in enumerate(factors):
         if errors[j] == 0.0:
@@ -319,10 +320,10 @@ def _truncated_layout(factors, own, j: int, r: int, m: int) -> RowLayout:
             dense.append(b)
         else:
             thin.append(b)
-    products = []
-    if exact:
-        own_rows = own[np.concatenate([b * m + factors[b][2] for b in exact])]
-        products.append(lambda X: own_rows @ X)
+    block, node, products = ([[part] for part in family.exact_rows(exact)] if exact
+                             else ([], [], []))
+    block += [np.full(len(factors[b][2]), b) for b in thin + dense]
+    node += [factors[b][2] for b in thin + dense]
     if thin:
         # down (sum q x m) takes X to every block's first q right-factor
         # coordinates, up (sum |rows| x sum q) back to its nonzero rows
@@ -336,10 +337,8 @@ def _truncated_layout(factors, own, j: int, r: int, m: int) -> RowLayout:
         L, R, _, cols, _ = factors[b]
         k = min(r, L.shape[1])
         products.append(lambda X, L=L[:, :k], R=R[:k], cols=cols: L @ (R @ X[cols]))
-    order = exact + thin + dense
-    block = np.repeat(order, [len(factors[b][2]) for b in order])
-    node = np.concatenate([factors[b][2] for b in order])
-    return RowLayout.of(block, node, m, lambda X: np.concatenate([p(X) for p in products]))
+    return RowLayout.of(m, np.concatenate(block), np.concatenate(node),
+                        lambda X: np.concatenate([p(X) for p in products]))
 
 
 def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
@@ -349,18 +348,15 @@ def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
     block's, so every truncated operator is symmetric even where singular
     values tie, apart from the identity block's own ties (README,
     truncation-study). Every rank goes through the same _apply as matvec
-    with the layout of _truncated_layout. The blocks are stacked as one CSR
-    matrix once per study, and each rank takes the nonzero rows of the
-    blocks whose truncation is exact from it."""
+    with the layout of _truncated_layout."""
     if not ranks:
         return []
     family = op.blocks
     factors = _pair_factors(family, ranks)
-    own = vstack([csr_matrix(b.matrix) for b in family], format="csr")
     hs_total = sum(b.hs_norm for b in family)
     records = []
     for j, r in enumerate(ranks):
-        layout = _truncated_layout(factors, own, j, r, op.m)
+        layout = _truncated_layout(family, factors, j, r)
         apply = functools.partial(_apply, op, layout, layout.gather(op.perm_images))
         res = _lanczos_top(apply, op.dimension, seed)
         sigma_total = sum(f[4][j] for f in factors)

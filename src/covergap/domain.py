@@ -118,9 +118,7 @@ class OperatorBlock:
     t: float
 
     def dense(self) -> np.ndarray:
-        if issparse(self.matrix):
-            return self.matrix.toarray()
-        return self.matrix
+        return self.matrix.toarray() if self.is_sparse else self.matrix
 
     @property
     def is_sparse(self) -> bool:
@@ -229,27 +227,32 @@ class BlockFamily(tuple):
         self.rowsum_ceiling = float(np.max(s / u))
         return self
 
-    @functools.cached_property
-    def layout(self) -> "RowLayout":
-        """RowLayout of the rows of A_gamma X that can be nonzero, built on
-        first use: the nonempty rows of the sparse blocks from one product
-        with those CSR rows, then each dense block's m rows from its own
-        dot (CSR would sum it in another order), so every partial row is
-        bit-identical to that row of b.matrix.dot(X)."""
-        sparse = [(k, np.flatnonzero(np.diff(b.matrix.indptr)))
-                  for k, b in enumerate(self) if b.is_sparse]
-        dense = [(k, b.matrix) for k, b in enumerate(self) if not b.is_sparse]
-        block = [np.full(len(rows), k) for k, rows in sparse]
-        block += [np.full(self.m, k) for k, _ in dense]
-        node = [rows for _, rows in sparse] + [np.arange(self.m)] * len(dense)
-        compressed = (vstack([self[k].matrix[rows] for k, rows in sparse], format="csr")
-                      if sparse else csr_matrix((0, self.m)))
+    def exact_rows(self, positions) -> tuple:
+        """(block, node, product) of the rows of A_k X that can be nonzero,
+        k over positions (nonempty): the sparse blocks' nonempty rows from
+        one product with those rows of their CSR stack, then each dense
+        block's m rows from its own dot (CSR would sum it in another
+        order), so every row of product(X) is bit-identical to row node of
+        self[k].matrix.dot(X), k its block."""
+        sparse = [k for k in positions if self[k].is_sparse]
+        dense = [k for k in positions if not self[k].is_sparse]
+        rows = [np.flatnonzero(np.diff(self[k].matrix.indptr)) for k in sparse]
+        block = np.repeat(sparse + dense, [len(r) for r in rows] + [self.m] * len(dense))
+        node = np.concatenate(rows + [np.arange(self.m)] * len(dense))
+        compressed = (vstack([self[k].matrix for k in sparse], format="csr")[
+            np.concatenate([i * self.m + r for i, r in enumerate(rows)])]
+            if sparse else csr_matrix((0, self.m)))
 
         def product(X):
             W = compressed @ X
-            return np.concatenate([W] + [D.dot(X) for _, D in dense]) if dense else W
+            return np.concatenate([W] + [self[k].matrix.dot(X) for k in dense]) if dense else W
 
-        return RowLayout.of(np.concatenate(block), np.concatenate(node), self.m, product)
+        return block, node, product
+
+    @functools.cached_property
+    def layout(self) -> "RowLayout":
+        """RowLayout of every block's exact_rows, built on first use."""
+        return RowLayout.of(self.m, *self.exact_rows(range(len(self))))
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ class RowLayout:
     product: object  # X -> the (R, n) partial rows
 
     @classmethod
-    def of(cls, block, node, m: int, product) -> "RowLayout":
+    def of(cls, m: int, block, node, product) -> "RowLayout":
         order = np.lexsort((block, node))
         R = len(order)
         indptr = np.searchsorted(node[order], np.arange(m + 1))

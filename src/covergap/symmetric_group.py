@@ -529,15 +529,19 @@ def _uniform_in_class(n: int, ctype: Tuple[int, ...], rng) -> tuple:
     return tuple(img)
 
 
+def _cycles_by_length(p: tuple) -> dict:
+    """p's _cycles grouped by length, in order of first occurrence."""
+    by_len = {}
+    for c in _cycles(p):
+        by_len.setdefault(len(c), []).append(c)
+    return by_len
+
+
 def _matching_conjugator(p: tuple, q: tuple) -> tuple:
     """Some b with b p b^-1 = q (p, q of equal cycle type)."""
-    by_len_p, by_len_q = {}, {}
-    for c in _cycles(p):
-        by_len_p.setdefault(len(c), []).append(c)
-    for c in _cycles(q):
-        by_len_q.setdefault(len(c), []).append(c)
+    by_len_q = _cycles_by_length(q)
     img = [0] * len(p)
-    for length, cps in by_len_p.items():
+    for length, cps in _cycles_by_length(p).items():
         for cp, cq in zip(cps, by_len_q[length]):
             for a, b in zip(cp, cq):
                 img[a] = b
@@ -546,11 +550,8 @@ def _matching_conjugator(p: tuple, q: tuple) -> tuple:
 
 def _uniform_centralizer(p: tuple, rng) -> tuple:
     """Uniform element of Z(p): permute equal-length cycles and rotate each."""
-    by_len = {}
-    for c in _cycles(p):
-        by_len.setdefault(len(c), []).append(c)
     img = [0] * len(p)
-    for length, cycs in by_len.items():
+    for length, cycs in _cycles_by_length(p).items():
         order = list(range(len(cycs)))
         rng.shuffle(order)
         for i, c in enumerate(cycs):

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
@@ -317,16 +317,19 @@ def _captured_truncated_applies(monkeypatch):
 
 def _form_products(blocks, ranks, j):
     """One product per block for the rank-ranks[j] truncation, each in the
-    form the study applies it in, with the form's letter: E, the block's
-    own nonzero rows where sigma_{r+1} = 0; D, the factors by BLAS where
-    rows x cols is dense by SPARSE_DENSITY; T, CSR copies of the
-    factors."""
+    form the study applies it in, with the form's letter: E, where
+    sigma_{r+1} = 0, the block itself as matvec applies it (a sparse
+    block's nonzero rows, a dense-stored block's own dot on all m rows);
+    D, the factors by BLAS where rows x cols is dense by SPARSE_DENSITY;
+    T, CSR copies of the factors."""
     r, m = ranks[j], blocks.m
 
     def product(X, form, A, L, R, rows, cols):
+        if form == "E" and not issparse(A):
+            return A.dot(X)
         Y = np.zeros_like(X)
         if form == "E":
-            Y[rows] = csr_matrix(A)[rows] @ X
+            Y[rows] = A[rows] @ X
         elif form == "D":
             Y[rows] = L[:, :r] @ (R[:r] @ X[cols])
         else:
@@ -347,10 +350,11 @@ def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatc
     # the truncated operator reaches _apply with each block's nonzero rows
     # as its layout, each block in its cheapest exact form, and equals a
     # loop over the blocks of their own products in those forms; every
-    # form occurs on both families
+    # form occurs on both families, and at r = m = 32 the dense-stored
+    # identity block of dense_t2 is exact
     applies = _captured_truncated_applies(monkeypatch)
     rng = np.random.default_rng(0)
-    ranks = [2, 8]
+    ranks = [2, 8, 32]
     for blocks in (small[1], dense_t2[1]):
         op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
         records = truncation_components(op, ranks, seed=0)
@@ -369,21 +373,17 @@ def test_truncated_apply_bit_identical_to_block_loop(small, dense_t2, monkeypatc
 
 def test_truncated_apply_at_full_rank_equals_matvec(small, dense_t2, monkeypatch):
     # at r = m every block's truncation is the block itself, applied from
-    # its own nonzero rows: bit for bit the operator for sparse blocks
-    # (t = 1), up to roundoff for a dense identity block (t = 2), which the
-    # operator applies by BLAS
+    # the family's exact rows as matvec applies it: bit for bit the
+    # operator, with sparse blocks only (t = 1) and with a dense-stored
+    # identity block (t = 2)
     applies = _captured_truncated_applies(monkeypatch)
     rng = np.random.default_rng(1)
-    for (grid, blocks), tol in ((small, 0.0), (dense_t2, 1e-12)):
+    for grid, blocks in (small, dense_t2):
         op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=3))
         truncation_components(op, [grid.m], seed=0)
         for _ in range(3):
             x = rng.standard_normal(op.dimension)
-            want = matvec(op, x)
-            if tol:
-                assert np.linalg.norm(applies[-1](x) - want) <= tol * np.linalg.norm(want)
-            else:
-                assert np.array_equal(applies[-1](x), want)
+            assert np.array_equal(applies[-1](x), matvec(op, x))
 
 
 def test_row_layout_built_once_on_first_matvec_and_not_by_truncation(small):

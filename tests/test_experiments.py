@@ -435,7 +435,6 @@ def test_strong_convergence_trend_skips_degrees_without_samples(tmp_path,
 
 
 def test_truncation_study_certificates(tmp_path, monkeypatch):
-    cfg = _tiny_cfg(tmp_path, truncation_r_list=[1, 4, 32, 64])
     calls = []
     svd = np.linalg.svd
 
@@ -444,19 +443,30 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    res = cmd_truncation_study(cfg)
-    # one SVD per inverse pair of blocks, not per block or per rank
-    partners = _assemble(cfg)[1].partners
-    assert len(calls) == sum(i <= j for i, j in enumerate(partners)) == 5
-    assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == [64]
-    assert len(res["rows"]) == 3
-    for _, r, certified, observed, hs_ref, bound, full in res["rows"]:
-        assert float(observed) <= float(certified) + 1e-9
-        assert float(bound) >= float(full) - float(certified) - 1e-9
-    last = res["rows"][-1]
-    assert last[1] == 32  # full rank on the 32-node grid
-    assert float(last[2]) == 0.0 and float(last[3]) < 1e-9
-    assert res["slope"] == pytest.approx(-0.5, abs=1e-9)
+    cases = [
+        ({"truncation_r_list": [1, 4, 32, 64]}, 5, [64], 32),
+        # t = 2 stores the identity block dense; at full rank the study
+        # applies it by its own dot, as the operator does, so the two norms
+        # agree bit for bit
+        ({"t": 2.0, "grid_m": 100, "n_list": [4], "seed": 0,
+          "truncation_r_list": [1, 4, 16, 64, 128]}, 25, [], 128),
+    ]
+    for k, (extra, pairs, skipped, m) in enumerate(cases):
+        cfg = _tiny_cfg(tmp_path / str(k), **extra)
+        calls.clear()
+        res = cmd_truncation_study(cfg)
+        # one SVD per inverse pair of blocks, not per block or per rank
+        partners = _assemble(cfg)[1].partners
+        assert len(calls) == sum(i <= j for i, j in enumerate(partners)) == pairs
+        assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == skipped
+        assert len(res["rows"]) == len(cfg.truncation_r_list) - len(skipped)
+        for _, r, certified, observed, hs_ref, bound, full in res["rows"]:
+            assert float(observed) <= float(certified) + 1e-9
+            assert float(bound) >= float(full) - float(certified) - 1e-9
+        last = res["rows"][-1]
+        assert last[1] == m  # full rank on the m-node grid
+        assert float(last[2]) == 0.0 and float(last[3]) == 0.0
+        assert res["slope"] == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_truncation_study_with_every_rank_skipped(tmp_path, monkeypatch):
