@@ -27,6 +27,7 @@ from .hyperbolic import (
 from .surface_group import FuchsianRealization, inverse_partners
 
 SPARSE_DENSITY = 0.25
+ROW_CHUNK = 512  # translated nodes per candidate-and-keep pass of assemble_block
 
 
 @dataclass
@@ -135,8 +136,9 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
 
     Only the node pairs that ball_candidates returns for the grid's tree are
     tested; they include every pair within cosh t, so the kept pairs are
-    exactly those of the full m x m test. Sorted by row and then column they
-    are in CSR order. The Hilbert-Schmidt norm is the square root of the
+    exactly those of the full m x m test. The test runs on ROW_CHUNK
+    translated nodes at a time, so only one chunk's candidate pairs are
+    alive at once. The Hilbert-Schmidt norm is the square root of the
     correctly rounded (math.fsum) sum of the kept values' squares, so it
     depends on neither storage nor summation order, and a sparse block
     allocates no m x m array.
@@ -144,18 +146,30 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     word, M = gamma
     image = mobius_apply(M.m, grid.xy)
     cosh_t = math.cosh(t)
-    i, j = ball_candidates(grid.tree, image, cosh_t)
-    keep = pairwise_cosh_distance(grid.xy[i, None], image[j, None]).ravel() <= cosh_t
-    i, j = i[keep], j[keep]
-    order = np.lexsort((j, i))
-    i, j = i[order], j[order]
-    sqw = np.sqrt(grid.weights)
+    kept = []
+    for lo in range(0, grid.m, ROW_CHUNK):
+        i, j = ball_candidates(grid.tree, image[lo:lo + ROW_CHUNK], cosh_t)
+        j += lo
+        keep = pairwise_cosh_distance(grid.xy[i, None], image[j, None]).ravel() <= cosh_t
+        # 32-bit kept indices, and this chunk's candidates freed before the
+        # next search, bound the peak
+        kept.append((i[keep].astype(np.int32), j[keep].astype(np.int32)))
+        del i, j, keep
+    i, j = (np.concatenate(v) for v in zip(*kept))
+    del kept
     m = grid.m
+    sparse = len(i) / (m * m) < SPARSE_DENSITY
+    if sparse:
+        # j ascends, chunk by chunk and within each, so a stable sort by
+        # row (by radix, on a 16-bit key up to m = 65535) is CSR order
+        order = np.argsort(i.astype(np.min_scalar_type(m)), kind="stable")
+        i, j = i[order], j[order]
+        del order
+    sqw = np.sqrt(grid.weights)
     vals = sqw[i] * sqw[j]
     hs = math.sqrt(math.fsum(vals * vals))
-    if len(i) / (m * m) < SPARSE_DENSITY:
-        indptr = np.searchsorted(i, np.arange(m + 1))
-        mat = csr_matrix((vals, j, indptr), shape=(m, m))
+    if sparse:
+        mat = csr_matrix((vals, j, np.searchsorted(i, np.arange(m + 1))), shape=(m, m))
     else:
         mat = np.zeros((m, m))
         mat[i, j] = vals
@@ -289,8 +303,32 @@ class RowLayout:
 
 def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:
     """Blocks for every element of a support set, dropping all-zero ones
-    (their translate's qualifying region missed every node pair)."""
-    blocks = [assemble_block(g, t, grid) for g in support.elements]
+    (their translate's qualifying region missed every node pair).
+
+    One block of each inverse pair is assembled; its partner is its
+    transpose, as d(z_j, gamma^-1 z_k) = d(gamma z_j, z_k), stored the
+    same way (CSR, or a C-ordered dense copy) with the same hs_norm and
+    the partner's own (word, Isometry). So the pair is adjoint by
+    construction, and the two elements are checked to be inverses:
+    M_i M_j = +-I entrywise to 1e-9 times the product of their largest
+    entries."""
+    elements = support.elements
+    partners = inverse_partners([M for _, M in elements])
+    blocks = [None] * len(elements)
+    for i, (g, j) in enumerate(zip(elements, partners)):
+        if blocks[i] is not None:
+            continue
+        blocks[i] = b = assemble_block(g, t, grid)
+        if j is None or j == i:
+            continue
+        h = elements[j]
+        P, N = g[1].m, h[1].m
+        dev = min(np.abs(P @ N - s * np.eye(2)).max() for s in (1.0, -1.0))
+        if not dev <= 1e-9 * np.abs(P).max() * np.abs(N).max():
+            raise ValueError(f"inverse partners {tuple(g[0])} and {tuple(h[0])} "
+                             f"are not inverse: |M_i M_j -+ I| = {dev}")
+        mat = b.matrix.T.tocsr() if b.is_sparse else np.ascontiguousarray(b.matrix.T)
+        blocks[j] = OperatorBlock(gamma=h, matrix=mat, hs_norm=b.hs_norm, t=t)
     return BlockFamily(b for b in blocks if not b.is_zero)
 
 

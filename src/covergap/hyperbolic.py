@@ -135,29 +135,26 @@ class Isometry:
 IDENTITY = Isometry(np.eye(2))
 
 
-def to_hyperboloid(z: HPoint) -> np.ndarray:
-    """Half-plane -> hyperboloid sheet X0^2 - X1^2 - X2^2 = 1, X0 > 0."""
-    r2 = z.x * z.x + z.y * z.y
-    return np.array([(r2 + 1.0) / (2.0 * z.y), z.x / z.y, (r2 - 1.0) / (2.0 * z.y)])
-
-
-def from_hyperboloid(X: np.ndarray) -> HPoint:
-    y = 1.0 / (X[0] - X[2])
-    return HPoint(X[1] * y, y)
-
-
 def geodesic_point(z: HPoint, w: HPoint, s: float) -> HPoint:
     """The point at parameter s in [0, 1] along the geodesic from z to w.
 
-    Computed on the hyperboloid, where the unit-speed geodesic is
-    (sinh((1-s)d) Z + sinh(s d) W) / sinh(d).
+    Computed on the hyperboloid sheet X0^2 - X1^2 - X2^2 = 1, where z is
+    ((|z|^2 + 1) / 2y, x / y, (|z|^2 - 1) / 2y) and the unit-speed geodesic
+    is (sinh((1-s)d) Z + sinh(s d) W) / sinh(d); back in the half-plane,
+    y = 1 / (X0 - X2) and x = X1 y. On Python floats, coordinate by
+    coordinate.
     """
     d = distance(z, w)
     if d < 1e-14:
         return z
-    Z, W = to_hyperboloid(z), to_hyperboloid(w)
-    X = (math.sinh((1.0 - s) * d) * Z + math.sinh(s * d) * W) / math.sinh(d)
-    return from_hyperboloid(X)
+    a, b, c = math.sinh((1.0 - s) * d), math.sinh(s * d), math.sinh(d)
+    rz = z.x * z.x + z.y * z.y
+    rw = w.x * w.x + w.y * w.y
+    X0 = (a * ((rz + 1.0) / (2.0 * z.y)) + b * ((rw + 1.0) / (2.0 * w.y))) / c
+    X1 = (a * (z.x / z.y) + b * (w.x / w.y)) / c
+    X2 = (a * ((rz - 1.0) / (2.0 * z.y)) + b * ((rw - 1.0) / (2.0 * w.y))) / c
+    y = 1.0 / (X0 - X2)
+    return HPoint(X1 * y, y)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +223,12 @@ def ball_candidates(tree: cKDTree, Q: np.ndarray, cosh_t: float):
 
 
 def mobius_apply(matrix: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 matrix to an (k,2) array of half-plane points."""
-    a, b, c, d = np.asarray(matrix, dtype=float).ravel()
+    """Apply one 2x2 matrix, or each of a stack (n, 2, 2), to a (k, 2)
+    array of half-plane points: shape (k, 2), or (n, k, 2). A stack's
+    images are its matrices' one by one, bit for bit."""
+    M = np.asarray(matrix, dtype=float)
+    a, b, c, d = (M[..., i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     x = P[:, 0]
     y = P[:, 1]
     den = (c * x + d) ** 2 + (c * y) ** 2
-    return np.stack([((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den], axis=1)
+    return np.stack([((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den], axis=-1)

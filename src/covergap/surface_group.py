@@ -399,12 +399,52 @@ def _boundary_samples(real: FuchsianRealization):
     return np.array([[p.x, p.y] for p in pts]), gap
 
 
-def _some_pair_within(tree, S: np.ndarray, image: np.ndarray, cosh_t: float) -> bool:
-    """Whether some pair of a point of S (tree = disk_tree(S)) and a row of
-    image lies within cosh distance cosh_t, testing only the pairs that
-    ball_candidates returns."""
-    i, j = ball_candidates(tree, image, cosh_t)
-    return bool((pairwise_cosh_distance(S[i, None], image[j, None]) <= cosh_t).any())
+def _some_pair_within(tree, S: np.ndarray, images: np.ndarray, cosh_t: float) -> np.ndarray:
+    """For each polygon of images (..., k, 2), whether some pair of a point
+    of S (tree = disk_tree(S)) and one of its k rows lies within cosh
+    distance cosh_t, testing only the pairs that ball_candidates returns;
+    shape images.shape[:-2]. The rows are culled and tested one by one, so
+    a stack's answers are those of its polygons tested alone."""
+    rows = images.reshape(-1, 2)
+    i, j = ball_candidates(tree, rows, cosh_t)
+    hit = np.zeros(len(rows), dtype=bool)
+    hit[j[(pairwise_cosh_distance(S[i, None], rows[j, None]) <= cosh_t).ravel()]] = True
+    return hit.reshape(images.shape[:-1]).any(axis=-1)
+
+
+def _hyperboloid(P: np.ndarray) -> np.ndarray:
+    """Half-plane rows (..., 2) as points (..., 3) of the hyperboloid sheet
+    X0^2 - X1^2 - X2^2 = 1, X0 > 0."""
+    x, y = P[..., 0], P[..., 1]
+    r2 = x * x + y * y
+    return np.stack([(r2 + 1.0) / (2.0 * y), x / y, (r2 - 1.0) / (2.0 * y)], axis=-1)
+
+
+def _separation(corners: np.ndarray, marks: np.ndarray, step: float) -> np.ndarray:
+    """Lower bounds, one per polygon of marks (n, l, 2), on its distance
+    from the convex polygon with vertices corners (k, 2) in order; a bound
+    <= 0 says nothing. Each polygon of marks is convex, and its boundary
+    runs through its l rows in cyclic order in geodesic steps no longer
+    than step.
+
+    With <X, Y> = X0 Y0 - X1 Y1 - X2 Y2 on the hyperboloid and n_s the unit
+    normal of side s pointing out of the corners' polygon, <X, n_s> is sinh
+    of X's signed distance from side s's geodesic, and the polygon lies in
+    the half-plane where it is <= 0. On a step from A to B of length l,
+    X = (sinh((1-u) l) A + sinh(u l) B) / sinh l, and sinh(v) + sinh(l - v)
+    >= 2 sinh(l / 2); so if <A, n_s> and <B, n_s> are positive, <X, n_s> is
+    at least their minimum over cosh(l / 2) all along the step. So if every
+    mark of a polygon is beyond side s, its boundary, where its distance
+    from that half-plane is attained, is at least asinh(min over its marks
+    / cosh(step / 2)) from the half-plane, and so from the corners' polygon.
+    """
+    J = np.array([1.0, -1.0, -1.0])
+    X = _hyperboloid(corners)
+    n = J * np.cross(X, np.roll(X, -1, axis=0))  # <n_s, X> = 0 at both ends of side s
+    n /= np.sqrt(-(n * J * n).sum(axis=1))[:, None]
+    n *= -np.sign(n @ (J * X.sum(axis=0)))[:, None]  # negative inside
+    beyond = (_hyperboloid(marks) @ (J * n).T).min(axis=1)  # (n, k)
+    return np.arcsinh(beyond.max(axis=1) / math.cosh(step / 2.0))
 
 
 def support_radius(t: float, circumradius: float = BOLZA_CIRCUMRADIUS) -> float:
@@ -424,11 +464,14 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     The sample pairs are culled by a KD-tree search in the disk model
     (ball_candidates), whose candidates include every pair that passes, and
     only they are tested on the cosh scale; so the result equals that of
-    testing every sample pair. The translated polygon vertices, every
-    _PER_SIDE-th sample, are tested first: a pair that passes there
-    passes in the full test too, so the candidate is accepted at once, and
-    otherwise every sample is tested. The result is inverse-closed and
-    contains the identity.
+    testing every sample pair. Every candidate's translated polygon
+    vertices, every _PER_SIDE-th sample, are tested first, in one search: a
+    pair that passes there passes in the full test too, so the candidate is
+    accepted at once. A vertex miss whose translate is provably farther
+    than the threshold (by _separation at the translated vertices and side
+    midpoints, with a margin of 1e-6 for rounding) fails the full test too
+    and is rejected at once; every sample of the others is tested, again in
+    one search. The result is inverse-closed and contains the identity.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -438,11 +481,14 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
 
     tree = disk_tree(S)
-    accept = []
-    for M in cand.isometries():
-        image = mobius_apply(M.m, S)
-        accept.append(_some_pair_within(tree, S, image[::_PER_SIDE], cosh_t)
-                      or _some_pair_within(tree, S, image, cosh_t))
+    mats = np.stack([M.m for M in cand.isometries()])
+    # each translate's vertices and side midpoints, every half side apart
+    marks = mobius_apply(mats, S[::_PER_SIDE // 2])
+    accept = _some_pair_within(tree, S, marks[:, ::2], cosh_t)
+    far = _separation(S[::_PER_SIDE], marks, gap * (_PER_SIDE // 2)) > t + gap + 1e-6
+    rest = np.flatnonzero(~accept & ~far)
+    if len(rest):
+        accept[rest] = _some_pair_within(tree, S, mobius_apply(mats[rest], S), cosh_t)
 
     # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair
     # predicate is symmetric in exact arithmetic, make it so in floats too

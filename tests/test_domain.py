@@ -8,8 +8,10 @@ import pytest
 from scipy.sparse import csr_matrix
 
 import covergap.cover_spectrum as cover_spectrum
+import covergap.domain as domain
 from covergap.domain import (
     SPARSE_DENSITY,
+    BlockFamily,
     QuadratureGrid,
     assemble_block,
     assemble_support_blocks,
@@ -222,6 +224,59 @@ def test_sparse_block_allocates_no_m_by_m_array(real):
         tracemalloc.stop()
     assert b.is_sparse and b.hs_norm > 0.0
     assert peak < grid.m * grid.m * 8
+
+
+def test_large_block_assembles_in_row_chunks(real):
+    # the identity at t = 1 on 1568 nodes spans several ROW_CHUNKs: only
+    # one chunk's candidate pairs are alive at once, so the peak stays
+    # below 48 bytes per kept pair (assembled in one pass it was 93; the
+    # finished CSR block holds 12)
+    grid = build_grid(real, 1600)
+    grid.tree
+    assert grid.m > 2 * domain.ROW_CHUNK
+    tracemalloc.start()
+    try:
+        b = assemble_block(((), IDENTITY), 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.is_sparse
+    assert peak < 48 * b.matrix.nnz
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_partner_blocks_equal_their_own_assembly(real, t):
+    # each partner is its block's transpose, and equals the direct assembly
+    # of its own element byte for byte, with the same partners and
+    # rowsum_ceiling as a family of direct assemblies
+    support = support_set(real, t)
+    for target in (50, 120, 400, 1600):
+        grid = build_grid(real, target)
+        family = assemble_support_blocks(support, t, grid)
+        direct = BlockFamily(b for b in (assemble_block(g, t, grid) for g in support.elements)
+                             if not b.is_zero)
+        assert family.partners == direct.partners
+        assert family.rowsum_ceiling == direct.rowsum_ceiling
+        for b, d in zip(family, direct, strict=True):
+            assert b.gamma is d.gamma
+            _assert_block_is(b, d.matrix, d.hs_norm)
+            if not b.is_sparse:
+                assert b.matrix.flags.c_contiguous
+
+
+def test_swapped_inverse_partners_fail_loudly(real, grid, support, monkeypatch):
+    # a partner's block is its transpose on inverse_partners' word alone,
+    # so a partner that is no inverse must fail before its block is made
+    a, b = [i for i, j in enumerate(inverse_partners(support.isometries())) if j > i][:2]
+
+    def swapped(isometries):
+        p = inverse_partners(isometries)
+        p[a], p[b] = p[b], p[a]
+        return p
+
+    monkeypatch.setattr(domain, "inverse_partners", swapped)
+    with pytest.raises(ValueError, match="not inverse"):
+        assemble_support_blocks(support, 1.0, grid)
 
 
 def test_threshold_pair_kept_and_pair_above_dropped():

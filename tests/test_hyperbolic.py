@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import covergap.domain as domain
 from covergap.hyperbolic import (
     IDENTITY,
     HPoint,
@@ -12,9 +13,11 @@ from covergap.hyperbolic import (
     ball_kernel,
     cosh_distance,
     distance,
+    geodesic_point,
     mobius_apply,
     pairwise_cosh_distance,
 )
+from covergap.surface_group import build_bolza_realization
 
 
 def random_point(rng):
@@ -174,3 +177,52 @@ def test_mobius_apply_matches_scalar():
         ref = M.apply(HPoint(*pts[i]))
         assert abs(out[i, 0] - ref.x) < 1e-12
         assert abs(out[i, 1] - ref.y) < 1e-12
+
+
+def test_mobius_apply_stack_equals_one_by_one():
+    rng = np.random.default_rng(7)
+    mats = np.stack([random_isometry(rng).m for _ in range(5)])
+    pts = np.array([[rng.uniform(-2, 2), math.exp(rng.uniform(-1, 1))] for _ in range(9)])
+    out = mobius_apply(mats, pts)
+    assert out.shape == (5, 9, 2)
+    for M, images in zip(mats, out):
+        assert images.tobytes() == mobius_apply(M, pts).tobytes()
+
+
+def hyperboloid_geodesic_point(z, w, s):
+    """The point at parameter s along the geodesic from z to w, from numpy
+    arrays on the hyperboloid sheet: the oracle of geodesic_point."""
+    d = distance(z, w)
+    if d < 1e-14:
+        return z
+
+    def lift(p):
+        r2 = p.x * p.x + p.y * p.y
+        return np.array([(r2 + 1.0) / (2.0 * p.y), p.x / p.y, (r2 - 1.0) / (2.0 * p.y)])
+
+    X = (math.sinh((1.0 - s) * d) * lift(z) + math.sinh(s * d) * lift(w)) / math.sinh(d)
+    y = 1.0 / (X[0] - X[2])
+    return HPoint(X[1] * y, y)
+
+
+def test_geodesic_point_equals_hyperboloid_formula():
+    # bit for bit on random pairs, at the ends, at random s and on a pair
+    # closer than the cut-off
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        z, w = random_point(rng), random_point(rng)
+        for s in (0.0, 1.0, 0.5, 2.0 / 3.0, rng.random()):
+            got, want = geodesic_point(z, w, s), hyperboloid_geodesic_point(z, w, s)
+            assert (got.x, got.y) == (want.x, want.y)
+    z = HPoint(0.25, 1.5)
+    assert geodesic_point(z, HPoint(0.25, 1.5 + 1e-15), 0.5) is z
+
+
+@pytest.mark.parametrize("target", [50, 400, 1600])
+def test_grid_equals_grid_through_hyperboloid_formula(monkeypatch, target):
+    real = build_bolza_realization()
+    got = domain.build_grid(real, target)
+    monkeypatch.setattr(domain, "geodesic_point", hyperboloid_geodesic_point)
+    want = domain.build_grid(real, target)
+    assert got.xy.tobytes() == want.xy.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()

@@ -16,6 +16,7 @@ from covergap.surface_group import (
     _cell,
     _orbit_points,
     _OrbitIndex,
+    _separation,
     SurfacePresentation,
     build_bolza_realization,
     dehn_reduce,
@@ -476,7 +477,7 @@ def _dense_support_set(real, t):
     return [e for e, a in zip(cand.elements, accept) if a]
 
 
-@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
 def test_support_set_equals_dense_filter(real, t):
     # same elements in the same order, same matrices
     got = support_set(real, t)
@@ -487,25 +488,55 @@ def test_support_set_equals_dense_filter(real, t):
 
 
 def test_support_set_tests_every_sample_only_after_a_vertex_miss(real, monkeypatch):
-    # each candidate is tested first at the polygon vertices, then at all
-    # 512 samples only if no vertex pair passed; at t = 2.5 both tests
-    # accept some candidates (the result is checked against the full
-    # filter above)
+    # one search tests every candidate's translated vertices; a second
+    # tests all 512 samples of exactly the vertex misses that the
+    # separation bound did not reject. At t = 1 the bound rejects all 32
+    # misses, so no second search runs; at t = 2.5 it rejects some misses,
+    # and the second search accepts some of the rest (the result is
+    # checked against the full filter above, the bound below)
     within = surface_group._some_pair_within
     calls = []
 
-    def recorded(tree, S, image, cosh_t):
-        hit = within(tree, S, image, cosh_t)
-        calls.append((len(image), hit))
-        return hit
+    def recorded(tree, S, images, cosh_t):
+        hits = within(tree, S, images, cosh_t)
+        calls.append((images, hits.copy()))
+        return hits
 
     monkeypatch.setattr(surface_group, "_some_pair_within", recorded)
-    ss = support_set(real, 2.5)
-    samples = len(_boundary_samples(real)[0])
-    vertices = [hit for n, hit in calls if n == len(real.domain_vertices)]
-    full = [hit for n, hit in calls if n == samples]
-    assert len(vertices) + len(full) == len(calls)
-    assert len(vertices) == len(lattice_points(real, support_radius(2.5)))
-    assert len(full) == vertices.count(False)
-    assert 0 < full.count(True) < len(full)
-    assert vertices.count(True) + full.count(True) <= len(ss)
+    S, gap = _boundary_samples(real)
+    half = surface_group._PER_SIDE // 2
+    for t in (1.0, 2.5):
+        calls.clear()
+        ss = support_set(real, t)
+        mats = np.stack([M.m for M in lattice_points(real, support_radius(t)).isometries()])
+        images, vertex_hits = calls[0]
+        assert images.tobytes() == mobius_apply(mats, S[::2 * half]).tobytes()
+        far = _separation(S[::2 * half], mobius_apply(mats, S[::half]), half * gap)
+        far = far > t + gap + 1e-6
+        rest = np.flatnonzero(~vertex_hits & ~far)
+        if t == 1.0:
+            assert (~vertex_hits).sum() == 32 and len(rest) == 0 and len(calls) == 1
+            continue
+        assert len(calls) == 2 and 0 < far[~vertex_hits].sum() < (~vertex_hits).sum()
+        images, full_hits = calls[1]
+        assert images.tobytes() == mobius_apply(mats[rest], S).tobytes()
+        assert 0 < full_hits.sum() < len(rest)
+        assert vertex_hits.sum() + full_hits.sum() <= len(ss)
+
+
+def test_separation_bounds_the_polygon_distance(real):
+    # the bound never exceeds the distance between the polygon and a
+    # translate, from 512 samples of each, so a candidate that it puts
+    # beyond the threshold fails the full test; it is positive for most
+    # candidates at t = 3, and about 0 for a side neighbour (which touches)
+    cand = lattice_points(real, support_radius(3.0))
+    mats = np.stack([M.m for M in cand.isometries()])
+    S, gap = _boundary_samples(real)
+    half = surface_group._PER_SIDE // 2
+    bound = _separation(S[::2 * half], mobius_apply(mats, S[::half]), half * gap)
+    sampled = np.array([math.acosh(max(1.0, pairwise_cosh_distance(S, mobius_apply(M, S)).min()))
+                        for M in mats])
+    assert (bound <= sampled + 1e-12).all()
+    assert (bound > 0).sum() > len(mats) // 2
+    side = [i for i, (w, _) in enumerate(cand.elements) if w in real.side_pairing_words]
+    assert len(side) == 8 and (np.abs(bound[side]) < 1e-12).all()
