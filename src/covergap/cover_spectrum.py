@@ -62,25 +62,23 @@ class CoverOperator:
         return self.blocks.layout.gather(self.perm_images)
 
 
-def build_cover_operator(blocks, hom: HomTuple) -> CoverOperator:
-    """Pair translate blocks with a generator tuple.
+def build_cover_operator(blocks: BlockFamily, hom: HomTuple) -> CoverOperator:
+    """Pair a sweep's block family, reused as it is, with a generator tuple.
 
-    A BlockFamily is reused as it is; any other sequence of blocks is
-    validated into one first. Requires the tuple to satisfy the surface
-    relation of the family's genus, otherwise the words labelling the
-    blocks would not map to well-defined permutations.
+    Requires the tuple to satisfy the surface relation of the family's
+    genus, otherwise the words labelling the blocks would not map to
+    well-defined permutations.
     """
-    family = blocks if isinstance(blocks, BlockFamily) else BlockFamily(blocks)
     if not hom.relation_ok:
         raise ValueError("generator images must satisfy the surface relation")
-    if hom.genus != family.genus:
+    if hom.genus != blocks.genus:
         raise ValueError(
-            f"genus-{hom.genus} tuple cannot label genus-{family.genus} blocks")
-    perms = np.array([evaluate_word(hom, b.gamma[0]).images0 for b in family],
+            f"genus-{hom.genus} tuple cannot label genus-{blocks.genus} blocks")
+    perms = np.array([evaluate_word(hom, b.gamma[0]).images0 for b in blocks],
                      dtype=np.intp)
-    m, n = family.m, hom.n
+    m, n = blocks.m, hom.n
     return CoverOperator(
-        blocks=family, m=m, n=n, t=family.t, dimension=m * (n - 1),
+        blocks=blocks, m=m, n=n, t=blocks.t, dimension=m * (n - 1),
         perm_images=perms, basis=_mean_zero_basis(n),
     )
 

@@ -177,17 +177,15 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
 
 
 class BlockFamily(tuple):
-    """The translate blocks of one sweep, validated once for every cover.
+    """The translate blocks of one sweep, shared by every cover.
 
-    The blocks share one grid size m and radius t, their words use the
-    letters of the genus-2 octagon group, and the family is closed under
-    gamma -> gamma^-1 with transposed matrices, which makes every cover
-    operator built from it symmetric. Partners are matched by element
-    (inverse_partners), since the words are Dehn-reduced, which is no
-    normal form: an element and its inverse can carry unrelated words.
-    partners[i] is the family position of block i's inverse partner, so
-    self[partners[i]].matrix is self[i].matrix transposed; the identity
-    block is its own partner.
+    A plain container: assemble_support_blocks builds it and establishes
+    what the cover operators rely on. The blocks share one grid size m and
+    radius t, and the family is closed under gamma -> gamma^-1 with
+    transposed matrices, which makes every cover operator built from it
+    symmetric. partners[i] is the family position of block i's inverse
+    partner, so self[partners[i]].matrix is self[i].matrix transposed; the
+    identity block is its own partner.
 
     rowsum_ceiling is the Collatz-Wielandt bound max_j (T u)_j / u_j on the
     top eigenvalue of any cover operator T built from the family.  T is
@@ -203,30 +201,9 @@ class BlockFamily(tuple):
 
     genus = 2  # every block is a translate of the Bolza octagon
 
-    def __new__(cls, blocks):
+    def __new__(cls, blocks, partners):
         self = super().__new__(cls, blocks)
-        if not self:
-            raise ValueError("no blocks supplied")
         m, t = self[0].matrix.shape[0], self[0].t
-        for b in self:
-            if b.matrix.shape != (m, m) or b.t != t:
-                raise ValueError("inconsistent block family")
-            if any(abs(letter) > 2 * cls.genus for letter in b.gamma[0]):
-                raise ValueError("block word uses letters outside the generators")
-        partners = inverse_partners([b.gamma[1] for b in self])
-        for i, (b, j) in enumerate(zip(self, partners)):
-            word = tuple(b.gamma[0])
-            if j is None:
-                raise ValueError(f"family is not inverse-closed at {word}")
-            # max|A_i^T - A_j| is max|A_j^T - A_i|, so a mutual pair is
-            # checked once, against the tighter of its two tolerances
-            mutual = partners[j] == i
-            if j < i and mutual:
-                continue
-            hs = min(b.hs_norm, self[j].hs_norm) if mutual else b.hs_norm
-            dev = abs(b.matrix.T - self[j].matrix).max()
-            if dev > 1e-10 * max(1.0, hs):
-                raise ValueError(f"adjoint block mismatch at {word}: {dev}")
         u = np.ones(m)
         for b in self:
             if not b.gamma[0]:
@@ -302,24 +279,32 @@ class RowLayout:
 
 
 def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFamily:
-    """Blocks for every element of a support set, dropping all-zero ones
-    (their translate's qualifying region missed every node pair).
+    """The BlockFamily of a support set: a block for every element, less
+    the all-zero ones (their translate's qualifying region missed every
+    node pair).
 
-    One block of each inverse pair is assembled; its partner is its
-    transpose, as d(z_j, gamma^-1 z_k) = d(gamma z_j, z_k), stored the
-    same way (CSR, or a C-ordered dense copy) with the same hs_norm and
-    the partner's own (word, Isometry). So the pair is adjoint by
-    construction, and the two elements are checked to be inverses:
-    M_i M_j = +-I entrywise to 1e-9 times the product of their largest
-    entries."""
+    Each element's inverse partner is found once, by element
+    (inverse_partners), since the words are Dehn-reduced, which is no
+    normal form: an element and its inverse can carry unrelated words. An
+    element without one in the support set raises. One block of each
+    inverse pair is assembled; its partner is its transpose, as
+    d(z_j, gamma^-1 z_k) = d(gamma z_j, z_k), stored the same way (CSR, or
+    a C-ordered dense copy) with the same hs_norm and the partner's own
+    (word, Isometry). So the pair is adjoint by construction, and the two
+    elements are checked to be inverses: M_i M_j = +-I entrywise to 1e-9
+    times the product of their largest entries. A zero block's partner is
+    zero too, so the kept blocks stay inverse-closed, and their partner
+    positions are renumbered to the family's."""
     elements = support.elements
     partners = inverse_partners([M for _, M in elements])
     blocks = [None] * len(elements)
     for i, (g, j) in enumerate(zip(elements, partners)):
+        if j is None:
+            raise ValueError(f"support set is not inverse-closed at {tuple(g[0])}")
         if blocks[i] is not None:
             continue
         blocks[i] = b = assemble_block(g, t, grid)
-        if j is None or j == i:
+        if j == i:
             continue
         h = elements[j]
         P, N = g[1].m, h[1].m
@@ -329,7 +314,9 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
                              f"are not inverse: |M_i M_j -+ I| = {dev}")
         mat = b.matrix.T.tocsr() if b.is_sparse else np.ascontiguousarray(b.matrix.T)
         blocks[j] = OperatorBlock(gamma=h, matrix=mat, hs_norm=b.hs_norm, t=t)
-    return BlockFamily(b for b in blocks if not b.is_zero)
+    kept = [i for i, b in enumerate(blocks) if not b.is_zero]
+    position = {i: k for k, i in enumerate(kept)}
+    return BlockFamily([blocks[i] for i in kept], [position[partners[i]] for i in kept])
 
 
 def svd_truncate(block: OperatorBlock, ranks) -> tuple:

@@ -260,12 +260,7 @@ MAX_R = 12.0  # displacement cap of lattice_points and support_set
 _PER_SIDE = 64  # boundary samples per polygon side in support_set
 
 
-def _orbit_points(mats: np.ndarray):
-    """x and y of gamma i for each matrix of a stacked (n, 2, 2) array."""
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    den = c * c + d * d
-    return (b * d + a * c) / den, 1.0 / den
+_I = np.array([[0.0, 1.0]])  # the point i, as mobius_apply's (1, 2) array
 
 
 def _cell(x: float, y: float):
@@ -313,10 +308,10 @@ def inverse_partners(isometries) -> list:
     by orbit point through _OrbitIndex, so no word has to be in a normal
     form."""
     index = _OrbitIndex()
-    for x, y in zip(*_orbit_points(np.stack([M.m for M in isometries]))):
+    for x, y in mobius_apply(np.stack([M.m for M in isometries]), _I)[:, 0]:
         index.add(x, y)
-    inverses = _orbit_points(np.stack([M.inverse().m for M in isometries]))
-    return [index.find(x, y) for x, y in zip(*inverses)]
+    inverses = mobius_apply(np.stack([M.inverse().m for M in isometries]), _I)[:, 0]
+    return [index.find(x, y) for x, y in inverses]
 
 
 def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
@@ -350,7 +345,7 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
     while level:
         stack = np.stack([mats[i] for i in level])
         prods = np.einsum("nij,gjk->ngik", stack, moves)
-        x, y = _orbit_points(prods.reshape(-1, 2, 2))
+        x, y = mobius_apply(prods.reshape(-1, 2, 2), _I)[:, 0].T
         coshd = 1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y)
         coshd, x, y = (v.reshape(len(level), -1).tolist() for v in (coshd, x, y))
         next_level = []

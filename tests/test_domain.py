@@ -1,6 +1,7 @@
 """Tests for the quadrature grid, Nystrom blocks, and SVD truncation."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from covergap.hyperbolic import (
     pairwise_cosh_distance,
 )
 from covergap.surface_group import (
+    SupportSet,
     build_bolza_realization,
     dehn_reduce,
     in_fundamental_domain,
@@ -129,7 +131,7 @@ def test_t4_family_pairs_blocks_by_element(real):
     unrelated = [b.gamma[0] for b in family
                  if dehn_reduce(inverse_word(b.gamma[0]), real.presentation) not in words]
     assert unrelated
-    for b, j in zip(family, inverse_partners([b.gamma[1] for b in family])):
+    for b, j in zip(family, family.partners):
         assert (b.gamma[1] @ family[j].gamma[1]).is_identity(1e-6)
 
 
@@ -247,16 +249,17 @@ def test_large_block_assembles_in_row_chunks(real):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_partner_blocks_equal_their_own_assembly(real, t):
     # each partner is its block's transpose, and equals the direct assembly
-    # of its own element byte for byte, with the same partners and
-    # rowsum_ceiling as a family of direct assemblies
+    # of its own element byte for byte, with the partners of the direct
+    # assemblies' elements and the rowsum_ceiling of their family
     support = support_set(real, t)
     for target in (50, 120, 400, 1600):
         grid = build_grid(real, target)
         family = assemble_support_blocks(support, t, grid)
-        direct = BlockFamily(b for b in (assemble_block(g, t, grid) for g in support.elements)
-                             if not b.is_zero)
-        assert family.partners == direct.partners
-        assert family.rowsum_ceiling == direct.rowsum_ceiling
+        direct = [b for b in (assemble_block(g, t, grid) for g in support.elements)
+                  if not b.is_zero]
+        partners = inverse_partners([b.gamma[1] for b in direct])
+        assert family.partners == partners
+        assert family.rowsum_ceiling == BlockFamily(direct, partners).rowsum_ceiling
         for b, d in zip(family, direct, strict=True):
             assert b.gamma is d.gamma
             _assert_block_is(b, d.matrix, d.hs_norm)
@@ -277,6 +280,30 @@ def test_swapped_inverse_partners_fail_loudly(real, grid, support, monkeypatch):
     monkeypatch.setattr(domain, "inverse_partners", swapped)
     with pytest.raises(ValueError, match="not inverse"):
         assemble_support_blocks(support, 1.0, grid)
+
+
+def test_support_set_missing_an_inverse_fails_loudly(grid, support):
+    # each side of an inverse pair in turn is left without its partner
+    i, j = next((i, j) for i, j in enumerate(inverse_partners(support.isometries())) if j > i)
+    for gone, left in ((i, j), (j, i)):
+        lacking = SupportSet([e for k, e in enumerate(support.elements) if k != gone])
+        word = re.escape(str(tuple(support.elements[left][0])))
+        with pytest.raises(ValueError, match=f"support set is not inverse-closed at {word}"):
+            assemble_support_blocks(lacking, 1.0, grid)
+
+
+def test_family_is_paired_once(grid, support, monkeypatch):
+    # assembly finds the inverse partners once, and the family keeps them
+    calls = []
+
+    def counted(isometries):
+        calls.append(len(isometries))
+        return inverse_partners(isometries)
+
+    monkeypatch.setattr(domain, "inverse_partners", counted)
+    family = assemble_support_blocks(support, 1.0, grid)
+    assert calls == [len(support)]
+    assert family.partners == inverse_partners([b.gamma[1] for b in family])
 
 
 def test_threshold_pair_kept_and_pair_above_dropped():

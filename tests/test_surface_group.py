@@ -14,7 +14,6 @@ from covergap.surface_group import (
     MAX_R,
     _boundary_samples,
     _cell,
-    _orbit_points,
     _OrbitIndex,
     _separation,
     SurfacePresentation,
@@ -351,6 +350,11 @@ def test_lattice_against_unpruned_enumeration(real):
         L = lattice_points(real, R)
         got = {tuple(k) for k in keys(np.array([M.m for M in L.isometries()]))}
         assert got == want
+
+
+def _orbit_points(mats):
+    """x and y of gamma i for each matrix of a stacked (n, 2, 2) array."""
+    return mobius_apply(mats, np.array([[0.0, 1.0]]))[:, 0].T
 
 
 def test_lattice_at_cap_has_distinct_orbit_points(real):
