@@ -254,7 +254,7 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
             f"row-sum certificate {ceiling}: inconsistent with a ball "
             f"kernel of this radius"
         )
-    a = invert_h(t, min(max(v, peak), ball)).value
+    a = invert_h(t, min(v, ball)).value
     lam = 0.25 - a * a
     c = gap_lower_bound_coefficient(t)
     return SpectralEstimate(

@@ -6,8 +6,9 @@ indicator kernel k_t(z, w) = 1[d(z, w) <= t].
 
 Everything is kept in the half-plane model. The Poincare disk appears
 only transiently: inside the octagon construction (surface_group) and as
-the chart in which disk_tree and ball_candidates cull pairs before the
-exact half-plane test.
+the chart in which disk_tree and ball_candidates cull the node pairs of
+block assembly (domain) before the exact half-plane test. geodesic_point
+places the grid nodes.
 """
 
 from __future__ import annotations

@@ -18,12 +18,8 @@ from .hyperbolic import (
     IDENTITY,
     HPoint,
     Isometry,
-    ball_candidates,
-    disk_tree,
     distance,
-    geodesic_point,
     mobius_apply,
-    pairwise_cosh_distance,
 )
 
 Word = tuple  # of signed ints
@@ -257,7 +253,6 @@ class SupportSet:
 
 
 MAX_R = 12.0  # displacement cap of lattice_points and support_set
-_PER_SIDE = 64  # boundary samples per polygon side in support_set
 
 
 _I = np.array([[0.0, 1.0]])  # the point i, as mobius_apply's (1, 2) array
@@ -373,73 +368,90 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
         elements=[(dehn_reduce(words[i], pres), Isometry(mats[i])) for i in order])
 
 
-def _boundary_samples(real: FuchsianRealization):
-    """Uniform sample of the polygon boundary (vertices included) plus the
-    maximum arclength gap between consecutive samples.
-
-    The distance between two disjoint convex sets is attained on their
-    boundaries, so boundary samples bound min-distance queries two-sidedly:
-    sample minimum <= true minimum + gap.
-    """
-    verts = real.domain_vertices
-    k = len(verts)
-    pts = []
-    gap = 0.0
-    for j in range(k):
-        v, w = verts[j], verts[(j + 1) % k]
-        side = distance(v, w)
-        gap = max(gap, side / _PER_SIDE)
-        for i in range(_PER_SIDE):
-            pts.append(geodesic_point(v, w, i / _PER_SIDE))
-    return np.array([[p.x, p.y] for p in pts]), gap
+_J = np.array([1.0, -1.0, -1.0])
 
 
-def _some_pair_within(tree, S: np.ndarray, images: np.ndarray, cosh_t: float) -> np.ndarray:
-    """For each polygon of images (..., k, 2), whether some pair of a point
-    of S (tree = disk_tree(S)) and one of its k rows lies within cosh
-    distance cosh_t, testing only the pairs that ball_candidates returns;
-    shape images.shape[:-2]. The rows are culled and tested one by one, so
-    a stack's answers are those of its polygons tested alone."""
-    rows = images.reshape(-1, 2)
-    i, j = ball_candidates(tree, rows, cosh_t)
-    hit = np.zeros(len(rows), dtype=bool)
-    hit[j[(pairwise_cosh_distance(S[i, None], rows[j, None]) <= cosh_t).ravel()]] = True
-    return hit.reshape(images.shape[:-1]).any(axis=-1)
+def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<X, Y> = X0 Y0 - X1 Y1 - X2 Y2 over the last axis, broadcast."""
+    return (X * _J * Y).sum(axis=-1)
 
 
 def _hyperboloid(P: np.ndarray) -> np.ndarray:
     """Half-plane rows (..., 2) as points (..., 3) of the hyperboloid sheet
-    X0^2 - X1^2 - X2^2 = 1, X0 > 0."""
+    X0^2 - X1^2 - X2^2 = 1, X0 > 0, where cosh d(X, Y) = <X, Y>."""
     x, y = P[..., 0], P[..., 1]
     r2 = x * x + y * y
     return np.stack([(r2 + 1.0) / (2.0 * y), x / y, (r2 - 1.0) / (2.0 * y)], axis=-1)
 
 
-def _separation(corners: np.ndarray, marks: np.ndarray, step: float) -> np.ndarray:
-    """Lower bounds, one per polygon of marks (n, l, 2), on its distance
-    from the convex polygon with vertices corners (k, 2) in order; a bound
-    <= 0 says nothing. Each polygon of marks is convex, and its boundary
-    runs through its l rows in cyclic order in geodesic steps no longer
-    than step.
+def _act(g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Images of the vectors X (k, 3) under each matrix of a stack g
+    (n, 2, 2) of SL(2, R), shape (n, k, 3). X is the symmetric matrix
+    K = [[X0 + X2, X1], [X1, X0 - X2]], det K = <X, X>, and g maps it to
+    g K g^T: the hyperboloid point of z = x + iy has K = [[|z|^2, x], [x, 1]]
+    / y, on which this is the Mobius action. The map is linear and keeps
+    <., .>, so it moves side normals as well as points."""
+    K = np.stack([X[:, 0] + X[:, 2], X[:, 1], X[:, 1], X[:, 0] - X[:, 2]], axis=-1)
+    gKg = g[:, None] @ K.reshape(-1, 2, 2) @ g[:, None].swapaxes(-1, -2)
+    a, b, d = gKg[..., 0, 0], gKg[..., 0, 1], gKg[..., 1, 1]
+    return np.stack([(a + d) / 2.0, b, (a - d) / 2.0], axis=-1)
 
-    With <X, Y> = X0 Y0 - X1 Y1 - X2 Y2 on the hyperboloid and n_s the unit
-    normal of side s pointing out of the corners' polygon, <X, n_s> is sinh
-    of X's signed distance from side s's geodesic, and the polygon lies in
-    the half-plane where it is <= 0. On a step from A to B of length l,
-    X = (sinh((1-u) l) A + sinh(u l) B) / sinh l, and sinh(v) + sinh(l - v)
-    >= 2 sinh(l / 2); so if <A, n_s> and <B, n_s> are positive, <X, n_s> is
-    at least their minimum over cosh(l / 2) all along the step. So if every
-    mark of a polygon is beyond side s, its boundary, where its distance
-    from that half-plane is attained, is at least asinh(min over its marks
-    / cosh(step / 2)) from the half-plane, and so from the corners' polygon.
+
+def _translate_cosh_distance(P: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """cosh d(P, gamma P) between the convex polygon with half-plane
+    vertices P (k, 2), in order, and its image under each matrix gamma of
+    a stack g (n, 2, 2) of SL(2, R); shape (n,). Exact, up to rounding,
+    where the interiors of P and gamma P are disjoint, or equal.
+
+    Side s of P runs from A_s to B_s = A_{s+1} on the hyperboloid, along
+    the line <X, n_s> = 0 for the unit normal n_s = J (A_s x B_s) / norm,
+    <n_s, n_s> = -1; c_s = <A_s, B_s>. The distance is attained on the
+    two boundaries, in one of two ways.
+
+    From a vertex V of one polygon to a side of the other: the foot of the
+    perpendicular from V lies on side s iff <V, A_s> <= c_s <V, B_s> and
+    <V, B_s> <= c_s <V, A_s>, and then cosh d = sqrt(1 + <V, n_s>^2), else
+    it is the nearer end's. A vertex of P against a side of gamma P is the
+    vertex of gamma^-1 P against the side of P, so every such term reads
+    P's sides only.
+
+    At interior points of two sides whose lines are ultraparallel, along
+    their common perpendicular: cosh d = |<n_s, gamma n_s'>|, > 1. Its
+    line has normal m = J (n_s x gamma n_s'), and the foot lies on side s
+    iff <A_s, m> <B_s, m> <= 0; on gamma's side s' iff the same holds for
+    A_s', B_s' and gamma^-1 m = J (gamma^-1 n_s x n_s'). The tiling's
+    edges run straight through its vertices, so far tiles have sides on
+    the lines of P's: there |<n_s, gamma n_s'>| = 1 up to rounding, and a
+    pair counts as ultraparallel only beyond 1 + 1e-9; such sides come
+    closest at an end, a vertex-to-side term.
+
+    Every image is moved by _act, never rebuilt from the cross product of
+    two far points: their coordinates reach 1e6 near the enumeration cap,
+    and such a normal, rebuilt, is off by over 1e-7 relatively from t = 5
+    and NaN at t = 7.
     """
-    J = np.array([1.0, -1.0, -1.0])
-    X = _hyperboloid(corners)
-    n = J * np.cross(X, np.roll(X, -1, axis=0))  # <n_s, X> = 0 at both ends of side s
-    n /= np.sqrt(-(n * J * n).sum(axis=1))[:, None]
-    n *= -np.sign(n @ (J * X.sum(axis=0)))[:, None]  # negative inside
-    beyond = (_hyperboloid(marks) @ (J * n).T).min(axis=1)  # (n, k)
-    return np.arcsinh(beyond.max(axis=1) / math.cosh(step / 2.0))
+    A = _hyperboloid(P)
+    B = np.roll(A, -1, axis=0)
+    n = _J * np.cross(A, B)
+    n /= np.sqrt(-_dot(n, n))[:, None]
+    c = _dot(A, B)
+    g_inv = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 1, 0], g[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+
+    def to_sides(V):  # vertices V (n, k, 3) against P's sides
+        VA, VB, Vn = (V @ (_J * X).T for X in (A, B, n))
+        foot = (VA <= c * VB) & (VB <= c * VA)
+        return np.where(foot, np.sqrt(1.0 + Vn * Vn), np.minimum(VA, VB)).min(axis=(1, 2))
+
+    cosh_d = np.minimum(to_sides(_act(g, A)), to_sides(_act(g_inv, A)))
+    # side s of P (axis 1) against side s' of gamma P (axis 2)
+    gn = _act(g, n)[:, None]
+    nn = np.abs(_dot(n[:, None], gn))
+    m = _J * np.cross(n[:, None], gn)
+    m_inv = _J * np.cross(_act(g_inv, n)[:, :, None], n)
+    common = ((nn > 1.0 + 1e-9)
+              & (_dot(A[:, None], m) * _dot(B[:, None], m) <= 0)
+              & (_dot(A, m_inv) * _dot(B, m_inv) <= 0))
+    return np.minimum(cosh_d, np.where(common, nn, np.inf).min(axis=(1, 2)))
 
 
 def support_radius(t: float, circumradius: float = BOLZA_CIRCUMRADIUS) -> float:
@@ -448,45 +460,27 @@ def support_radius(t: float, circumradius: float = BOLZA_CIRCUMRADIUS) -> float:
 
 
 def support_set(real: FuchsianRealization, t: float) -> SupportSet:
-    """Elements whose translated domain comes within distance t of the domain,
+    """Elements gamma with d(P, gamma P) <= t, P the fundamental polygon,
     i.e. exactly those that can contribute a nonzero kernel block.
 
     Candidates are enumerated out to 2*circumradius + t (triangle inequality:
-    the polygon sits inside the circumball). One is accepted iff some pair of
-    a boundary sample and a translated boundary sample lies within the
-    threshold, t widened by one sample gap so no qualifying element can be
-    missed; a borderline extra element only contributes a near-empty block.
-    The sample pairs are culled by a KD-tree search in the disk model
-    (ball_candidates), whose candidates include every pair that passes, and
-    only they are tested on the cosh scale; so the result equals that of
-    testing every sample pair. Every candidate's translated polygon
-    vertices, every _PER_SIDE-th sample, are tested first, in one search: a
-    pair that passes there passes in the full test too, so the candidate is
-    accepted at once. A vertex miss whose translate is provably farther
-    than the threshold (by _separation at the translated vertices and side
-    midpoints, with a margin of 1e-6 for rounding) fails the full test too
-    and is rejected at once; every sample of the others is tested, again in
-    one search. The result is inverse-closed and contains the identity.
+    the polygon sits inside the circumball), in lattice_points' order. One
+    pass of _translate_cosh_distance over all of them accepts those with
+    cosh d <= cosh t (1 + 1e-7). Out to t = 7 the computed cosh d exceeds
+    that of the closest pair of boundary samples by at most 2e-13,
+    relatively, so rounding drops no element. The result is
+    inverse-closed and contains the identity.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     cand = lattice_points(real, support_radius(t, real.circumradius))
 
-    S, gap = _boundary_samples(real)
-    cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
-
-    tree = disk_tree(S)
+    P = np.array([[v.x, v.y] for v in real.domain_vertices])
     mats = np.stack([M.m for M in cand.isometries()])
-    # each translate's vertices and side midpoints, every half side apart
-    marks = mobius_apply(mats, S[::_PER_SIDE // 2])
-    accept = _some_pair_within(tree, S, marks[:, ::2], cosh_t)
-    far = _separation(S[::_PER_SIDE], marks, gap * (_PER_SIDE // 2)) > t + gap + 1e-6
-    rest = np.flatnonzero(~accept & ~far)
-    if len(rest):
-        accept[rest] = _some_pair_within(tree, S, mobius_apply(mats[rest], S), cosh_t)
+    accept = _translate_cosh_distance(P, mats) <= math.cosh(t) * (1.0 + 1e-7)
 
-    # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the sample-pair
-    # predicate is symmetric in exact arithmetic, make it so in floats too
+    # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the distance is
+    # symmetric in exact arithmetic, make the test so in floats too
     for i, j in enumerate(inverse_partners(cand.isometries())):
         if accept[i] and j is not None:
             accept[j] = True

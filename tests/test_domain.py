@@ -34,6 +34,8 @@ from covergap.surface_group import (
     in_fundamental_domain,
     inverse_partners,
     inverse_word,
+    lattice_points,
+    support_radius,
     support_set,
 )
 from covergap.symmetric_group import sample_uniform_hom
@@ -265,6 +267,17 @@ def test_partner_blocks_equal_their_own_assembly(real, t):
             _assert_block_is(b, d.matrix, d.hs_norm)
             if not b.is_sparse:
                 assert b.matrix.flags.c_contiguous
+
+
+@pytest.mark.parametrize("t", [1.0, 2.25, 3.0])
+def test_support_set_holds_every_nonzero_block(real, grid, t):
+    # the family is assembled from S(t) alone: no candidate outside it has
+    # a nonzero block
+    words = {w for w, _ in support_set(real, t).elements}
+    cand = lattice_points(real, support_radius(t))
+    outside = [g for g in cand.elements if g[0] not in words]
+    assert len(outside) > 0
+    assert all(assemble_block(g, t, grid).is_zero for g in outside)
 
 
 def test_swapped_inverse_partners_fail_loudly(real, grid, support, monkeypatch):

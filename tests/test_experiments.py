@@ -568,3 +568,12 @@ def test_lattice_count_known_values(tmp_path):
     expected = (math.log(97) - math.log(9)) / 2.0
     assert res["growth_exponent"] == pytest.approx(expected)
     assert 0.7 <= res["growth_exponent"] <= 1.3
+
+
+def test_lattice_count_support_steps_at_the_second_ring(tmp_path):
+    # S(t) holds the 49 tiles meeting P up to the second ring, 16 tiles
+    # at arccosh(2 + 2 sqrt 2) = 2.2568 from P; so 49 at t = 2.25
+    ring = math.acosh(2.0 + 2.0 * math.sqrt(2.0))
+    t_list = [2.25, ring - 1e-3, ring + 1e-3]
+    res = cmd_lattice_count(_tiny_cfg(tmp_path, radius_list=[0.0], t_list=t_list))
+    assert res["support_counts"] == dict(zip(t_list, [49, 49, 65]))

@@ -8,14 +8,20 @@ import random
 import numpy as np
 import pytest
 
-import covergap.surface_group as surface_group
-from covergap.hyperbolic import HPoint, distance, mobius_apply, pairwise_cosh_distance
+from covergap.hyperbolic import (
+    HPoint,
+    distance,
+    geodesic_point,
+    mobius_apply,
+    pairwise_cosh_distance,
+)
 from covergap.surface_group import (
     MAX_R,
-    _boundary_samples,
     _cell,
     _OrbitIndex,
-    _separation,
+    _rot_about_i,
+    _translate_along_real,
+    _translate_cosh_distance,
     SurfacePresentation,
     build_bolza_realization,
     dehn_reduce,
@@ -428,7 +434,8 @@ def test_support_counts_and_growth(real):
     # 8 octagons meet at every vertex (cone angle 2pi), so the tiles touching
     # the central one number 8*7 minus the 8 side-neighbours counted at both
     # of their shared vertices: 48, plus the identity = 49. The next ring
-    # sits at distance 2.25, so the count is flat on t <= 1.5.
+    # sits at distance arccosh(2 + 2 sqrt 2) = 2.2568, so the count is flat
+    # on t <= 1.5.
     sizes = {}
     for t in (0.0, 0.5, 1.0, 1.5):
         ss = support_set(real, t)
@@ -461,86 +468,63 @@ def test_support_t0_elements_touch_domain(real):
         assert math.acosh(max(1.0, cmin)) < 0.2
 
 
-def _dense_support_set(real, t):
-    """support_set with the full boundary-sample matrix of every candidate
-    and its minimum, the filter that the culled search replaced."""
-    cand = lattice_points(real, support_radius(t, real.circumradius))
-    S, gap = _boundary_samples(real)
-    cosh_t = math.cosh(t + gap) * (1.0 + 1e-12)
-    accept = [(not w) or pairwise_cosh_distance(S, mobius_apply(M.m, S)).min() <= cosh_t
-              for w, M in cand.elements]
-    index = _OrbitIndex()
-    for x, y in zip(*_orbit_points(np.stack([M.m for M in cand.isometries()]))):
-        index.add(x, y)
-    inverses = _orbit_points(np.stack([M.inverse().m for M in cand.isometries()]))
-    for i, (x, y) in enumerate(zip(*inverses)):
-        if accept[i]:
-            j = index.find(x, y)
-            if j is not None:
-                accept[j] = True
-    return [e for e, a in zip(cand.elements, accept) if a]
+def _boundary_samples(real, per_side=64):
+    """per_side uniform samples of each side of the polygon (vertices
+    included) and the largest arclength gap between consecutive ones."""
+    verts = real.domain_vertices
+    pts, gap = [], 0.0
+    for v, w in zip(verts, verts[1:] + verts[:1]):
+        gap = max(gap, distance(v, w) / per_side)
+        pts += [geodesic_point(v, w, i / per_side) for i in range(per_side)]
+    return np.array([[p.x, p.y] for p in pts]), gap
 
 
-@pytest.mark.parametrize("t", [0.0, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
-def test_support_set_equals_dense_filter(real, t):
-    # same elements in the same order, same matrices
-    got = support_set(real, t)
-    want = _dense_support_set(real, t)
-    assert [w for w, _ in got.elements] == [w for w, _ in want]
-    assert [M.m.tobytes() for M in got.isometries()] == \
-        [M.m.tobytes() for _, M in want]
+def _vertex_rows(real):
+    return np.array([[v.x, v.y] for v in real.domain_vertices])
 
 
-def test_support_set_tests_every_sample_only_after_a_vertex_miss(real, monkeypatch):
-    # one search tests every candidate's translated vertices; a second
-    # tests all 512 samples of exactly the vertex misses that the
-    # separation bound did not reject. At t = 1 the bound rejects all 32
-    # misses, so no second search runs; at t = 2.5 it rejects some misses,
-    # and the second search accepts some of the rest (the result is
-    # checked against the full filter above, the bound below)
-    within = surface_group._some_pair_within
-    calls = []
-
-    def recorded(tree, S, images, cosh_t):
-        hits = within(tree, S, images, cosh_t)
-        calls.append((images, hits.copy()))
-        return hits
-
-    monkeypatch.setattr(surface_group, "_some_pair_within", recorded)
-    S, gap = _boundary_samples(real)
-    half = surface_group._PER_SIDE // 2
-    for t in (1.0, 2.5):
-        calls.clear()
-        ss = support_set(real, t)
-        mats = np.stack([M.m for M in lattice_points(real, support_radius(t)).isometries()])
-        images, vertex_hits = calls[0]
-        assert images.tobytes() == mobius_apply(mats, S[::2 * half]).tobytes()
-        far = _separation(S[::2 * half], mobius_apply(mats, S[::half]), half * gap)
-        far = far > t + gap + 1e-6
-        rest = np.flatnonzero(~vertex_hits & ~far)
-        if t == 1.0:
-            assert (~vertex_hits).sum() == 32 and len(rest) == 0 and len(calls) == 1
-            continue
-        assert len(calls) == 2 and 0 < far[~vertex_hits].sum() < (~vertex_hits).sum()
-        images, full_hits = calls[1]
-        assert images.tobytes() == mobius_apply(mats[rest], S).tobytes()
-        assert 0 < full_hits.sum() < len(rest)
-        assert vertex_hits.sum() + full_hits.sum() <= len(ss)
-
-
-def test_separation_bounds_the_polygon_distance(real):
-    # the bound never exceeds the distance between the polygon and a
-    # translate, from 512 samples of each, so a candidate that it puts
-    # beyond the threshold fails the full test; it is positive for most
-    # candidates at t = 3, and about 0 for a side neighbour (which touches)
-    cand = lattice_points(real, support_radius(3.0))
+def _bracketed_distances(real, t, per_side):
+    """The candidates of support_set at t and their exact cosh d(P, gamma P),
+    checked against per_side boundary samples of each polygon: the closest
+    sample pair is no nearer, and at most one sample gap farther (each
+    closest point is within half a gap of a sample). Rounding allowance:
+    1e-10 relative on the cosh scale; the largest excess measured out to
+    t = 7 is 2e-13."""
+    cand = lattice_points(real, support_radius(t))
     mats = np.stack([M.m for M in cand.isometries()])
-    S, gap = _boundary_samples(real)
-    half = surface_group._PER_SIDE // 2
-    bound = _separation(S[::2 * half], mobius_apply(mats, S[::half]), half * gap)
-    sampled = np.array([math.acosh(max(1.0, pairwise_cosh_distance(S, mobius_apply(M, S)).min()))
-                        for M in mats])
-    assert (bound <= sampled + 1e-12).all()
-    assert (bound > 0).sum() > len(mats) // 2
-    side = [i for i, (w, _) in enumerate(cand.elements) if w in real.side_pairing_words]
-    assert len(side) == 8 and (np.abs(bound[side]) < 1e-12).all()
+    exact = _translate_cosh_distance(_vertex_rows(real), mats)
+    S, gap = _boundary_samples(real, per_side)
+    sampled = np.array([pairwise_cosh_distance(S, mobius_apply(M, S)).min() for M in mats])
+    assert (exact <= sampled * (1.0 + 1e-10)).all()
+    assert (np.arccosh(sampled) <= np.arccosh(np.maximum(exact, 1.0)) + gap + 1e-9).all()
+    return cand, exact
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 3.5, 4.0])
+def test_support_set_equals_dense_filter(real, t):
+    # every distance is bracketed by 64 samples per side, and S(t) is
+    # exactly the candidates with d <= t, in candidate order
+    cand, exact = _bracketed_distances(real, t, per_side=64)
+    want = [w for (w, _), c in zip(cand.elements, exact) if c <= math.cosh(t) * (1.0 + 1e-7)]
+    assert [w for w, _ in support_set(real, t).elements] == want
+
+
+def test_support_set_sees_a_common_perpendicular(real):
+    # P moved by D along the axis of a pair of opposite sides is D - 2 rho
+    # from P, along that axis, between the midpoints of two sides: no
+    # vertex-to-side distance is that short
+    rho = math.acosh(1.0 + SQRT2)
+    P = _vertex_rows(real)
+    for k in range(4):
+        for D in (2.5 * rho, 3.0 * rho, 5.0 * rho):
+            M = _rot_about_i(k * math.pi / 4.0) @ _translate_along_real(D) \
+                @ _rot_about_i(-k * math.pi / 4.0)
+            cosh_d = _translate_cosh_distance(P, M[None])[0]
+            assert math.acosh(cosh_d) == pytest.approx(D - 2.0 * rho, abs=1e-9)
+
+
+def test_translate_distance_holds_far_out(real):
+    # at t = 6 candidates reach displacement 10.9 (MAX_R is 12) and their
+    # vertices hyperboloid coordinates 3e5; 16 samples per side still
+    # bracket every distance
+    _bracketed_distances(real, 6.0, per_side=16)
