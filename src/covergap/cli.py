@@ -8,7 +8,6 @@ import argparse
 import sys
 
 from .experiments import (
-    ComputeError,
     UsageError,
     cmd_gap_sweep,
     cmd_lattice_count,
@@ -84,9 +83,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ComputeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

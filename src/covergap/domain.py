@@ -24,7 +24,7 @@ from .hyperbolic import (
     mobius_apply,
     pairwise_cosh_distance,
 )
-from .surface_group import FuchsianRealization, inverse_partners
+from .surface_group import FuchsianRealization
 
 SPARSE_DENSITY = 0.25
 ROW_CHUNK = 512  # translated nodes per candidate-and-keep pass of assemble_block
@@ -283,24 +283,20 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
     the all-zero ones (their translate's qualifying region missed every
     node pair).
 
-    Each element's inverse partner is found once, by element
-    (inverse_partners), since the words are Dehn-reduced, which is no
-    normal form: an element and its inverse can carry unrelated words. An
-    element without one in the support set raises. One block of each
-    inverse pair is assembled; its partner is its transpose, as
-    d(z_j, gamma^-1 z_k) = d(gamma z_j, z_k), stored the same way (CSR, or
-    a C-ordered dense copy) with the same hs_norm and the partner's own
-    (word, Isometry). So the pair is adjoint by construction, and the two
-    elements are checked to be inverses: M_i M_j = +-I entrywise to 1e-9
-    times the product of their largest entries. A zero block's partner is
-    zero too, so the kept blocks stay inverse-closed, and their partner
-    positions are renumbered to the family's."""
-    elements = support.elements
-    partners = inverse_partners([M for _, M in elements])
+    Each element's inverse partner is read from support.partners, paired
+    by element in support_set's search (Dehn-reduced words are no normal
+    form). One block of each inverse pair is assembled; its partner is its
+    transpose, as d(z_j, gamma^-1 z_k) = d(gamma z_j, z_k), stored the
+    same way (CSR, or a C-ordered dense copy) with the same hs_norm and the
+    partner's own (word, Isometry). So the pair is adjoint by
+    construction, and the two elements are checked to be inverses:
+    M_i M_j = +-I entrywise to 1e-9 times the product of their largest
+    entries. A zero block's partner is zero too, so the kept blocks stay
+    inverse-closed, and their partner positions are renumbered to the
+    family's."""
+    elements, partners = support.elements, support.partners
     blocks = [None] * len(elements)
     for i, (g, j) in enumerate(zip(elements, partners)):
-        if j is None:
-            raise ValueError(f"support set is not inverse-closed at {tuple(g[0])}")
         if blocks[i] is not None:
             continue
         blocks[i] = b = assemble_block(g, t, grid)

@@ -241,15 +241,14 @@ def in_fundamental_domain(real: FuchsianRealization, z: HPoint, slack: float = 0
 
 @dataclass
 class SupportSet:
-    """Group elements paired with their standard-letter words."""
+    """Group elements paired with their standard-letter words, closed under
+    inversion: partners[i] is the position of element i's inverse."""
 
     elements: list          # of (Word, Isometry)
+    partners: list          # of int
 
     def __len__(self):
         return len(self.elements)
-
-    def isometries(self):
-        return [M for _, M in self.elements]
 
 
 MAX_R = 12.0  # displacement cap of lattice_points and support_set
@@ -297,44 +296,28 @@ class _OrbitIndex:
         self.points.append((x, y))
 
 
-def inverse_partners(isometries) -> list:
-    """For each of a list of distinct group elements, the position of its
-    inverse in the list, or None if the list lacks it. Elements are matched
-    by orbit point through _OrbitIndex, so no word has to be in a normal
-    form."""
-    index = _OrbitIndex()
-    for x, y in mobius_apply(np.stack([M.m for M in isometries]), _I)[:, 0]:
-        index.add(x, y)
-    inverses = mobius_apply(np.stack([M.inverse().m for M in isometries]), _I)[:, 0]
-    return [index.find(x, y) for x, y in inverses]
-
-
-def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
-    """All gamma with d(base, gamma base) <= R, by breadth-first search over
-    the side-pairing moves.
-
-    The search keeps every element whose displacement is at most
-    R + circumradius + 0.1: if d(i, gamma i) <= R, the tiles meeting the
-    geodesic from i to gamma i form a side/vertex-adjacent chain whose
-    centers all lie within circumradius of the geodesic, so gamma is reached
-    without ever leaving that padded ball. Pruning beyond it is safe.
-    """
+def _keep_cosh(R: float) -> float:
+    """cosh R with lattice_points' rounding allowance, R checked against
+    the enumeration cap."""
     if not math.isfinite(R) or R < 0:
         raise ValueError(f"R must be finite and nonnegative, got {R}")
     if R > MAX_R:
         raise ValueError(f"R={R} exceeds the enumeration cap {MAX_R}")
+    return math.cosh(R) * (1.0 + 1e-12) + 1e-12
 
-    pres = real.presentation
+
+def _search(real: FuchsianRealization, admit):
+    """Breadth-first search over the side-pairing moves from the identity
+    into the new products that admit accepts. admit gets a level's
+    products gamma g_s, (n, moves, 2, 2), renormalized where |det - 1| >
+    1e-12, and their cosh d(i, gamma g_s i), (n, moves), and returns a
+    bool array of that shape. Returns the _OrbitIndex of the elements
+    found, and their matrices, free-reduced words and cosh displacements
+    in the index's order."""
     moves = np.stack([P.m for P in real.side_pairings])
-    move_words = real.side_pairing_words
-    prune_cosh = math.cosh(R + real.circumradius + 0.1)
-    keep_cosh = math.cosh(R) * (1.0 + 1e-12) + 1e-12
-
     index = _OrbitIndex()
-    mats = [np.eye(2)]
-    words = [()]
-    disps = [1.0]  # cosh displacement
     index.add(0.0, 1.0)
+    mats, words, disps = [np.eye(2)], [()], [1.0]  # disps: cosh displacement
 
     level = [0]
     while level:
@@ -342,30 +325,42 @@ def lattice_points(real: FuchsianRealization, R: float) -> SupportSet:
         prods = np.einsum("nij,gjk->ngik", stack, moves)
         x, y = mobius_apply(prods.reshape(-1, 2, 2), _I)[:, 0].T
         coshd = 1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y)
+        # renormalize drift before it accumulates
+        det = prods[..., 0, 0] * prods[..., 1, 1] - prods[..., 0, 1] * prods[..., 1, 0]
+        drift = np.abs(det - 1.0) > 1e-12
+        prods[drift] /= np.sqrt(det[drift])[:, None, None]
+        ok = admit(prods, coshd.reshape(len(level), -1)).tolist()
         coshd, x, y = (v.reshape(len(level), -1).tolist() for v in (coshd, x, y))
         next_level = []
         for li, src in enumerate(level):
             for gidx in range(len(moves)):
-                if coshd[li][gidx] > prune_cosh:
-                    continue
-                if index.find(x[li][gidx], y[li][gidx]) is not None:
+                if not ok[li][gidx] or index.find(x[li][gidx], y[li][gidx]) is not None:
                     continue
                 index.add(x[li][gidx], y[li][gidx])
-                m = prods[li, gidx]
-                # renormalize drift before it accumulates
-                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-                if abs(det - 1.0) > 1e-12:
-                    m = m / math.sqrt(det)
                 next_level.append(len(mats))
-                mats.append(m)
-                words.append(free_reduce(words[src] + move_words[gidx]))
+                mats.append(prods[li, gidx])
+                words.append(free_reduce(words[src] + real.side_pairing_words[gidx]))
                 disps.append(coshd[li][gidx])
         level = next_level
+    return index, mats, words, disps
 
+
+def lattice_points(real: FuchsianRealization, R: float) -> list:
+    """All gamma with d(base, gamma base) <= R, as (Word, Isometry) pairs,
+    by breadth-first search over the side-pairing moves.
+
+    The search keeps every element whose displacement is at most
+    R + circumradius + 0.1: if d(i, gamma i) <= R, the tiles meeting the
+    geodesic from i to gamma i form a side/vertex-adjacent chain whose
+    centers all lie within circumradius of the geodesic, so gamma is reached
+    without ever leaving that padded ball. Pruning beyond it is safe.
+    """
+    keep_cosh = _keep_cosh(R)
+    prune_cosh = math.cosh(R + real.circumradius + 0.1)
+    _, mats, words, disps = _search(real, lambda prods, coshd: coshd <= prune_cosh)
     order = [i for i in range(len(mats)) if disps[i] <= keep_cosh]
     order.sort(key=lambda i: (disps[i], len(words[i]), words[i]))
-    return SupportSet(
-        elements=[(dehn_reduce(words[i], pres), Isometry(mats[i])) for i in order])
+    return [(dehn_reduce(words[i], real.presentation), Isometry(mats[i])) for i in order]
 
 
 _J = np.array([1.0, -1.0, -1.0])
@@ -455,7 +450,8 @@ def _translate_cosh_distance(P: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def support_radius(t: float, circumradius: float = BOLZA_CIRCUMRADIUS) -> float:
-    """Displacement out to which support_set enumerates candidates at t."""
+    """Bound on d(i, gamma i) over S(t), as P lies within circumradius of
+    i; support_set raises where it passes MAX_R."""
     return 2.0 * circumradius + t + 1e-6
 
 
@@ -463,26 +459,36 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     """Elements gamma with d(P, gamma P) <= t, P the fundamental polygon,
     i.e. exactly those that can contribute a nonzero kernel block.
 
-    Candidates are enumerated out to 2*circumradius + t (triangle inequality:
-    the polygon sits inside the circumball), in lattice_points' order. One
-    pass of _translate_cosh_distance over all of them accepts those with
-    cosh d <= cosh t (1 + 1e-7). Out to t = 7 the computed cosh d exceeds
-    that of the closest pair of boundary samples by at most 2e-13,
-    relatively, so rounding drops no element. The result is
-    inverse-closed and contains the identity.
-    """
+    N_t(P), the points within t of P, is convex, and gamma is in S(t) iff
+    gamma P meets it; the geodesic from i to a common point stays in
+    N_t(P), and the tiles it crosses follow one another across a side or
+    around a vertex (all 8 tiles there contain it). So S(t) is connected
+    under the side-pairing moves, and one _search enters exactly S(t): it
+    admits a displacement within support_radius(t), then cosh d(P, gamma P)
+    <= cosh t (1 + 1e-7) by _translate_cosh_distance (out to t = 7 within
+    2e-13, relatively, of the closest boundary samples' distance).
+
+    Each element's inverse is looked up in the search's index, and one
+    whose inverse was not admitted is dropped: the verdicts differ only
+    within rounding of the 1e-7 margin, where both are beyond t. Elements
+    are sorted as lattice_points sorts them."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    cand = lattice_points(real, support_radius(t, real.circumradius))
-
+    near_cosh = _keep_cosh(support_radius(t, real.circumradius))
+    cosh_t = math.cosh(t) * (1.0 + 1e-7)
     P = np.array([[v.x, v.y] for v in real.domain_vertices])
-    mats = np.stack([M.m for M in cand.isometries()])
-    accept = _translate_cosh_distance(P, mats) <= math.cosh(t) * (1.0 + 1e-7)
 
-    # symmetrize: gamma in S(t) iff gamma^-1 in S(t); the distance is
-    # symmetric in exact arithmetic, make the test so in floats too
-    for i, j in enumerate(inverse_partners(cand.isometries())):
-        if accept[i] and j is not None:
-            accept[j] = True
+    def admit(prods, coshd):
+        ok = coshd <= near_cosh
+        ok[ok] = _translate_cosh_distance(P, prods[ok]) <= cosh_t
+        return ok
 
-    return SupportSet(elements=[e for e, a in zip(cand.elements, accept) if a])
+    index, mats, words, disps = _search(real, admit)
+    x, y = mobius_apply(np.linalg.inv(np.stack(mats)), _I)[:, 0].T
+    inverse = [index.find(*p) for p in zip(x.tolist(), y.tolist())]
+    order = [i for i, j in enumerate(inverse) if j is not None and inverse[j] == i]
+    order.sort(key=lambda i: (disps[i], len(words[i]), words[i]))
+    position = {i: k for k, i in enumerate(order)}
+    return SupportSet(
+        elements=[(dehn_reduce(words[i], real.presentation), Isometry(mats[i])) for i in order],
+        partners=[position[inverse[i]] for i in order])

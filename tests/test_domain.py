@@ -1,7 +1,6 @@
 """Tests for the quadrature grid, Nystrom blocks, and SVD truncation."""
 
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -32,7 +31,6 @@ from covergap.surface_group import (
     build_bolza_realization,
     dehn_reduce,
     in_fundamental_domain,
-    inverse_partners,
     inverse_word,
     lattice_points,
     support_radius,
@@ -54,6 +52,20 @@ def grid(real):
 @pytest.fixture(scope="module")
 def support(real):
     return support_set(real, 1.0)
+
+
+def _dense_partners(isometries):
+    """The position of each element's one inverse in the list: the j with
+    M_i M_j = +-I entrywise to 1e-9 times the product of their largest
+    entries, from all n^2 products."""
+    mats = np.stack([M.m for M in isometries])
+    prod = np.einsum("iab,jbc->ijac", mats, mats)
+    dev = np.minimum(np.abs(prod - np.eye(2)).max(axis=(2, 3)),
+                     np.abs(prod + np.eye(2)).max(axis=(2, 3)))
+    scale = np.abs(mats).max(axis=(1, 2))
+    (i, j) = np.nonzero(dev <= 1e-9 * np.outer(scale, scale))
+    assert (i == np.arange(len(mats))).all()
+    return j.tolist()
 
 
 # ------------------------------------------------------------------- grid
@@ -259,7 +271,7 @@ def test_partner_blocks_equal_their_own_assembly(real, t):
         family = assemble_support_blocks(support, t, grid)
         direct = [b for b in (assemble_block(g, t, grid) for g in support.elements)
                   if not b.is_zero]
-        partners = inverse_partners([b.gamma[1] for b in direct])
+        partners = _dense_partners([b.gamma[1] for b in direct])
         assert family.partners == partners
         assert family.rowsum_ceiling == BlockFamily(direct, partners).rowsum_ceiling
         for b, d in zip(family, direct, strict=True):
@@ -275,48 +287,33 @@ def test_support_set_holds_every_nonzero_block(real, grid, t):
     # a nonzero block
     words = {w for w, _ in support_set(real, t).elements}
     cand = lattice_points(real, support_radius(t))
-    outside = [g for g in cand.elements if g[0] not in words]
+    outside = [g for g in cand if g[0] not in words]
     assert len(outside) > 0
     assert all(assemble_block(g, t, grid).is_zero for g in outside)
 
 
-def test_swapped_inverse_partners_fail_loudly(real, grid, support, monkeypatch):
-    # a partner's block is its transpose on inverse_partners' word alone,
-    # so a partner that is no inverse must fail before its block is made
-    a, b = [i for i, j in enumerate(inverse_partners(support.isometries())) if j > i][:2]
-
-    def swapped(isometries):
-        p = inverse_partners(isometries)
-        p[a], p[b] = p[b], p[a]
-        return p
-
-    monkeypatch.setattr(domain, "inverse_partners", swapped)
+def test_swapped_inverse_partners_fail_loudly(grid, support):
+    # a partner's block is its transpose on the support set's pairing
+    # alone, so a partner that is no inverse must fail before its block is
+    # made
+    a, b = [i for i, j in enumerate(support.partners) if j > i][:2]
+    partners = list(support.partners)
+    partners[a], partners[b] = partners[b], partners[a]
     with pytest.raises(ValueError, match="not inverse"):
-        assemble_support_blocks(support, 1.0, grid)
-
-
-def test_support_set_missing_an_inverse_fails_loudly(grid, support):
-    # each side of an inverse pair in turn is left without its partner
-    i, j = next((i, j) for i, j in enumerate(inverse_partners(support.isometries())) if j > i)
-    for gone, left in ((i, j), (j, i)):
-        lacking = SupportSet([e for k, e in enumerate(support.elements) if k != gone])
-        word = re.escape(str(tuple(support.elements[left][0])))
-        with pytest.raises(ValueError, match=f"support set is not inverse-closed at {word}"):
-            assemble_support_blocks(lacking, 1.0, grid)
+        assemble_support_blocks(SupportSet(support.elements, partners), 1.0, grid)
 
 
 def test_family_is_paired_once(grid, support, monkeypatch):
-    # assembly finds the inverse partners once, and the family keeps them
-    calls = []
-
-    def counted(isometries):
-        calls.append(len(isometries))
-        return inverse_partners(isometries)
-
-    monkeypatch.setattr(domain, "inverse_partners", counted)
+    # assembly reads the support set's partners: it builds no _OrbitIndex,
+    # and the family keeps those partners, renumbered to its kept blocks
+    made = []
+    monkeypatch.setattr("covergap.surface_group._OrbitIndex.__init__",
+                        lambda self: made.append(self))
     family = assemble_support_blocks(support, 1.0, grid)
-    assert calls == [len(support)]
-    assert family.partners == inverse_partners([b.gamma[1] for b in family])
+    assert made == []
+    position = {id(g): i for i, g in enumerate(support.elements)}
+    kept = [position[id(b.gamma)] for b in family]
+    assert family.partners == [kept.index(support.partners[i]) for i in kept]
 
 
 def test_threshold_pair_kept_and_pair_above_dropped():

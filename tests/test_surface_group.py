@@ -261,7 +261,7 @@ def test_in_fundamental_domain(real):
 def test_lattice_origin(real):
     L = lattice_points(real, 0.0)
     assert len(L) == 1
-    w, M = L.elements[0]
+    w, M = L[0]
     assert w == ()
     assert M.is_identity()
     assert _displacement(M) == 0.0
@@ -270,7 +270,7 @@ def test_lattice_origin(real):
 def test_lattice_r4_identity_plus_pairings(real):
     L = lattice_points(real, 4.0)
     assert len(L) == 9
-    mats = L.isometries()
+    mats = [M for _, M in L]
     for P in real.side_pairings:
         assert sum(1 for M in mats if M.same_as(P, tol=1e-8)) == 1
     disps = sorted(map(_displacement, mats))
@@ -283,7 +283,7 @@ def test_lattice_words_and_displacements_consistent(real):
     L = lattice_points(real, 5.0)
     base = real.base_point
     disps = []
-    for w, M in L.elements:
+    for w, M in L:
         assert proj_close(evaluate(w, real).m, M.m, rtol=1e-9)
         disps.append(distance(base, M.apply(base)))
         assert disps[-1] == pytest.approx(_displacement(M), abs=1e-9)
@@ -354,7 +354,7 @@ def test_lattice_against_unpruned_enumeration(real):
     for R in (4.0, 5.0):
         want = {tuple(k) for k in keys(all_mats[disp <= R + 1e-9])}
         L = lattice_points(real, R)
-        got = {tuple(k) for k in keys(np.array([M.m for M in L.isometries()]))}
+        got = {tuple(k) for k in keys(np.array([M.m for _, M in L]))}
         assert got == want
 
 
@@ -370,7 +370,7 @@ def test_lattice_at_cap_has_distinct_orbit_points(real):
     # neighbours of one orbit level 2 sinh(apothem) = 4.39)
     L = lattice_points(real, MAX_R)
     assert len(L) == 40905
-    x, y = _orbit_points(np.array([M.m for M in L.isometries()]))
+    x, y = _orbit_points(np.array([M.m for _, M in L]))
     X1, X2 = x / y, (x * x + y * y - 1.0) / (2.0 * y)
     cells = {}
     for k, key in enumerate(zip(np.floor(X1 / 5.0).astype(int),
@@ -390,7 +390,7 @@ def test_lattice_at_cap_has_distinct_orbit_points(real):
 
 
 def test_orbit_index_finds_perturbed_elements(real):
-    mats = np.array([M.m for M in lattice_points(real, 6.0).isometries()])
+    mats = np.array([M.m for _, M in lattice_points(real, 6.0)])
     index = _OrbitIndex()
     for x, y in zip(*_orbit_points(mats)):
         index.add(x, y)
@@ -414,7 +414,7 @@ def test_orbit_index_finds_perturbed_elements(real):
 def test_support_identity_and_pairings(real):
     ss = support_set(real, 0.5)
     assert () in [w for w, _ in ss.elements]
-    mats = ss.isometries()
+    mats = [M for _, M in ss.elements]
     for P in real.side_pairings:
         assert any(M.same_as(P, tol=1e-8) for M in mats)
         assert any(M.same_as(P.inverse(), tol=1e-8) for M in mats)
@@ -424,7 +424,7 @@ def test_support_identity_and_pairings(real):
 
 def test_support_inverse_closed(real):
     ss = support_set(real, 1.0)
-    mats = ss.isometries()
+    mats = [M for _, M in ss.elements]
     for M in mats:
         Minv = M.inverse()
         assert any(N.same_as(Minv, tol=1e-7) for N in mats)
@@ -491,7 +491,7 @@ def _bracketed_distances(real, t, per_side):
     1e-10 relative on the cosh scale; the largest excess measured out to
     t = 7 is 2e-13."""
     cand = lattice_points(real, support_radius(t))
-    mats = np.stack([M.m for M in cand.isometries()])
+    mats = np.stack([M.m for _, M in cand])
     exact = _translate_cosh_distance(_vertex_rows(real), mats)
     S, gap = _boundary_samples(real, per_side)
     sampled = np.array([pairwise_cosh_distance(S, mobius_apply(M, S)).min() for M in mats])
@@ -500,13 +500,84 @@ def _bracketed_distances(real, t, per_side):
     return cand, exact
 
 
+def _dense_partners(mats):
+    """For each of a stack (n, 2, 2) of group elements, the positions j
+    with M_i M_j = +-I entrywise to 1e-9 times the product of their
+    largest entries, from all n^2 products."""
+    prod = np.einsum("iab,jbc->ijac", mats, mats)
+    dev = np.minimum(np.abs(prod - np.eye(2)).max(axis=(2, 3)),
+                     np.abs(prod + np.eye(2)).max(axis=(2, 3)))
+    scale = np.abs(mats).max(axis=(1, 2))
+    return [np.flatnonzero(row).tolist() for row in dev <= 1e-9 * np.outer(scale, scale)]
+
+
 @pytest.mark.parametrize("t", [0.0, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 3.5, 4.0])
 def test_support_set_equals_dense_filter(real, t):
     # every distance is bracketed by 64 samples per side, and S(t) is
-    # exactly the candidates with d <= t, in candidate order
+    # exactly the lattice candidates with d <= t, in candidate order and
+    # with their matrices bit for bit, each paired with its one inverse
     cand, exact = _bracketed_distances(real, t, per_side=64)
-    want = [w for (w, _), c in zip(cand.elements, exact) if c <= math.cosh(t) * (1.0 + 1e-7)]
-    assert [w for w, _ in support_set(real, t).elements] == want
+    want = [g for g, c in zip(cand, exact) if c <= math.cosh(t) * (1.0 + 1e-7)]
+    ss = support_set(real, t)
+    assert [w for w, _ in ss.elements] == [w for w, _ in want]
+    assert [M.m.tobytes() for _, M in ss.elements] == [M.m.tobytes() for _, M in want]
+    assert _dense_partners(np.stack([M.m for _, M in ss.elements])) == [[j] for j in ss.partners]
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+def test_support_set_indexes_only_its_elements(real, monkeypatch, t):
+    # the search enters S(t) alone: its _OrbitIndex files each element once
+    # and nothing else
+    added = []
+    add = _OrbitIndex.add
+
+    def counted(self, x, y):
+        added.append((x, y))
+        add(self, x, y)
+
+    monkeypatch.setattr(_OrbitIndex, "add", counted)
+    ss = support_set(real, t)
+    assert len(added) == len(ss)
+
+
+def test_support_set_drops_an_element_whose_inverse_is_rejected(real, monkeypatch):
+    # the distance test turns down one element's inverse only: the search
+    # still enters the element, finds no inverse for it and drops it, and
+    # every element left keeps its one inverse partner
+    full = support_set(real, 1.0)
+    i = len(full) - 1
+    j = full.partners[i]
+    gone = full.elements[j][1].m
+    exact = _translate_cosh_distance
+
+    def rejecting(P, g):
+        d = exact(P, g)
+        d[np.minimum(np.abs(g - gone).max(axis=(1, 2)),
+                     np.abs(g + gone).max(axis=(1, 2))) <= 1e-9] = np.inf
+        return d
+
+    monkeypatch.setattr("covergap.surface_group._translate_cosh_distance", rejecting)
+    ss = support_set(real, 1.0)
+    mats = np.stack([M.m for _, M in ss.elements])
+    for k in (i, j):
+        M = full.elements[k][1].m
+        assert np.minimum(np.abs(mats - M).max(axis=(1, 2)),
+                          np.abs(mats + M).max(axis=(1, 2))).min() > 1e-3
+    assert len(ss) == len(full) - 2
+    assert {w for w, _ in ss.elements} < {w for w, _ in full.elements}
+    assert _dense_partners(mats) == [[p] for p in ss.partners]
+
+
+def test_support_set_enumeration_cap(real):
+    # the search admits displacements out to support_radius(t), which
+    # must stay within MAX_R
+    t = MAX_R - support_radius(0.0) + 0.5
+    with pytest.raises(ValueError, match=f"enumeration cap {MAX_R}"):
+        support_set(real, t)
+    with pytest.raises(ValueError, match="finite"):
+        support_set(real, math.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        support_set(real, -0.5)
 
 
 def test_support_set_sees_a_common_perpendicular(real):
