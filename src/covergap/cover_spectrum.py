@@ -1,11 +1,14 @@
 """Tensor operators on covers and their spectral-gap estimates.
 
-A cover is described by generator images in S_n. The ball kernel on the
-cover acts, after Nystrom discretization, as T = sum_gamma A_gamma (x)
-rho(gamma^-1) with A_gamma the translate blocks and rho the permutation
-action on the fiber. Its top eigenvalue, from Lanczos with the full Ritz
-solve run only near the steps where it can stop, feeds the inverse Selberg
-transform to produce a lower bound on the first new Laplacian eigenvalue.
+A cover is described by generator images phi in S_n. The operator applied
+here sums the translate blocks A_gamma on the mean-zero fiber: output fiber
+column c of block gamma reads column phi(gamma)(c), phi evaluated on the
+block's word left to right. Only when phi has an abelian image is that the
+cover's ball-kernel operator, whose spectrum there is the cover's new
+eigenvalues; the cover's own operator reads column phi(gamma)^-1(c). Its
+top eigenvalue, from Lanczos with the full Ritz solve run only near the
+steps where it can stop, feeds the inverse Selberg transform to give a
+lower bound on the first new Laplacian eigenvalue.
 """
 
 import functools
@@ -42,24 +45,18 @@ def _mean_zero_basis(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CoverOperator:
-    """Immutable assembled operator sum A_gamma (x) rho(gamma^-1) on the
-    mean-zero fiber, in the coordinates of basis = _mean_zero_basis(n).
-    perm_images holds phi(gamma) for every block in family order, one row
-    of images each."""
+    """Immutable operator on the mean-zero fiber, in the coordinates of
+    basis = _mean_zero_basis(n). perm_images holds phi(gamma) for every
+    block in family order, and output fiber column c of block gamma reads
+    column phi(gamma)(c): the cover's operator only if phi's image is abelian."""
 
     blocks: BlockFamily
     m: int
     n: int
-    t: float
     dimension: int
     perm_images: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def gather(self) -> np.ndarray:
-        """The family layout's gather index for this cover, built on its
-        first matvec."""
-        return self.blocks.layout.gather(self.perm_images)
+    gather: np.ndarray = field(repr=False)  # blocks.layout.gather(perm_images)
 
 
 def build_cover_operator(blocks: BlockFamily, hom: HomTuple) -> CoverOperator:
@@ -78,8 +75,8 @@ def build_cover_operator(blocks: BlockFamily, hom: HomTuple) -> CoverOperator:
                      dtype=np.intp)
     m, n = blocks.m, hom.n
     return CoverOperator(
-        blocks=blocks, m=m, n=n, t=blocks.t, dimension=m * (n - 1),
-        perm_images=perms, basis=_mean_zero_basis(n),
+        blocks=blocks, m=m, n=n, dimension=m * (n - 1), perm_images=perms,
+        basis=_mean_zero_basis(n), gather=blocks.layout.gather(perms),
     )
 
 
@@ -242,7 +239,7 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
     norm stays below the operator's own row-sum certificate; only a norm
     beyond that certificate is flagged as inconsistent input.
     """
-    t = op.t
+    t = op.blocks.t
     ext = _lanczos_top(lambda x: matvec(op, x), op.dimension, seed)
     v = ext.top
     peak = selberg_h(t, SpectralParameter.real(0.0)).value

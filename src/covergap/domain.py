@@ -8,9 +8,8 @@ sqrt(w_k), which keeps the global operator exactly symmetric, and truncated
 by SVD with the Hilbert-Schmidt certificate sigma_{r+1} <= hs / sqrt(r).
 """
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse, vstack
@@ -35,6 +34,7 @@ class QuadratureGrid:
     xy: np.ndarray  # (m, 2): x and y of each node in the upper half-plane
     weights: np.ndarray
     m: int
+    tree: object = field(init=False, repr=False)  # disk_tree of the nodes
 
     def __post_init__(self):
         self.xy = np.asarray(self.xy, dtype=float)
@@ -43,12 +43,7 @@ class QuadratureGrid:
             raise ValueError("inconsistent grid sizes")
         if not (self.weights > 0).all():
             raise ValueError("weights must be positive")
-
-    @functools.cached_property
-    def tree(self):
-        """disk_tree of the nodes, built on first use and shared by every
-        translate's block."""
-        return disk_tree(self.xy)
+        self.tree = disk_tree(self.xy)
 
 
 def _triangle_area(A: HPoint, B: HPoint, C: HPoint) -> float:
@@ -195,8 +190,8 @@ class BlockFamily(tuple):
     scalar grid operator, i.e. per-node quadrature estimates of the ball
     area.  Falls back to u = 1 if no identity block is present.
 
-    Every cover applies the family through its one layout, which holds only
-    the block rows that can be nonzero.
+    layout is the RowLayout of every block's exact_rows (only the block
+    rows that can be nonzero), built with the family for every cover.
     """
 
     genus = 2  # every block is a translate of the Bolza octagon
@@ -216,6 +211,7 @@ class BlockFamily(tuple):
             s += b.matrix.dot(u)
         self.m, self.t, self.partners = m, t, partners
         self.rowsum_ceiling = float(np.max(s / u))
+        self.layout = RowLayout.of(m, *self.exact_rows(range(len(self))))
         return self
 
     def exact_rows(self, positions) -> tuple:
@@ -239,11 +235,6 @@ class BlockFamily(tuple):
             return np.concatenate([W] + [self[k].matrix.dot(X) for k in dense]) if dense else W
 
         return block, node, product
-
-    @functools.cached_property
-    def layout(self) -> "RowLayout":
-        """RowLayout of every block's exact_rows, built on first use."""
-        return RowLayout.of(self.m, *self.exact_rows(range(len(self))))
 
 
 @dataclass(frozen=True)

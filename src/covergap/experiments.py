@@ -411,11 +411,9 @@ def _pool_size(jobs: int) -> int:
 
 def _collect_gap_records(draws, blocks):
     """One GapRecord per draw, in (n, index) order, and the number of
-    processes that solved them. The family's row layout is built here, so
-    forked workers share it instead of each building its own. A failing
-    sample does not stop the batch: the text of the first failure in
-    (n, index) order is returned with the records of every other sample."""
-    blocks.layout
+    processes that solved them. A failing sample does not stop the batch:
+    the text of the first failure in (n, index) order is returned with the
+    records of every other sample."""
     workers = _pool_size(len(draws))
     if workers > 1:
         # the workers inherit the family through fork instead of a pickle

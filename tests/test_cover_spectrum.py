@@ -17,6 +17,7 @@ from covergap.surface_group import build_bolza_realization, support_set
 from covergap.domain import (
     SPARSE_DENSITY,
     BlockFamily,
+    RowLayout,
     assemble_support_blocks,
     build_grid,
     svd_truncate,
@@ -24,6 +25,7 @@ from covergap.domain import (
 from covergap.selberg import SpectralParameter, h_peak, invert_h, selberg_h
 from covergap.symmetric_group import (
     Permutation,
+    evaluate_word,
     make_hom_tuple,
     sample_uniform_hom,
 )
@@ -201,6 +203,34 @@ def test_matvec_matches_dense_kron(small, dense_t2):
             assert np.allclose(matvec(op, x), M @ x, atol=1e-11)
 
 
+@pytest.mark.parametrize("grid_m", [50, 120])
+def test_trace_of_square_matches_fixed_points(real, grid_m):
+    """sum_i |T e_i|^2 = sum_{gamma,delta} tr(A_gamma A_delta) (fix
+    phi(gamma delta) - 1) on the mean-zero fiber, with phi(gamma delta)
+    evaluated on the concatenated words: a grid-free check of gather and
+    the mean-zero basis. At t = 2 pairs other than (gamma, gamma^-1) meet;
+    on a coarse t = 1 grid only those do, and the identity holds whatever
+    the permutations are. It is blind to the fiber convention (phi or
+    phi^-1), since fix phi(gamma delta) = fix phi(delta gamma)."""
+    t = 2.0
+    blocks = assemble_support_blocks(support_set(real, t), t, build_grid(real, grid_m))
+    D = np.array([b.dense() for b in blocks])
+    # tr(A_gamma A_delta) = sum_jk A_gamma[j, k] A_delta[k, j]
+    traces = D.reshape(len(D), -1) @ D.transpose(0, 2, 1).reshape(len(D), -1).T
+    words = [b.gamma[0] for b in blocks]
+    pairs = np.argwhere(traces != 0.0)
+    assert any(blocks.partners[g] != d for g, d in pairs)
+    for n in (3, 4, 6, 8):
+        hom = sample_uniform_hom(n, 2, seed=n)
+        op = build_cover_operator(blocks, hom)
+        lhs = math.fsum(np.square(matvec(op, e)).sum() for e in np.eye(op.dimension))
+        rhs = math.fsum(
+            traces[g, d] * (np.count_nonzero(np.equal(
+                evaluate_word(hom, words[g] + words[d]).images0, np.arange(n))) - 1)
+            for g, d in pairs)
+        assert abs(lhs - rhs) <= 1e-12 * lhs
+
+
 @pytest.mark.parametrize("family", ["small", "dense_t2", "half_t"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_matvec_bit_identical_to_block_loop(request, family, n):
@@ -310,25 +340,34 @@ def test_truncated_apply_at_full_rank_equals_matvec(small, dense_t2, monkeypatch
             assert np.array_equal(applies[-1](x), matvec(op, x))
 
 
-def test_row_layout_built_once_on_first_matvec_and_not_by_truncation(small):
+def test_row_layout_built_once_per_family_and_per_rank(small, monkeypatch):
+    # RowLayout.of runs once when the family is built, never per cover or
+    # per matvec; truncation makes only its per-rank layouts
     _, blocks = small
+    calls = []
+    of = RowLayout.of.__func__
+
+    def counting(cls, *args):
+        calls.append(cls)
+        return of(cls, *args)
+
+    monkeypatch.setattr(RowLayout, "of", classmethod(counting))
     family = BlockFamily(list(blocks), blocks.partners)
-    assert "layout" not in vars(family)
+    layout = family.layout
+    assert len(calls) == 1
+    ranks = [2, 4]
     op = build_cover_operator(family, sample_uniform_hom(4, 2, seed=2))
-    truncation_components(op, [4], seed=0)
-    assert "layout" not in vars(family)
-    layouts = []
+    truncation_components(op, ranks, seed=0)
+    assert len(calls) == 1 + len(ranks) and family.layout is layout
     for seed in (0, 1):
         op = build_cover_operator(family, sample_uniform_hom(3, 2, seed=seed))
-        assert "layout" not in vars(family) or layouts
         matvec(op, np.ones(op.dimension))
-        layouts.append(vars(family)["layout"])
-        matvec(op, np.ones(op.dimension))
-        assert vars(family)["layout"] is layouts[0]
-    assert layouts[0] is layouts[1]
+        assert op.blocks.layout is layout
+        assert np.array_equal(op.gather, layout.gather(op.perm_images))
+    assert len(calls) == 1 + len(ranks)
     # only the nonempty rows of the sparse blocks are kept
     kept = sum(np.count_nonzero(np.diff(b.matrix.indptr)) for b in family)
-    assert len(layouts[0].order) == kept < len(family) * family.m
+    assert len(layout.order) == kept < len(family) * family.m
 
 
 # ----------------------------------------------------------------- Lanczos

@@ -230,7 +230,6 @@ def test_sparse_block_allocates_no_m_by_m_array(real):
     # a sparse block's values, indices and norm come from its kept pairs
     # alone, so its assembly peaks well below one m x m float64 array
     grid = build_grid(real, 1600)
-    grid.tree  # built once per grid, before the traced assembly
     g = (real.side_pairing_words[0], real.side_pairings[0])
     tracemalloc.start()
     try:
@@ -248,7 +247,6 @@ def test_large_block_assembles_in_row_chunks(real):
     # below 48 bytes per kept pair (assembled in one pass it was 93; the
     # finished CSR block holds 12)
     grid = build_grid(real, 1600)
-    grid.tree
     assert grid.m > 2 * domain.ROW_CHUNK
     tracemalloc.start()
     try:
