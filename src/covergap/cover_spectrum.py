@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse import csr_matrix
 
 from .domain import SPARSE_DENSITY, BlockFamily, RowLayout, svd_truncate
+from .hyperbolic import ball_area
 from .selberg import (
     SpectralParameter,
     gap_lower_bound_coefficient,
@@ -143,17 +144,18 @@ def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
     most KRYLOV_TOL times the largest |Ritz value| (scale), whose beta_j is
     at most 1e-14 max(1, scale), or that exhausts the space. The full Ritz
     solve of step j (eigh_tridiagonal on alphas[:j+1], betas[:j]) runs only
-    near where the loop can stop: at step 0, at the cap, on exhaustion,
-    where beta_j is at most 1e-14 G, and where the cheap residual estimate
+    near where the loop can stop: at step 0, at the cap (exhaustion is the
+    cap, as cap = min(maxiter, dim)) and where the cheap residual estimate
     (_top_residual_estimate) is at most 20 KRYLOV_TOL G, with
-    G = max(1, max|alpha| + 2 max beta) a Gershgorin bound on scale; the
-    factor 20 makes the first full solve come a step or more before the
-    stop. Once a tested step stops, or the cap is reached, the untested
-    steps since the last test are tested in order on the leading slices and
-    the first that stops is returned, so the top, residual and step count,
-    and the KrylovConvergenceError, are those of testing every step, bit
-    for bit, even where the estimate misjudges a step; only such a step
-    would cost Lanczos steps past the stop.
+    G = max(1, max|alpha| + 2 max beta) a Gershgorin bound on scale. That
+    takes in every step with beta_j <= 1e-14 G, as the estimate is 0 or at
+    most beta_j (u has unit norm), and the factor 20 makes the first full
+    solve come a step or more before the stop. Once a tested step stops, or
+    the cap is reached, the untested steps since the last test are tested
+    in order on the leading slices and the first that stops is returned, so
+    the result (or KrylovConvergenceError) is that of testing every step,
+    bit for bit, even where the estimate misjudges a step; only such a
+    step costs Lanczos steps past the stop.
     """
     if dim < 1:
         raise ValueError("operator has an empty fiber")
@@ -190,7 +192,7 @@ def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
             w = w - V[: j + 1].T @ (V[: j + 1] @ w)
         b = betas[j] = float(np.linalg.norm(w))
         gershgorin = max(1.0, a_max + 2.0 * b_max)
-        if (j == 0 or j + 1 == cap or j + 1 == dim or b <= 1e-14 * gershgorin
+        if (j == 0 or j + 1 == cap
                 or _top_residual_estimate(alphas, betas, j) <= 20.0 * KRYLOV_TOL * gershgorin):
             stops, top, res_top = ritz(j)
             if stops or j + 1 == cap:
@@ -243,7 +245,7 @@ def estimate_gap(op: CoverOperator, seed=0) -> SpectralEstimate:
     ext = _lanczos_top(lambda x: matvec(op, x), op.dimension, seed)
     v = ext.top
     peak = selberg_h(t, SpectralParameter.real(0.0)).value
-    ball = selberg_h(t, SpectralParameter.imaginary(0.5)).value
+    ball = ball_area(t)  # h_t(i/2)
     ceiling = op.blocks.rowsum_ceiling
     if v > max(ball * (1.0 + 1e-6) + 1e-9, ceiling * (1.0 + 1e-9)):
         raise ValueError(

@@ -188,7 +188,8 @@ class BlockFamily(tuple):
     bound.  The identity translate's diagonal is exactly the quadrature
     weight vector, and u = sqrt(w) (x) 1 makes the ratios row sums of the
     scalar grid operator, i.e. per-node quadrature estimates of the ball
-    area.  Falls back to u = 1 if no identity block is present.
+    area.  Every family holds that block (d(z, z) = 0 <= t), and the
+    weights are positive, so u needs no fallback.
 
     layout is the RowLayout of every block's exact_rows (only the block
     rows that can be nonzero), built with the family for every cover.
@@ -199,13 +200,7 @@ class BlockFamily(tuple):
     def __new__(cls, blocks, partners):
         self = super().__new__(cls, blocks)
         m, t = self[0].matrix.shape[0], self[0].t
-        u = np.ones(m)
-        for b in self:
-            if not b.gamma[0]:
-                diag = b.matrix.diagonal()
-                if np.all(diag > 0):
-                    u = np.sqrt(diag)
-                break
+        u = np.sqrt(next(b for b in self if not b.gamma[0]).matrix.diagonal())
         s = np.zeros(m)
         for b in self:
             s += b.matrix.dot(u)

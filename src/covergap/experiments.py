@@ -359,7 +359,7 @@ def _draw_homs(cfg: ExperimentConfig, n: int):
 def _assemble(cfg: ExperimentConfig):
     real = build_bolza_realization()
     grid = build_grid(real, cfg.grid_m)
-    return grid, assemble_support_blocks(support_set(real, cfg.t), cfg.t, grid)
+    return assemble_support_blocks(support_set(real, cfg.t), cfg.t, grid)
 
 
 _family = None  # a pool worker's BlockFamily, set by its initializer
@@ -469,7 +469,7 @@ def _fit_loglog(xs, ys):
 def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Per-sample gap records plus a per-n median-deficit summary."""
     marks = [time.perf_counter()]
-    _, blocks = _assemble(cfg)
+    blocks = _assemble(cfg)
     marks.append(time.perf_counter())
     draws = [d for n in cfg.n_list for d in _draw_homs(cfg, n)]
     marks.append(time.perf_counter())
@@ -556,9 +556,9 @@ def cmd_strong_convergence(cfg: ExperimentConfig) -> dict:
 def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Certified truncation budgets vs observed norm shifts across ranks."""
     t_start = time.perf_counter()
-    grid, blocks = _assemble(cfg)
-    ranks = [r for r in cfg.truncation_r_list if r <= grid.m]
-    skipped = [r for r in cfg.truncation_r_list if r > grid.m]
+    blocks = _assemble(cfg)
+    ranks = [r for r in cfg.truncation_r_list if r <= blocks.m]
+    skipped = [r for r in cfg.truncation_r_list if r > blocks.m]
     rows = []
     if ranks:  # with every rank skipped no cover is drawn or solved
         n = cfg.n_list[-1]

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hyperbolic import ball_area
+
 FOUR_SQRT2 = 4.0 * math.sqrt(2.0)
 
 
@@ -129,7 +131,7 @@ def invert_h(t: float, v: float) -> SpectralParameter:
     if t <= 0:
         raise ValueError("t must be positive")
     lo_val = h_peak(t)
-    hi_val = selberg_h(t, SpectralParameter.imaginary(0.5)).value
+    hi_val = ball_area(t)
     # discretized norms can sit a hair above the continuum ceiling; only a
     # clear violation is inconsistent input
     tol = 1e-6 * hi_val + 1e-9

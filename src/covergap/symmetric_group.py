@@ -655,7 +655,7 @@ def make_hom_tuple(n, genus, gens) -> HomTuple:
     )
 
 
-def sample_uniform_hom(n: int, g: int = 2, seed=None) -> HomTuple:
+def sample_uniform_hom(n: int, g: int, seed) -> HomTuple:
     """Exactly uniform draw from Hom(genus-g surface group, S_n).
 
     Peels commutators from the last one: with k still open and the prefix

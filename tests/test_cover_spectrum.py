@@ -231,6 +231,44 @@ def test_trace_of_square_matches_fixed_points(real, grid_m):
         assert abs(lhs - rhs) <= 1e-12 * lhs
 
 
+def _composed_pairs(blocks):
+    """(gamma, delta, k): family positions with gamma != delta and
+    M_gamma M_delta = +-M_k, the product gamma delta again a family
+    element, matched by matrix up to sign."""
+    M = np.array([b.gamma[1].m for b in blocks])
+    P = np.einsum("gij,djk->gdik", M, M)[:, :, None]
+    dev = np.minimum(np.abs(P - M).max(axis=(-2, -1)), np.abs(P + M).max(axis=(-2, -1)))
+    hits = np.argwhere(dev <= 1e-9 * np.abs(P).max(axis=(-2, -1)))
+    assert len({(g, d) for g, d, _ in hits}) == len(hits)  # one match each
+    return [(g, d, k) for g, d, k in hits if g != d]
+
+
+def _breaks_composition(pi, pairs):
+    """The pairs whose column maps break pi_{gamma delta} = pi_delta o
+    pi_gamma, the rule a cover's operator obeys (output column c of block
+    gamma reads column pi_gamma(c))."""
+    return [(g, d) for g, d, k in pairs if not np.array_equal(pi[k], pi[d][pi[g]])]
+
+
+def test_inverse_images_compose_as_a_cover_needs(dense_t2):
+    # grid-free: phi is a homomorphism, so pi = phi(.)^-1 obeys the rule on
+    # every composed pair of the t = 2 family
+    _, blocks = dense_t2
+    hom = sample_uniform_hom(8, 2, seed=3002)
+    pairs = _composed_pairs(blocks)
+    assert len(pairs) == 480
+    pi = np.array([evaluate_word(hom, b.gamma[0]).inverse().images0 for b in blocks])
+    assert _breaks_composition(pi, pairs) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: perm_images holds phi(gamma), "
+                   "so the operator reads pi_{gamma delta} = pi_gamma o pi_delta")
+def test_perm_images_compose_as_a_cover_needs(dense_t2):
+    _, blocks = dense_t2
+    op = build_cover_operator(blocks, sample_uniform_hom(8, 2, seed=3002))
+    assert _breaks_composition(op.perm_images, _composed_pairs(blocks)) == []
+
+
 @pytest.mark.parametrize("family", ["small", "dense_t2", "half_t"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_matvec_bit_identical_to_block_loop(request, family, n):

@@ -298,7 +298,7 @@ def test_pooled_failure_always_reaches_the_driver(sweep, monkeypatch):
         raise _TwoFieldError(1, 2)
 
     monkeypatch.setattr(experiments, "estimate_gap", failing)
-    monkeypatch.setattr(experiments, "_family", _assemble(cfg)[1])
+    monkeypatch.setattr(experiments, "_family", _assemble(cfg))
     sent = experiments._pooled_gap_record(job)
     back = pickle.loads(pickle.dumps(sent))
     assert back == "fields 1 and 2"
@@ -456,7 +456,7 @@ def test_truncation_study_certificates(tmp_path, monkeypatch):
         calls.clear()
         res = cmd_truncation_study(cfg)
         # one SVD per inverse pair of blocks, not per block or per rank
-        partners = _assemble(cfg)[1].partners
+        partners = _assemble(cfg).partners
         assert len(calls) == sum(i <= j for i, j in enumerate(partners)) == pairs
         assert json.loads(Path(res["meta"]).read_text())["skipped_ranks"] == skipped
         assert len(res["rows"]) == len(cfg.truncation_r_list) - len(skipped)

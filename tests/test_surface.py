@@ -17,7 +17,6 @@ SOURCES = sorted((ROOT / "src" / "covergap").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 ORACLES = {
-    "ball_area": "the continuum value that AC1 and AC2 compare with",
     "ball_kernel": "the scalar kernel k_t whose cosh-scale test assemble_block "
                    "vectorizes",
     "evaluate": "the matrix of a word, which the Dehn-reduction and "

@@ -23,6 +23,8 @@ import pytest
 from scipy.stats import chi2
 
 import covergap.symmetric_group as symmetric_group
+from covergap.experiments import _enumerate_hom_tuples
+from covergap.surface_group import build_bolza_realization, support_set
 from covergap.symmetric_group import (
     CharacterTable,
     MAX_N,
@@ -584,11 +586,11 @@ def test_pair_class_weights_total():
 
 def test_sampler_validation():
     with pytest.raises(ValueError):
-        sample_uniform_hom(0, 2)
+        sample_uniform_hom(0, 2, seed=0)
     with pytest.raises(ValueError):
-        sample_uniform_hom(MAX_N + 1, 2)
+        sample_uniform_hom(MAX_N + 1, 2, seed=0)
     with pytest.raises(ValueError):
-        sample_uniform_hom(4, 0)
+        sample_uniform_hom(4, 0, seed=0)
 
 
 def test_sampler_deterministic_by_seed():
@@ -764,6 +766,58 @@ def test_first_generator_class_chi_square_at_n8():
 def test_transitive_fraction_is_high():
     hits = sum(sample_uniform_hom(8, 2, seed=s).transitive for s in range(40))
     assert hits >= 30
+
+
+# ========================================= the fixed-point law (Magee-Puder)
+#
+# For a uniform phi in Hom(genus-2 group, S_n) and gamma = gamma0^q != 1,
+# gamma0 not a proper power, E_n[fix phi(gamma)] = d(q) + O(1/n), d(q) the
+# number of divisors of q (Magee and Puder, Forum Math. Pi 11 (2023)).
+
+FIX_SEED = 100_000  # clear of the seeds the chi-square tests draw
+
+
+@lru_cache(maxsize=None)
+def _fixed_point_words():
+    """The 48 non-identity words of S(1), then a1^2, a1^3 and a1^4."""
+    support = support_set(build_bolza_realization(), 1.0)
+    words = [tuple(w) for w, _ in support.elements if len(w)]
+    assert len(words) == 48
+    return words + [(1,) * q for q in (2, 3, 4)]
+
+
+def _fixed_points(hom):
+    """fix phi(w) for every word of _fixed_point_words."""
+    return [sum(i == j for i, j in enumerate(evaluate_word(hom, w).images0))
+            for w in _fixed_point_words()]
+
+
+def _sampled_fixed_points(n, draws):
+    """Mean and standard error of fix phi(w) over fixed-seed draws."""
+    fix = np.array([_fixed_points(sample_uniform_hom(n, 2, seed=FIX_SEED + s))
+                    for s in range(draws)])
+    return fix.mean(axis=0), fix.std(axis=0, ddof=1) / math.sqrt(draws)
+
+
+def test_fixed_point_means_are_exact_at_n3():
+    # the exact mean over all 486 tuples (10/9 to 19/9), against 3,000 draws
+    homs = [make_hom_tuple(3, 2, [Permutation(p) for p in tup])
+            for tup in _enumerate_hom_tuples(3)]
+    assert len(homs) == 486
+    exact = np.array([_fixed_points(h) for h in homs]).mean(axis=0)
+    assert 10 / 9 - 1e-12 <= exact.min() and exact.max() <= 19 / 9 + 1e-12
+    mean, se = _sampled_fixed_points(3, 3000)
+    assert np.all(np.abs(mean - exact) <= 4.0 * se)
+
+
+def test_fixed_point_means_approach_divisor_counts_at_n8():
+    # words of S(1) tend to 1, a1^2, a1^3, a1^4 to d(q) = 2, 2, 3; the
+    # O(1/n) term is allowed c/n with c = 1 (over these 1,500 seeds the
+    # largest |mean - limit| is 0.76/4 at n = 4 and 0.60/8 at n = 8)
+    n, c = 8, 1.0
+    limit = np.array([1.0] * 48 + [2.0, 2.0, 3.0])
+    mean, se = _sampled_fixed_points(n, 1500)
+    assert np.all(np.abs(mean - limit) <= 4.0 * se + c / n)
 
 
 # ====================================================== tuples and actions
