@@ -8,20 +8,21 @@ a class-rejection step and a uniform centralizer coset element. Every
 1/d_lambda in the character sums is replaced by the integer codimension
 n!/d_lambda, and the Frobenius-Mednykh count of Hom is
 n! sum_lambda codim^{2g-2}. One CharacterTable per n holds the characters
-as a read-only int64 array, the class sizes, the degrees and the
-codimensions; every weight reads it. The table comes from the
+as a read-only int64 array (its last column the degrees), the class sizes
+and the codimensions; every weight reads it. The table comes from the
 Murnaghan-Nakayama rule applied a whole table at a time, as signed
 border-strip-removal matrices times smaller tables, and is verified against
 orthogonality, with every degree dividing n!, when it is built. The class
 weights of one target are one matrix-vector product over all classes, run
 exactly in float64 on base-2^b digits (_exact_tdot) and rebuilt as Python
-integers; the rejection loops realize permutations on plain tuples.
+integers. Permutations are read-only image tuples, and each rejection loop
+is capped by its exact acceptance odds (_tries).
 """
 
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -75,72 +76,60 @@ def _cycle_type(p: tuple) -> Tuple[int, ...]:
     return tuple(lengths)
 
 
-class Permutation:
-    """A bijection of {0..n-1} in one-line notation: images0[i] is the image
-    of i.
+class Permutation(tuple):
+    """A bijection of {0..n-1} in one-line notation, as the read-only tuple
+    of its images: p[i] is the image of i.
 
-    Composition is (p * q)(i) = p(q(i)).
+    Composition is (p * q)(i) = p(q(i)). Equality, hashing, pickling and len
+    are tuple's, so a Permutation equals the plain tuple of its images.
     """
 
-    __slots__ = ("images0",)
+    __slots__ = ()
 
-    def __init__(self, images0):
+    def __new__(cls, images0):
         t = tuple(images0)
         if sorted(t) != list(range(len(t))):
             raise ValueError("not a permutation of 0..n-1")
-        object.__setattr__(self, "images0", t)
+        return super().__new__(cls, t)
 
     @classmethod
     def _of(cls, images0: tuple) -> "Permutation":
         """Wrap an image tuple already known to be a permutation, without
         validating it again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images0", images0)
-        return p
+        return tuple.__new__(cls, images0)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        # pickle and deepcopy would restore the slot through __setattr__
-        return (Permutation, (self.images0,))
+    @property
+    def images0(self) -> tuple:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.images0)
+        return len(self)
 
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation._of(tuple(range(n)))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
+        if len(self) != len(other):
             raise ValueError("size mismatch")
-        return Permutation._of(_compose(self.images0, other.images0))
+        return Permutation._of(_compose(self, other))
 
     def inverse(self) -> "Permutation":
-        return Permutation._of(_inverse(self.images0))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images0 == other.images0
-
-    def __hash__(self):
-        return hash(self.images0)
+        return Permutation._of(_inverse(self))
 
     def is_identity(self) -> bool:
-        return self.images0 == tuple(range(self.n))
+        return self == tuple(range(len(self)))
 
     def cycle_type(self) -> Tuple[int, ...]:
-        return _cycle_type(self.images0)
+        return _cycle_type(self)
 
     def __repr__(self):
-        return f"Permutation({list(self.images0)})"
+        return f"Permutation({list(self)})"
 
 
 def commutator(A: Permutation, B: Permutation) -> Permutation:
     """A B A^-1 B^-1."""
-    if A.n != B.n:
-        raise ValueError("size mismatch")
     return A * B * A.inverse() * B.inverse()
 
 
@@ -310,36 +299,22 @@ class CharacterTable:
     last class is (1^n), so its column is the degrees d_lam. Products of
     character values and codimensions leave int64; every weight computes
     them exactly (_exact_tdot, triple_count) and returns Python ints.
+
+    index is the position of each partition (cycle type) in partitions,
+    order is n!, codims are n!/d_lam (each 1/d_lam becomes codim/n! in
+    integers; exact, since character_table checks that every degree
+    divides n!) and square_limbs is chi * chi entrywise as base-2^32
+    float64 limbs (_square_limbs). character_table builds them all.
     """
 
     n: int
     partitions: Tuple[Tuple[int, ...], ...]
     class_sizes: Tuple[int, ...]
     chi: np.ndarray
-
-    @cached_property
-    def index(self) -> dict:
-        """Position of each partition (cycle type) in partitions."""
-        return {lam: i for i, lam in enumerate(self.partitions)}
-
-    @cached_property
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(self.chi[:, -1].tolist())
-
-    @cached_property
-    def order(self) -> int:
-        return math.factorial(self.n)
-
-    @cached_property
-    def codims(self) -> Tuple[int, ...]:
-        """n!/d_lam, so that each 1/d_lam becomes codim/n! in integers;
-        exact, since character_table checks that every degree divides n!."""
-        return tuple(self.order // d for d in self.degrees)
-
-    @cached_property
-    def square_limbs(self) -> List[np.ndarray]:
-        """chi * chi entrywise as base-2^32 float64 limbs (_square_limbs)."""
-        return _square_limbs(self.chi)
+    index: dict
+    order: int
+    codims: Tuple[int, ...]
+    square_limbs: List[np.ndarray]
 
     def class_count(self, e_idx: int, c_idx: int, s: int) -> int:
         """|E||C| s / (n!)^2, checked to be a natural number: the class
@@ -373,13 +348,15 @@ def character_table(n: int) -> CharacterTable:
     X = _table_array(n)
     _verify_table(n, X)
     parts = partitions(n)
-    tab = CharacterTable(
+    order, degrees = math.factorial(n), tuple(X[:, -1].tolist())
+    if any(order % d for d in degrees):
+        raise ArithmeticError(f"a character degree does not divide {n}!")
+    return CharacterTable(
         n=n, partitions=parts,
         class_sizes=tuple(class_size(n, mu) for mu in parts), chi=X,
+        index={lam: i for i, lam in enumerate(parts)}, order=order,
+        codims=tuple(order // d for d in degrees), square_limbs=_square_limbs(X),
     )
-    if any(tab.order % d for d in tab.degrees):
-        raise ArithmeticError(f"a character degree does not divide {n}!")
-    return tab
 
 
 def _gram(X: np.ndarray) -> Tuple[int, List[np.ndarray]]:
@@ -501,8 +478,8 @@ def _pair_class_weights(n: int, c_type: Tuple[int, ...]) -> Tuple[int, ...]:
 
 # ------------------------------------------------------------- realizations
 #
-# The rejection loops and realizations below run on image tuples (p[i] is
-# the image of i) and wrap only their results as Permutation.
+# The rejection loops and realizations below run on plain image tuples and
+# wrap only their results as Permutation.
 
 
 @lru_cache(maxsize=None)
@@ -574,7 +551,11 @@ def _weighted_choice(weights, rng) -> int:
     raise AssertionError("unreachable")
 
 
-_REJECT_CAP = 100000
+def _tries(accepted: int, total: int) -> int:
+    """Tries for a rejection loop that accepts with odds accepted / total:
+    more than 64 / odds, so a valid draw runs out with probability below
+    (1 - odds)^(64 / odds) < e^-64."""
+    return 64 * total // accepted + 1
 
 
 def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
@@ -584,15 +565,17 @@ def _commutator_pair(c: Permutation, rng) -> Tuple[Permutation, Permutation]:
     under inversion): pairs with A in K number N_K(c) |Z_K|. Pick K by those
     exact weights, draw u uniform in K by rejection on u^-1 c landing back
     in K, then B runs over the coset b0 Z(u^-1) of solutions of
-    B u^-1 B^-1 = u^-1 c.
+    B u^-1 B^-1 = u^-1 c. N_K(c) of the |K| = n!/|Z_K| draws of u land, so
+    the rejection accepts with odds N_K(c) |Z_K| / n!, K's weight over n!.
     """
-    n = c.n
+    n = len(c)
     weights = _pair_class_weights(n, c.cycle_type())
-    ktype = partitions(n)[_weighted_choice(weights, rng)]
-    for _ in range(_REJECT_CAP):
+    k = _weighted_choice(weights, rng)
+    ktype = partitions(n)[k]
+    for _ in range(_tries(weights[k], math.factorial(n))):
         u = _uniform_in_class(n, ktype, rng)
         u_inv = _inverse(u)
-        v = _compose(u_inv, c.images0)
+        v = _compose(u_inv, c)
         if _cycle_type(v) == ktype:
             break
     else:
@@ -635,7 +618,7 @@ def _orbits_cover_all(n: int, gens) -> bool:
         return i
 
     for p in gens:
-        for i, j in enumerate(p.images0):
+        for i, j in enumerate(p):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
@@ -665,12 +648,11 @@ def sample_uniform_hom(n: int, g: int, seed) -> HomTuple:
     (A_k, B_k) realized uniformly over [A_k,B_k] = x_k, and the recursion
     continues toward target x_k^-1. Every weight is an exact integer, so
     the output law is exactly uniform (each tuple has probability
-    1/|Hom|, the product of its per-step factors).
+    1/|Hom|, the product of its per-step factors). x_k lands in its slice
+    with odds T(E,C;target) / |C|, which caps its rejection loop (_tries).
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in [1, {MAX_N}]")
     rng = random.Random(seed)
     tab = character_table(n)
     types = tab.partitions
@@ -695,11 +677,11 @@ def sample_uniform_hom(n: int, g: int, seed) -> HomTuple:
                         continue
                     tc = tab.triple_count(ei, ci, z_idx)
                     if tc:
-                        cand.append((ci, ei))
+                        cand.append((ci, ei, tc))
                         weights.append(mc * tc * fe)
-            ci, ei = cand[_weighted_choice(weights, rng)]
+            ci, ei, tc = cand[_weighted_choice(weights, rng)]
             etype = types[ei]
-            for _ in range(_REJECT_CAP):
+            for _ in range(_tries(tc, tab.class_sizes[ci])):
                 x = _uniform_in_class(n, types[ci], rng)
                 if _cycle_type(_compose(target, _inverse(x))) == etype:
                     break
