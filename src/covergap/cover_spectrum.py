@@ -72,8 +72,7 @@ def build_cover_operator(blocks: BlockFamily, hom: HomTuple) -> CoverOperator:
     if hom.genus != blocks.genus:
         raise ValueError(
             f"genus-{hom.genus} tuple cannot label genus-{blocks.genus} blocks")
-    perms = np.array([evaluate_word(hom, b.gamma[0]).images0 for b in blocks],
-                     dtype=np.intp)
+    perms = np.array([evaluate_word(hom, b.gamma[0]) for b in blocks], dtype=np.intp)
     m, n = blocks.m, hom.n
     return CoverOperator(
         blocks=blocks, m=m, n=n, dimension=m * (n - 1), perm_images=perms,

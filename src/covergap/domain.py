@@ -108,7 +108,7 @@ def build_grid(real: FuchsianRealization, target_m: int) -> QuadratureGrid:
 class OperatorBlock:
     """One translate's Nystrom block sqrt(w_j) 1[d(z_j, gamma z_k) <= t] sqrt(w_k)."""
 
-    gamma: tuple  # (word, Isometry)
+    gamma: tuple  # (word, read-only 2x2 matrix)
     matrix: object  # dense ndarray or csr_matrix
     hs_norm: float
     t: float
@@ -138,8 +138,7 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     depends on neither storage nor summation order, and a sparse block
     allocates no m x m array.
     """
-    word, M = gamma
-    image = mobius_apply(M.m, grid.xy)
+    image = mobius_apply(gamma[1], grid.xy)
     cosh_t = math.cosh(t)
     kept = []
     for lo in range(0, grid.m, ROW_CHUNK):
@@ -274,7 +273,7 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
     form). One block of each inverse pair is assembled; its partner is its
     transpose, as d(z_j, gamma^-1 z_k) = d(gamma z_j, z_k), stored the
     same way (CSR, or a C-ordered dense copy) with the same hs_norm and the
-    partner's own (word, Isometry). So the pair is adjoint by
+    partner's own (word, matrix). So the pair is adjoint by
     construction, and the two elements are checked to be inverses:
     M_i M_j = +-I entrywise to 1e-9 times the product of their largest
     entries. A zero block's partner is zero too, so the kept blocks stay
@@ -289,7 +288,7 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
         if j == i:
             continue
         h = elements[j]
-        P, N = g[1].m, h[1].m
+        P, N = g[1], h[1]
         dev = min(np.abs(P @ N - s * np.eye(2)).max() for s in (1.0, -1.0))
         if not dev <= 1e-9 * np.abs(P).max() * np.abs(N).max():
             raise ValueError(f"inverse partners {tuple(g[0])} and {tuple(h[0])} "

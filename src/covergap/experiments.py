@@ -619,19 +619,17 @@ def cmd_selberg_table(cfg: ExperimentConfig) -> dict:
 
 
 def _enumerate_hom_tuples(n: int):
-    """All genus-2 tuples (A,B,C,D) with [A,B][C,D] = e, as image keys."""
+    """All genus-2 tuples (A,B,C,D) of permutations with [A,B][C,D] = e."""
     if math.factorial(n) ** 2 > 2_000_000:
         raise ComputeError("enumeration memory cap exceeded")
     perms = [Permutation(p) for p in itertools.permutations(range(n))]
     pairs_by_comm = {}
     for a in perms:
         for b in perms:
-            key = commutator(a, b).images0
-            pairs_by_comm.setdefault(key, []).append((a.images0, b.images0))
-    inv_key = {p.images0: p.inverse().images0 for p in perms}
+            pairs_by_comm.setdefault(commutator(a, b), []).append((a, b))
     tuples = []
-    for ckey, plist in pairs_by_comm.items():
-        qlist = pairs_by_comm.get(inv_key[ckey], [])
+    for c, plist in pairs_by_comm.items():
+        qlist = pairs_by_comm.get(c.inverse(), [])
         for ab in plist:
             for cd in qlist:
                 tuples.append(ab + cd)
@@ -651,7 +649,7 @@ def cmd_sampler_validate(cfg: ExperimentConfig) -> dict:
         counts = np.zeros(len(tuples))
         for i in range(cfg.gof_draws):
             t = sample_uniform_hom(n, 2, seed=derived_seed(cfg.seed, "gof", n, i))
-            counts[index[tuple(p.images0 for p in t.gens)]] += 1
+            counts[index[t.gens]] += 1
         e = cfg.gof_draws / len(tuples)
         stat = float(((counts - e) ** 2 / e).sum())
         df = len(tuples) - 1

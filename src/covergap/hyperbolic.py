@@ -1,8 +1,9 @@
 """Upper half-plane hyperbolic geometry.
 
-Points, unit-determinant isometries acting by Mobius transformations,
-the distance function, hyperbolic ball areas and the radius-t ball
-indicator kernel k_t(z, w) = 1[d(z, w) <= t].
+Points, the distance function, hyperbolic ball areas, the radius-t ball
+indicator kernel k_t(z, w) = 1[d(z, w) <= t], and the Mobius action of
+2x2 matrices of determinant one, alone or stacked, on arrays of points
+(mobius_apply).
 
 Everything is kept in the half-plane model. The Poincare disk appears
 only transiently: inside the octagon construction (surface_group) and as
@@ -67,73 +68,6 @@ def ball_kernel(t: float, z: HPoint, w: HPoint) -> int:
     if t < 0:
         raise ValueError("radius must be nonnegative")
     return 1 if cosh_distance(z, w) <= math.cosh(t) else 0
-
-
-class Isometry:
-    """A 2x2 real matrix of determinant one acting on the half-plane.
-
-    M and -M act identically; equality and hashing-style keys are defined
-    up to that global sign.
-
-    The determinant is validated to be positive and renormalized only when
-    it is grossly off one (an unnormalized input matrix). Small apparent
-    drift is deliberately left alone: the Moebius action is scale invariant,
-    and for products of determinant-one factors the computed ad - bc is an
-    ill-conditioned measurement (noise of order eps * scale^2, amplified
-    further by cancellation in the product), so "correcting" it by a square
-    root injects far more entry error than the chain actually carries.
-    """
-
-    __slots__ = ("m",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("isometry needs a 2x2 matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = max(1.0, float(np.abs(m).max()))
-        noise = 64.0 * np.finfo(float).eps * scale * scale
-        if not det > 0:
-            if noise < 0.5:
-                raise ValueError(f"determinant must be positive, got {det}")
-        elif not 0.5 < det < 2.0 and noise < 0.25:
-            m = m / math.sqrt(det)
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Isometry is immutable")
-
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.m @ other.m)
-
-    def inverse(self) -> "Isometry":
-        a, b, c, d = self.m.ravel()
-        return Isometry(np.array([[d, -b], [-c, a]]))
-
-    def apply(self, z: HPoint) -> HPoint:
-        a, b, c, d = self.m.ravel()
-        den = (c * z.x + d) ** 2 + (c * z.y) ** 2
-        x = ((a * z.x + b) * (c * z.x + d) + a * c * z.y * z.y) / den
-        y = z.y / den
-        return HPoint(x, y)
-
-    def same_as(self, other: "Isometry", tol: float = 1e-9) -> bool:
-        """Projective equality: M equals +-N entrywise within tol."""
-        d_plus = np.abs(self.m - other.m).max()
-        d_minus = np.abs(self.m + other.m).max()
-        return min(d_plus, d_minus) <= tol
-
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return self.same_as(IDENTITY, tol)
-
-    def __repr__(self):
-        a, b, c, d = self.m.ravel()
-        return f"Isometry([[{a:.6g}, {b:.6g}], [{c:.6g}, {d:.6g}]])"
-
-
-IDENTITY = Isometry(np.eye(2))
 
 
 def geodesic_point(z: HPoint, w: HPoint, s: float) -> HPoint:

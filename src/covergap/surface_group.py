@@ -3,24 +3,19 @@
 Words over the standard generators a1, b1, ..., a_g, b_g (letters +-1..+-2g),
 Dehn's algorithm for the word problem, the explicit genus-2 realization from
 the regular hyperbolic octagon (the Bolza surface), and geometric enumeration
-of lattice points and operator support sets.
+of lattice points and operator support sets. A group element is a read-only
+float64 2x2 matrix of determinant one, up to sign.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .hyperbolic import (
-    IDENTITY,
-    HPoint,
-    Isometry,
-    distance,
-    mobius_apply,
-)
+from .hyperbolic import HPoint, distance, mobius_apply
 
 Word = tuple  # of signed ints
 
@@ -111,35 +106,45 @@ def dehn_reduce(w, p: SurfacePresentation) -> Word:
 # ---------------------------------------------------------------------------
 # Fuchsian realization
 
-@dataclass
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.flags.writeable = False
+    return M
+
+
+def _adjugate(M: np.ndarray) -> np.ndarray:
+    """[[d, -b], [-c, a]] of one 2x2 matrix or of each of a stack (n, 2, 2),
+    read-only: the inverse of determinant-one matrices, exact where
+    np.linalg.inv would round."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    return _read_only(np.stack([d, -b, -c, a], axis=-1).reshape(M.shape))
+
+
+@dataclass(frozen=True)
 class FuchsianRealization:
     """A surface group acting on the half-plane with a fundamental polygon.
 
-    generator_matrices realize a1, b1, ..., a_g, b_g; side_pairings are the
-    face-pairing isometries of the polygon together with their expressions
-    as words in the standard generators.
+    generator_matrices (2g, 2, 2) realize a1, b1, ..., a_g, b_g;
+    side_pairings (k, 2, 2) are the face-pairing matrices of the k-gon,
+    side_pairing_words their expressions as words in the standard
+    generators. Both stacks are read-only.
     """
 
     presentation: SurfacePresentation
-    generator_matrices: list
+    generator_matrices: np.ndarray
     base_point: HPoint
     domain_vertices: list
-    side_pairings: list = field(default_factory=list)
-    side_pairing_words: list = field(default_factory=list)
-    circumradius: float = 0.0
+    side_pairings: np.ndarray
+    side_pairing_words: list
+    circumradius: float
 
-    def __post_init__(self):
-        self._gen_inv = [m.inverse() for m in self.generator_matrices]
-
-    def letter_matrix(self, letter: int) -> Isometry:
-        if letter > 0:
-            return self.generator_matrices[letter - 1]
-        return self._gen_inv[-letter - 1]
+    def letter_matrix(self, letter: int) -> np.ndarray:
+        M = self.generator_matrices[abs(letter) - 1]
+        return M if letter > 0 else _adjugate(M)
 
 
-def evaluate(w, real: FuchsianRealization) -> Isometry:
+def evaluate(w, real: FuchsianRealization) -> np.ndarray:
     """Product of generator matrices along the word."""
-    M = IDENTITY
+    M = np.eye(2)
     for letter in w:
         M = M @ real.letter_matrix(letter)
     return M
@@ -182,25 +187,20 @@ def build_bolza_realization() -> FuchsianRealization:
     rho = math.acosh(1.0 + math.sqrt(2.0))          # apothem
     circum = BOLZA_CIRCUMRADIUS
 
-    g = [
-        Isometry(_rot_about_i(k * math.pi / 4.0)
-                 @ _translate_along_real(2.0 * rho)
-                 @ _rot_about_i(-k * math.pi / 4.0))
+    g = np.stack([
+        _rot_about_i(k * math.pi / 4.0)
+        @ _translate_along_real(2.0 * rho)
+        @ _rot_about_i(-k * math.pi / 4.0)
         for k in range(4)
-    ]
-    gi = [m.inverse() for m in g]
-
-    a1 = g[0] @ gi[1]
-    b1 = g[2] @ gi[3] @ gi[0]
-    a2 = g[2]
-    b2 = gi[3]
-    gens = [a1, b1, a2, b2]
+    ])
+    gi = _adjugate(g)
+    gens = _read_only(np.stack([g[0] @ gi[1], g[2] @ gi[3] @ gi[0], g[2], gi[3]]))
 
     pres = SurfacePresentation(2)
-    rel = IDENTITY
+    rel = np.eye(2)
     for letter in pres.relator:
-        rel = rel @ (gens[letter - 1] if letter > 0 else gens[-letter - 1].inverse())
-    if not rel.is_identity(1e-8):
+        rel = rel @ (gens[letter - 1] if letter > 0 else _adjugate(gens[-letter - 1]))
+    if not min(np.abs(rel - s * np.eye(2)).max() for s in (1.0, -1.0)) <= 1e-8:
         raise RuntimeError("octagon side pairings do not satisfy the surface relation")
 
     # vertices: disk radius tanh(circum/2), angles between side-pairing axes
@@ -210,7 +210,6 @@ def build_bolza_realization() -> FuchsianRealization:
         ang = -math.pi / 2.0 + math.pi / 8.0 + k * math.pi / 4.0
         vertices.append(_disk_to_halfplane(rv * math.cos(ang), rv * math.sin(ang)))
 
-    pairings = list(g) + gi
     pairing_words = list(_PAIRING_WORDS) + [inverse_word(w) for w in _PAIRING_WORDS]
 
     return FuchsianRealization(
@@ -218,7 +217,7 @@ def build_bolza_realization() -> FuchsianRealization:
         generator_matrices=gens,
         base_point=HPoint(0.0, 1.0),
         domain_vertices=vertices,
-        side_pairings=pairings,
+        side_pairings=_read_only(np.concatenate([g, gi])),
         side_pairing_words=pairing_words,
         circumradius=circum,
     )
@@ -230,10 +229,8 @@ def in_fundamental_domain(real: FuchsianRealization, z: HPoint, slack: float = 0
     slack < 0 demands strict interiority."""
     base = real.base_point
     d0 = distance(z, base)
-    for P in real.side_pairings:
-        if d0 > distance(z, P.apply(base)) + slack:
-            return False
-    return True
+    images = mobius_apply(real.side_pairings, np.array([[base.x, base.y]]))[:, 0]
+    return all(d0 <= distance(z, HPoint(x, y)) + slack for x, y in images.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,7 @@ class SupportSet:
     """Group elements paired with their standard-letter words, closed under
     inversion: partners[i] is the position of element i's inverse."""
 
-    elements: list          # of (Word, Isometry)
+    elements: list          # of (Word, read-only 2x2 matrix)
     partners: list          # of int
 
     def __len__(self):
@@ -314,7 +311,7 @@ def _search(real: FuchsianRealization, admit):
     bool array of that shape. Returns the _OrbitIndex of the elements
     found, and their matrices, free-reduced words and cosh displacements
     in the index's order."""
-    moves = np.stack([P.m for P in real.side_pairings])
+    moves = real.side_pairings
     index = _OrbitIndex()
     index.add(0.0, 1.0)
     mats, words, disps = [np.eye(2)], [()], [1.0]  # disps: cosh displacement
@@ -345,8 +342,17 @@ def _search(real: FuchsianRealization, admit):
     return index, mats, words, disps
 
 
+def _sorted_elements(real: FuchsianRealization, mats, words, disps, found):
+    """The found positions of a _search sorted by cosh displacement, word
+    length and word, and their (Dehn-reduced word, matrix) pairs, whose
+    matrices are the rows of one read-only stack."""
+    order = sorted(found, key=lambda i: (disps[i], len(words[i]), words[i]))
+    stack = _read_only(np.stack([mats[i] for i in order]))
+    return order, [(dehn_reduce(words[i], real.presentation), M) for i, M in zip(order, stack)]
+
+
 def lattice_points(real: FuchsianRealization, R: float) -> list:
-    """All gamma with d(base, gamma base) <= R, as (Word, Isometry) pairs,
+    """All gamma with d(base, gamma base) <= R, as (Word, matrix) pairs,
     by breadth-first search over the side-pairing moves.
 
     The search keeps every element whose displacement is at most
@@ -358,9 +364,8 @@ def lattice_points(real: FuchsianRealization, R: float) -> list:
     keep_cosh = _keep_cosh(R)
     prune_cosh = math.cosh(R + real.circumradius + 0.1)
     _, mats, words, disps = _search(real, lambda prods, coshd: coshd <= prune_cosh)
-    order = [i for i in range(len(mats)) if disps[i] <= keep_cosh]
-    order.sort(key=lambda i: (disps[i], len(words[i]), words[i]))
-    return [(dehn_reduce(words[i], real.presentation), Isometry(mats[i])) for i in order]
+    found = [i for i in range(len(mats)) if disps[i] <= keep_cosh]
+    return _sorted_elements(real, mats, words, disps, found)[1]
 
 
 _J = np.array([1.0, -1.0, -1.0])
@@ -430,7 +435,7 @@ def _translate_cosh_distance(P: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = _J * np.cross(A, B)
     n /= np.sqrt(-_dot(n, n))[:, None]
     c = _dot(A, B)
-    g_inv = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 1, 0], g[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+    g_inv = _adjugate(g)
 
     def to_sides(V):  # vertices V (n, k, 3) against P's sides
         VA, VB, Vn = (V @ (_J * X).T for X in (A, B, n))
@@ -484,11 +489,9 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
         return ok
 
     index, mats, words, disps = _search(real, admit)
-    x, y = mobius_apply(np.linalg.inv(np.stack(mats)), _I)[:, 0].T
+    x, y = mobius_apply(_adjugate(np.stack(mats)), _I)[:, 0].T
     inverse = [index.find(*p) for p in zip(x.tolist(), y.tolist())]
-    order = [i for i, j in enumerate(inverse) if j is not None and inverse[j] == i]
-    order.sort(key=lambda i: (disps[i], len(words[i]), words[i]))
+    found = [i for i, j in enumerate(inverse) if j is not None and inverse[j] == i]
+    order, elements = _sorted_elements(real, mats, words, disps, found)
     position = {i: k for k, i in enumerate(order)}
-    return SupportSet(
-        elements=[(dehn_reduce(words[i], real.presentation), Isometry(mats[i])) for i in order],
-        partners=[position[inverse[i]] for i in order])
+    return SupportSet(elements=elements, partners=[position[inverse[i]] for i in order])

@@ -67,8 +67,9 @@ def _side_matches(real, w, boundary):
     z = 1j * (1 + w[boundary]) / (1 - w[boundary])
     out = []
     for p, (P, word) in enumerate(zip(real.side_pairings, real.side_pairing_words)):
-        assert evaluate(word, real).same_as(P)
-        (a, b), (c, d) = P.m
+        M = evaluate(word, real)
+        assert min(np.abs(M - P).max(), np.abs(M + P).max()) <= 1e-9
+        (a, b), (c, d) = P
         image = (a * z + b) / (c * z + d)
         image = (image - 1j) / (image + 1j)
         dist, hit = tree.query(np.column_stack([image.real, image.imag]),

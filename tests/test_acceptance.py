@@ -258,7 +258,7 @@ def test_ac8_word_problem(bolza, report):
         u = rand_word(8, min_len=0)
         bad += dehn_reduce(u + pres.relator + inverse_word(u), pres) != ()
 
-    mats = {g: bolza.letter_matrix(int(g)).m for g in letters}
+    mats = {g: bolza.letter_matrix(int(g)) for g in letters}
     eye = np.eye(2)
 
     def is_id(M):

@@ -235,7 +235,7 @@ def _composed_pairs(blocks):
     """(gamma, delta, k): family positions with gamma != delta and
     M_gamma M_delta = +-M_k, the product gamma delta again a family
     element, matched by matrix up to sign."""
-    M = np.array([b.gamma[1].m for b in blocks])
+    M = np.array([b.gamma[1] for b in blocks])
     P = np.einsum("gij,djk->gdik", M, M)[:, :, None]
     dev = np.minimum(np.abs(P - M).max(axis=(-2, -1)), np.abs(P + M).max(axis=(-2, -1)))
     hits = np.argwhere(dev <= 1e-9 * np.abs(P).max(axis=(-2, -1)))

@@ -6,9 +6,7 @@ from scipy.integrate import quad
 
 import covergap.domain as domain
 from covergap.hyperbolic import (
-    IDENTITY,
     HPoint,
-    Isometry,
     ball_area,
     ball_kernel,
     cosh_distance,
@@ -86,19 +84,23 @@ def test_ball_kernel_basic():
     assert ball_kernel(0.7, z, w) == ball_kernel(0.7, w, z)
 
 
+def act(M, z: HPoint) -> HPoint:
+    """The image of one point under one matrix, by mobius_apply."""
+    return HPoint(*mobius_apply(M, np.array([[z.x, z.y]]))[0])
+
+
 def test_apply_identity_and_inverse():
     rng = np.random.default_rng(3)
     for _ in range(20):
         z = random_point(rng)
-        assert IDENTITY.apply(z) == z
+        assert act(np.eye(2), z) == z
         M = random_isometry(rng)
-        back = M.inverse().apply(M.apply(z))
+        back = act(np.linalg.inv(M), act(M, z))
         assert abs(back.x - z.x) < 1e-12 and abs(back.y - z.y) < 1e-12
 
 
 def test_apply_diagonal_scaling():
-    M = Isometry([[math.sqrt(2), 0], [0, 1 / math.sqrt(2)]])
-    img = M.apply(HPoint(0, 1))
+    img = act(np.diag([math.sqrt(2), 1 / math.sqrt(2)]), HPoint(0, 1))
     assert abs(img.x) < 1e-15 and abs(img.y - 2.0) < 1e-14
 
 
@@ -108,7 +110,7 @@ def random_isometry(rng):
     t = rng.uniform(-1.5, 1.5)
     R = np.array([[math.cos(th / 2), math.sin(th / 2)], [-math.sin(th / 2), math.cos(th / 2)]])
     T = np.array([[math.cosh(t / 2), math.sinh(t / 2)], [math.sinh(t / 2), math.cosh(t / 2)]])
-    return Isometry(R @ T)
+    return R @ T
 
 
 def test_distance_isometry_invariance():
@@ -116,7 +118,7 @@ def test_distance_isometry_invariance():
     for _ in range(100):
         M = random_isometry(rng)
         z, w = random_point(rng), random_point(rng)
-        assert abs(distance(M.apply(z), M.apply(w)) - distance(z, w)) < 1e-10
+        assert abs(distance(act(M, z), act(M, w)) - distance(z, w)) < 1e-10
 
 
 def test_determinant_stable_under_long_composition():
@@ -124,37 +126,15 @@ def test_determinant_stable_under_long_composition():
     # contract is checked on chains whose running product stays at the entry
     # scales the lattice code actually visits (~1e3, noise floor ~2e-9)
     rng = np.random.default_rng(23)
-    M = IDENTITY
+    M = np.eye(2)
     for _ in range(100):
         th = rng.uniform(0, 2 * math.pi)
         t = rng.uniform(-0.6, 0.6)
         R = np.array([[math.cos(th / 2), math.sin(th / 2)], [-math.sin(th / 2), math.cos(th / 2)]])
         T = np.array([[math.cosh(t / 2), math.sinh(t / 2)], [math.sinh(t / 2), math.cosh(t / 2)]])
-        M = M @ Isometry(R @ T)
-    det = float(np.linalg.det(M.m))
+        M = M @ (R @ T)
+    det = float(np.linalg.det(M))
     assert abs(det - 1.0) < 1e-8
-
-
-def test_gross_scale_renormalized_and_noise_left_alone():
-    base = random_isometry(np.random.default_rng(8))
-    scaled = Isometry(base.m * 2.0)  # det 4: clearly unnormalized input
-    assert np.allclose(scaled.m, base.m, rtol=0, atol=1e-12)
-    drifted = Isometry(base.m * (1.0 + 3e-8))  # noise-level drift: kept
-    assert np.allclose(drifted.m, base.m * (1.0 + 3e-8), rtol=0, atol=0)
-
-
-def test_isometry_rejects_singular_and_negative():
-    with pytest.raises(ValueError):
-        Isometry([[1, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        Isometry([[0, 1], [1, 0]])  # det -1 reverses orientation
-
-
-def test_sign_normalization_and_projective_equality():
-    M = random_isometry(np.random.default_rng(4))
-    neg = Isometry(-M.m)
-    assert M.same_as(neg)
-    assert not M.same_as(M @ M) or M.is_identity()
 
 
 def test_pairwise_cosh_distance_matches_scalar():
@@ -169,19 +149,22 @@ def test_pairwise_cosh_distance_matches_scalar():
 
 
 def test_mobius_apply_matches_scalar():
+    # the reference is (a z + b) / (c z + d) in complex arithmetic
     rng = np.random.default_rng(6)
     M = random_isometry(rng)
+    (a, b), (c, d) = M
     pts = np.array([[rng.uniform(-2, 2), math.exp(rng.uniform(-1, 1))] for _ in range(8)])
-    out = mobius_apply(M.m, pts)
+    out = mobius_apply(M, pts)
     for i in range(8):
-        ref = M.apply(HPoint(*pts[i]))
-        assert abs(out[i, 0] - ref.x) < 1e-12
-        assert abs(out[i, 1] - ref.y) < 1e-12
+        z = complex(*pts[i])
+        ref = (a * z + b) / (c * z + d)
+        assert abs(out[i, 0] - ref.real) < 1e-12
+        assert abs(out[i, 1] - ref.imag) < 1e-12
 
 
 def test_mobius_apply_stack_equals_one_by_one():
     rng = np.random.default_rng(7)
-    mats = np.stack([random_isometry(rng).m for _ in range(5)])
+    mats = np.stack([random_isometry(rng) for _ in range(5)])
     pts = np.array([[rng.uniform(-2, 2), math.exp(rng.uniform(-1, 1))] for _ in range(9)])
     out = mobius_apply(mats, pts)
     assert out.shape == (5, 9, 2)

@@ -23,7 +23,7 @@ ORACLES = {
                 "side-pairing tests compare with (AC8 reads letter_matrix)",
     "in_fundamental_domain": "the Dirichlet-domain check of the grid nodes",
     "linearized_lower_bound": "goes once the benchmark stops wrapping "
-                              "gap_lower_bound_coefficient (ROADMAP items 6 and 13)",
+                              "gap_lower_bound_coefficient (ROADMAP items 6 and 14)",
 }
 
 

@@ -45,7 +45,7 @@ def real():
 
 def _displacement(M):
     """d(i, M i) from the matrix entries: cosh d = (a^2 + b^2 + c^2 + d^2) / 2."""
-    return math.acosh(max(1.0, float((M.m ** 2).sum()) / 2.0))
+    return math.acosh(max(1.0, float((M ** 2).sum()) / 2.0))
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,11 @@ def random_reduced_word(rng, length):
             continue
         w.append(l)
     return tuple(w)
+
+
+def act(M, z: HPoint) -> HPoint:
+    """The image of one point under one matrix, by mobius_apply."""
+    return HPoint(*mobius_apply(M, np.array([[z.x, z.y]]))[0])
 
 
 def proj_close(A, B, rtol=1e-10):
@@ -144,7 +149,7 @@ def test_short_words_never_trivial(real, pres):
             for l in LETTERS:
                 if w and l == -w[-1]:
                     continue
-                nxt[w + (l,)] = M @ real.letter_matrix(l).m
+                nxt[w + (l,)] = M @ real.letter_matrix(l)
         for w, M in nxt.items():
             assert dehn_reduce(w, pres) != ()
             margin = min(margin, min(np.abs(M - eye).max(), np.abs(M + eye).max()))
@@ -164,8 +169,8 @@ def test_dehn_preserves_group_element(real, pres):
         k = rng.randrange(8)
         piece = (r[k:] + r[:k])[: rng.randint(5, 8)]
         w = free_reduce(u + piece + v)
-        A = evaluate(w, real).m
-        B = evaluate(dehn_reduce(w, pres), real).m
+        A = evaluate(w, real)
+        B = evaluate(dehn_reduce(w, pres), real)
         # the unreduced product passes through larger intermediates than the
         # reduced one, so allow a little forward-error headroom
         assert proj_close(A, B, rtol=1e-9)
@@ -175,7 +180,7 @@ def test_dehn_preserves_group_element(real, pres):
 
 def test_generator_traces_and_translation_lengths(real):
     for M in real.generator_matrices:
-        tr = abs(np.trace(M.m))
+        tr = abs(np.trace(M))
         assert tr == pytest.approx(2.0 + 2.0 * SQRT2, abs=1e-9)
         length = 2.0 * math.acosh(tr / 2.0)
         assert length == pytest.approx(2.0 * math.acosh(1.0 + SQRT2), abs=1e-9)
@@ -183,14 +188,14 @@ def test_generator_traces_and_translation_lengths(real):
 
 def test_relator_evaluates_to_identity(real):
     M = evaluate(real.presentation.relator, real)
-    assert np.abs(M.m - np.eye(2)).max() < 1e-9
+    assert np.abs(M - np.eye(2)).max() < 1e-9
 
 
 def test_side_pairing_words_match_matrices(real):
     for P, w in zip(real.side_pairings, real.side_pairing_words):
-        assert proj_close(evaluate(w, real).m, P.m, rtol=1e-10)
-        assert abs(np.trace(P.m)) > 2.0 + 1e-6
-        d = distance(real.base_point, P.apply(real.base_point))
+        assert proj_close(evaluate(w, real), P, rtol=1e-10)
+        assert abs(np.trace(P)) > 2.0 + 1e-6
+        d = distance(real.base_point, act(P, real.base_point))
         assert d == pytest.approx(2.0 * math.acosh(1.0 + SQRT2), abs=1e-9)
 
 
@@ -241,7 +246,7 @@ def test_side_pairings_glue_sides(real):
         return False
 
     for P in real.side_pairings:
-        glued = sum(1 for v, w in sides if is_side(P.apply(v), P.apply(w)))
+        glued = sum(1 for v, w in sides if is_side(act(P, v), act(P, w)))
         assert glued >= 1
 
 
@@ -252,8 +257,24 @@ def test_in_fundamental_domain(real):
         assert not in_fundamental_domain(real, v, slack=-1e-6)
     assert not in_fundamental_domain(real, HPoint(5.0, 0.01))
     for P in real.side_pairings:
-        z = P.apply(real.base_point)
+        z = act(P, real.base_point)
         assert not in_fundamental_domain(real, z, slack=-1e-6)
+
+
+@pytest.mark.parametrize("stored", [
+    lambda real: real.side_pairings,
+    lambda real: real.generator_matrices,
+    lambda real: [M for _, M in support_set(real, 1.0).elements],
+    lambda real: [M for _, M in lattice_points(real, 5.0)],
+], ids=["side_pairings", "generator_matrices", "support_set", "lattice_points"])
+def test_group_elements_are_read_only_matrices(real, stored):
+    # a group element is a float64 2x2 array that no caller can write to
+    mats = stored(real)
+    assert len(mats) > 0
+    for M in mats:
+        assert isinstance(M, np.ndarray) and M.dtype == np.float64 and M.shape == (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------- lattice
@@ -263,7 +284,7 @@ def test_lattice_origin(real):
     assert len(L) == 1
     w, M = L[0]
     assert w == ()
-    assert M.is_identity()
+    assert proj_close(M, np.eye(2))
     assert _displacement(M) == 0.0
 
 
@@ -272,7 +293,7 @@ def test_lattice_r4_identity_plus_pairings(real):
     assert len(L) == 9
     mats = [M for _, M in L]
     for P in real.side_pairings:
-        assert sum(1 for M in mats if M.same_as(P, tol=1e-8)) == 1
+        assert sum(1 for M in mats if proj_close(M, P, rtol=1e-8)) == 1
     disps = sorted(map(_displacement, mats))
     assert disps[0] == 0.0
     for d in disps[1:]:
@@ -284,8 +305,8 @@ def test_lattice_words_and_displacements_consistent(real):
     base = real.base_point
     disps = []
     for w, M in L:
-        assert proj_close(evaluate(w, real).m, M.m, rtol=1e-9)
-        disps.append(distance(base, M.apply(base)))
+        assert proj_close(evaluate(w, real), M, rtol=1e-9)
+        disps.append(distance(base, act(M, base)))
         assert disps[-1] == pytest.approx(_displacement(M), abs=1e-9)
         assert dehn_reduce(w, real.presentation) == w
     # sorted by displacement, up to roundoff between equal displacements
@@ -316,7 +337,7 @@ def test_lattice_rejects_non_finite_radius(real, R):
 def test_lattice_against_unpruned_enumeration(real):
     # oracle: all products of side pairings to depth 7, no pruning, dedup by
     # rounded sign-normalized entries; compare the displacement <= R slices
-    gens = np.array([P.m for P in real.side_pairings])
+    gens = real.side_pairings
     base = real.base_point
 
     def keys(mats):
@@ -354,7 +375,7 @@ def test_lattice_against_unpruned_enumeration(real):
     for R in (4.0, 5.0):
         want = {tuple(k) for k in keys(all_mats[disp <= R + 1e-9])}
         L = lattice_points(real, R)
-        got = {tuple(k) for k in keys(np.array([M.m for _, M in L]))}
+        got = {tuple(k) for k in keys(np.array([M for _, M in L]))}
         assert got == want
 
 
@@ -370,7 +391,7 @@ def test_lattice_at_cap_has_distinct_orbit_points(real):
     # neighbours of one orbit level 2 sinh(apothem) = 4.39)
     L = lattice_points(real, MAX_R)
     assert len(L) == 40905
-    x, y = _orbit_points(np.array([M.m for _, M in L]))
+    x, y = _orbit_points(np.array([M for _, M in L]))
     X1, X2 = x / y, (x * x + y * y - 1.0) / (2.0 * y)
     cells = {}
     for k, key in enumerate(zip(np.floor(X1 / 5.0).astype(int),
@@ -390,7 +411,7 @@ def test_lattice_at_cap_has_distinct_orbit_points(real):
 
 
 def test_orbit_index_finds_perturbed_elements(real):
-    mats = np.array([M.m for _, M in lattice_points(real, 6.0)])
+    mats = np.array([M for _, M in lattice_points(real, 6.0)])
     index = _OrbitIndex()
     for x, y in zip(*_orbit_points(mats)):
         index.add(x, y)
@@ -416,8 +437,8 @@ def test_support_identity_and_pairings(real):
     assert () in [w for w, _ in ss.elements]
     mats = [M for _, M in ss.elements]
     for P in real.side_pairings:
-        assert any(M.same_as(P, tol=1e-8) for M in mats)
-        assert any(M.same_as(P.inverse(), tol=1e-8) for M in mats)
+        assert any(proj_close(M, P, rtol=1e-8) for M in mats)
+        assert any(proj_close(M, np.linalg.inv(P), rtol=1e-8) for M in mats)
     assert support_radius(0.5) >= 2.0 * real.circumradius + 0.5
     assert max(map(_displacement, mats)) <= support_radius(0.5)
 
@@ -426,8 +447,8 @@ def test_support_inverse_closed(real):
     ss = support_set(real, 1.0)
     mats = [M for _, M in ss.elements]
     for M in mats:
-        Minv = M.inverse()
-        assert any(N.same_as(Minv, tol=1e-7) for N in mats)
+        Minv = np.linalg.inv(M)
+        assert any(proj_close(N, Minv, rtol=1e-7) for N in mats)
 
 
 def test_support_counts_and_growth(real):
@@ -458,7 +479,7 @@ def test_support_t0_elements_touch_domain(real):
     ss = support_set(real, 0.0)
     X = np.array([[p.x, p.y] for p in pts])
     for wd, M in ss.elements:
-        a, b, c, d = M.m.ravel()
+        a, b, c, d = M.ravel()
         den = (c * X[:, 0] + d) ** 2 + (c * X[:, 1]) ** 2
         gx = ((a * X[:, 0] + b) * (c * X[:, 0] + d) + a * c * X[:, 1] ** 2) / den
         gy = X[:, 1] / den
@@ -491,7 +512,7 @@ def _bracketed_distances(real, t, per_side):
     1e-10 relative on the cosh scale; the largest excess measured out to
     t = 7 is 2e-13."""
     cand = lattice_points(real, support_radius(t))
-    mats = np.stack([M.m for _, M in cand])
+    mats = np.stack([M for _, M in cand])
     exact = _translate_cosh_distance(_vertex_rows(real), mats)
     S, gap = _boundary_samples(real, per_side)
     sampled = np.array([pairwise_cosh_distance(S, mobius_apply(M, S)).min() for M in mats])
@@ -520,8 +541,8 @@ def test_support_set_equals_dense_filter(real, t):
     want = [g for g, c in zip(cand, exact) if c <= math.cosh(t) * (1.0 + 1e-7)]
     ss = support_set(real, t)
     assert [w for w, _ in ss.elements] == [w for w, _ in want]
-    assert [M.m.tobytes() for _, M in ss.elements] == [M.m.tobytes() for _, M in want]
-    assert _dense_partners(np.stack([M.m for _, M in ss.elements])) == [[j] for j in ss.partners]
+    assert [M.tobytes() for _, M in ss.elements] == [M.tobytes() for _, M in want]
+    assert _dense_partners(np.stack([M for _, M in ss.elements])) == [[j] for j in ss.partners]
 
 
 @pytest.mark.parametrize("t", [1.0, 4.0])
@@ -547,7 +568,7 @@ def test_support_set_drops_an_element_whose_inverse_is_rejected(real, monkeypatc
     full = support_set(real, 1.0)
     i = len(full) - 1
     j = full.partners[i]
-    gone = full.elements[j][1].m
+    gone = full.elements[j][1]
     exact = _translate_cosh_distance
 
     def rejecting(P, g):
@@ -558,9 +579,9 @@ def test_support_set_drops_an_element_whose_inverse_is_rejected(real, monkeypatc
 
     monkeypatch.setattr("covergap.surface_group._translate_cosh_distance", rejecting)
     ss = support_set(real, 1.0)
-    mats = np.stack([M.m for _, M in ss.elements])
+    mats = np.stack([M for _, M in ss.elements])
     for k in (i, j):
-        M = full.elements[k][1].m
+        M = full.elements[k][1]
         assert np.minimum(np.abs(mats - M).max(axis=(1, 2)),
                           np.abs(mats + M).max(axis=(1, 2))).min() > 1e-3
     assert len(ss) == len(full) - 2
