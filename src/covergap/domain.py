@@ -15,7 +15,6 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse, vstack
 
 from .hyperbolic import (
-    HPoint,
     ball_candidates,
     disk_tree,
     distance,
@@ -23,7 +22,7 @@ from .hyperbolic import (
     mobius_apply,
     pairwise_cosh_distance,
 )
-from .surface_group import FuchsianRealization
+from .surface_group import BASE_POINT, FuchsianRealization
 
 SPARSE_DENSITY = 0.25
 ROW_CHUNK = 512  # translated nodes per candidate-and-keep pass of assemble_block
@@ -46,8 +45,9 @@ class QuadratureGrid:
         self.tree = disk_tree(self.xy)
 
 
-def _triangle_area(A: HPoint, B: HPoint, C: HPoint) -> float:
-    """Angle deficit pi - alpha - beta - gamma via the law of cosines."""
+def _triangle_area(A, B, C) -> float:
+    """Angle deficit pi - alpha - beta - gamma of the triangle of three
+    (x, y) points, via the law of cosines."""
     a = distance(B, C)
     b = distance(A, C)
     c = distance(A, B)
@@ -61,7 +61,7 @@ def _triangle_area(A: HPoint, B: HPoint, C: HPoint) -> float:
     return math.pi - angle(b, c, a) - angle(a, c, b) - angle(a, b, c)
 
 
-def _triangle_node(A: HPoint, B: HPoint, C: HPoint) -> HPoint:
+def _triangle_node(A, B, C) -> tuple:
     """Approximate hyperbolic centroid: 2/3 along the median from A."""
     return geodesic_point(A, geodesic_point(B, C, 0.5), 2.0 / 3.0)
 
@@ -79,8 +79,8 @@ def build_grid(real: FuchsianRealization, target_m: int) -> QuadratureGrid:
     if abs(8 * (k + 1) ** 2 - target_m) < abs(8 * k * k - target_m):
         k += 1
 
-    verts = real.domain_vertices
-    center = real.base_point
+    verts = real.domain_vertices.tolist()  # Python floats for geodesic_point
+    center = BASE_POINT
     points, weights = [], []
     for j in range(len(verts)):
         vL, vR = verts[j], verts[(j + 1) % len(verts)]
@@ -100,8 +100,7 @@ def build_grid(real: FuchsianRealization, target_m: int) -> QuadratureGrid:
                     tri = (rows[i][jj], rows[i][jj + 1], rows[i + 1][jj + 1])
                     points.append(_triangle_node(*tri))
                     weights.append(_triangle_area(*tri))
-    xy = np.array([[p.x, p.y] for p in points])
-    return QuadratureGrid(xy=xy, weights=np.array(weights), m=len(points))
+    return QuadratureGrid(xy=np.array(points), weights=np.array(weights), m=len(points))
 
 
 @dataclass
@@ -127,7 +126,7 @@ class OperatorBlock:
 
 def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     """Indicator-kernel block for one translate, stored sparse below 25%
-    density. The kernel is compared on the cosh scale, matching ball_kernel.
+    density. The kernel is compared on the cosh scale: no arccosh.
 
     Only the node pairs that ball_candidates returns for the grid's tree are
     tested; they include every pair within cosh t, so the kept pairs are

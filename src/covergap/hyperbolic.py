@@ -1,9 +1,9 @@
 """Upper half-plane hyperbolic geometry.
 
-Points, the distance function, hyperbolic ball areas, the radius-t ball
-indicator kernel k_t(z, w) = 1[d(z, w) <= t], and the Mobius action of
-2x2 matrices of determinant one, alone or stacked, on arrays of points
-(mobius_apply).
+A point x + iy is an (x, y) pair of floats, and many points are the rows of
+a (k, 2) float array. The distance function, hyperbolic ball areas, and the
+Mobius action of 2x2 matrices of determinant one, alone or stacked, on
+arrays of points (mobius_apply).
 
 Everything is kept in the half-plane model. The Poincare disk appears
 only transiently: inside the octagon construction (surface_group) and as
@@ -16,41 +16,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """A point x + iy in the open upper half-plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (self.y > 0.0) or not math.isfinite(self.y) or not math.isfinite(self.x):
-            raise ValueError(f"point must have finite coordinates and y > 0, got {self.x}, {self.y}")
-
-
-def cosh_distance(z: HPoint, w: HPoint) -> float:
-    """cosh d(z, w); cheaper than distance and monotone in it."""
-    dx = z.x - w.x
-    dy = z.y - w.y
-    return 1.0 + (dx * dx + dy * dy) / (2.0 * z.y * w.y)
-
-
-def distance(z: HPoint, w: HPoint) -> float:
-    """Hyperbolic distance arccosh(1 + |z-w|^2 / (2 Im z Im w)).
+def distance(z, w) -> float:
+    """Hyperbolic distance arccosh(1 + |z-w|^2 / (2 Im z Im w)) between
+    two (x, y) points.
 
     For nearly coincident points arccosh(1 + eps) loses all precision, so
     the excess eps is computed before the 1.0 is ever added and below
     eps = 1e-12 the asymptotic sqrt(2 eps) is returned instead.
     """
-    dx = z.x - w.x
-    dy = z.y - w.y
-    eps = (dx * dx + dy * dy) / (2.0 * z.y * w.y)
+    (zx, zy), (wx, wy) = z, w
+    dx = zx - wx
+    dy = zy - wy
+    eps = (dx * dx + dy * dy) / (2.0 * zy * wy)
     if eps < 1e-12:
         return math.sqrt(2.0 * eps)
     return math.acosh(1.0 + eps)
@@ -63,15 +45,9 @@ def ball_area(t: float) -> float:
     return 2.0 * math.pi * (math.cosh(t) - 1.0)
 
 
-def ball_kernel(t: float, z: HPoint, w: HPoint) -> int:
-    """Indicator of d(z, w) <= t, compared on the cosh scale (no arccosh)."""
-    if t < 0:
-        raise ValueError("radius must be nonnegative")
-    return 1 if cosh_distance(z, w) <= math.cosh(t) else 0
-
-
-def geodesic_point(z: HPoint, w: HPoint, s: float) -> HPoint:
-    """The point at parameter s in [0, 1] along the geodesic from z to w.
+def geodesic_point(z, w, s: float) -> tuple:
+    """The (x, y) point at parameter s in [0, 1] along the geodesic from
+    the point z to the point w; z itself below d = 1e-14.
 
     Computed on the hyperboloid sheet X0^2 - X1^2 - X2^2 = 1, where z is
     ((|z|^2 + 1) / 2y, x / y, (|z|^2 - 1) / 2y) and the unit-speed geodesic
@@ -82,14 +58,15 @@ def geodesic_point(z: HPoint, w: HPoint, s: float) -> HPoint:
     d = distance(z, w)
     if d < 1e-14:
         return z
+    (zx, zy), (wx, wy) = z, w
     a, b, c = math.sinh((1.0 - s) * d), math.sinh(s * d), math.sinh(d)
-    rz = z.x * z.x + z.y * z.y
-    rw = w.x * w.x + w.y * w.y
-    X0 = (a * ((rz + 1.0) / (2.0 * z.y)) + b * ((rw + 1.0) / (2.0 * w.y))) / c
-    X1 = (a * (z.x / z.y) + b * (w.x / w.y)) / c
-    X2 = (a * ((rz - 1.0) / (2.0 * z.y)) + b * ((rw - 1.0) / (2.0 * w.y))) / c
+    rz = zx * zx + zy * zy
+    rw = wx * wx + wy * wy
+    X0 = (a * ((rz + 1.0) / (2.0 * zy)) + b * ((rw + 1.0) / (2.0 * wy))) / c
+    X1 = (a * (zx / zy) + b * (wx / wy)) / c
+    X2 = (a * ((rz - 1.0) / (2.0 * zy)) + b * ((rw - 1.0) / (2.0 * wy))) / c
     y = 1.0 / (X0 - X2)
-    return HPoint(X1 * y, y)
+    return X1 * y, y
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hyperbolic import HPoint, distance, mobius_apply
+from .hyperbolic import mobius_apply
 
 Word = tuple  # of signed ints
 
@@ -124,15 +124,15 @@ class FuchsianRealization:
     """A surface group acting on the half-plane with a fundamental polygon.
 
     generator_matrices (2g, 2, 2) realize a1, b1, ..., a_g, b_g;
-    side_pairings (k, 2, 2) are the face-pairing matrices of the k-gon,
-    side_pairing_words their expressions as words in the standard
-    generators. Both stacks are read-only.
+    domain_vertices (k, 2) are the k-gon's vertices in order, about the
+    base point BASE_POINT; side_pairings (k, 2, 2) are its face-pairing
+    matrices, side_pairing_words their expressions as words in the
+    standard generators. The arrays are read-only.
     """
 
     presentation: SurfacePresentation
     generator_matrices: np.ndarray
-    base_point: HPoint
-    domain_vertices: list
+    domain_vertices: np.ndarray
     side_pairings: np.ndarray
     side_pairing_words: list
     circumradius: float
@@ -161,15 +161,16 @@ def _translate_along_real(length: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def _disk_to_halfplane(wx: float, wy: float) -> HPoint:
+def _disk_to_halfplane(wx: float, wy: float) -> tuple:
     # inverse Cayley transform, disk center -> i
     den = (1.0 - wx) ** 2 + wy ** 2
-    return HPoint(-2.0 * wy / den, (1.0 - wx * wx - wy * wy) / den)
+    return -2.0 * wy / den, (1.0 - wx * wx - wy * wy) / den
 
 
 # words expressing the octagon side pairings g0..g3 in the standard letters
 _PAIRING_WORDS = [(-2, 3, 4), (-1, -2, 3, 4), (3,), (-4,)]
 BOLZA_CIRCUMRADIUS = math.acosh(3.0 + 2.0 * math.sqrt(2.0))
+BASE_POINT = (0.0, 1.0)  # i, the centre of the fundamental polygon
 
 
 def build_bolza_realization() -> FuchsianRealization:
@@ -205,32 +206,19 @@ def build_bolza_realization() -> FuchsianRealization:
 
     # vertices: disk radius tanh(circum/2), angles between side-pairing axes
     rv = math.tanh(circum / 2.0)
-    vertices = []
-    for k in range(8):
-        ang = -math.pi / 2.0 + math.pi / 8.0 + k * math.pi / 4.0
-        vertices.append(_disk_to_halfplane(rv * math.cos(ang), rv * math.sin(ang)))
+    angles = (-math.pi / 2.0 + math.pi / 8.0 + k * math.pi / 4.0 for k in range(8))
+    vertices = [_disk_to_halfplane(rv * math.cos(a), rv * math.sin(a)) for a in angles]
 
     pairing_words = list(_PAIRING_WORDS) + [inverse_word(w) for w in _PAIRING_WORDS]
 
     return FuchsianRealization(
         presentation=pres,
         generator_matrices=gens,
-        base_point=HPoint(0.0, 1.0),
-        domain_vertices=vertices,
+        domain_vertices=_read_only(np.array(vertices)),
         side_pairings=_read_only(np.concatenate([g, gi])),
         side_pairing_words=pairing_words,
         circumradius=circum,
     )
-
-
-def in_fundamental_domain(real: FuchsianRealization, z: HPoint, slack: float = 0.0) -> bool:
-    """Dirichlet-domain membership: z is no farther from the base point than
-    from any of its side-pairing translates. slack > 0 admits a margin,
-    slack < 0 demands strict interiority."""
-    base = real.base_point
-    d0 = distance(z, base)
-    images = mobius_apply(real.side_pairings, np.array([[base.x, base.y]]))[:, 0]
-    return all(d0 <= distance(z, HPoint(x, y)) + slack for x, y in images.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +239,7 @@ class SupportSet:
 MAX_R = 12.0  # displacement cap of lattice_points and support_set
 
 
-_I = np.array([[0.0, 1.0]])  # the point i, as mobius_apply's (1, 2) array
+_I = np.array([BASE_POINT])  # as mobius_apply's (1, 2) array
 
 
 def _cell(x: float, y: float):
@@ -313,7 +301,7 @@ def _search(real: FuchsianRealization, admit):
     in the index's order."""
     moves = real.side_pairings
     index = _OrbitIndex()
-    index.add(0.0, 1.0)
+    index.add(*BASE_POINT)
     mats, words, disps = [np.eye(2)], [()], [1.0]  # disps: cosh displacement
 
     level = [0]
@@ -481,11 +469,10 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
         raise ValueError("t must be nonnegative")
     near_cosh = _keep_cosh(support_radius(t, real.circumradius))
     cosh_t = math.cosh(t) * (1.0 + 1e-7)
-    P = np.array([[v.x, v.y] for v in real.domain_vertices])
 
     def admit(prods, coshd):
         ok = coshd <= near_cosh
-        ok[ok] = _translate_cosh_distance(P, prods[ok]) <= cosh_t
+        ok[ok] = _translate_cosh_distance(real.domain_vertices, prods[ok]) <= cosh_t
         return ok
 
     index, mats, words, disps = _search(real, admit)

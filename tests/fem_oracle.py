@@ -20,7 +20,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from covergap.hyperbolic import geodesic_point
-from covergap.surface_group import evaluate
+from covergap.surface_group import BASE_POINT, evaluate
 from covergap.symmetric_group import evaluate_word
 
 # Dunavant's 6-point rule, exact for degree 4: (barycentric a, weight), each
@@ -33,7 +33,7 @@ def fan_mesh(real, k: int):
     """Vertices (complex disk coordinates), triangles (T, 3) and boundary
     vertex indices of the fan mesh with k subdivisions per spoke. Vertices
     on a spoke are shared by its two fan triangles."""
-    verts, center = real.domain_vertices, real.base_point
+    verts, center = real.domain_vertices.tolist(), BASE_POINT
     points = [center]
 
     def add(p):
@@ -56,7 +56,7 @@ def fan_mesh(real, k: int):
                 if jj < i:
                     tris.append((rows[i][jj], rows[i][jj + 1], rows[i + 1][jj + 1]))
         boundary += rows[k]
-    z = np.array([complex(p.x, p.y) for p in points])
+    z = np.array([complex(*p) for p in points])
     return (z - 1j) / (z + 1j), np.array(tris), np.unique(boundary)
 
 

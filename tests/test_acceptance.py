@@ -288,9 +288,12 @@ def test_ac8_word_problem(bolza, report):
     assert ok, (bad, mismatch[0])
 
 
-def test_ac9_thread_determinism(tmp_path, report, monkeypatch):
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_ac9_thread_determinism(tmp_path, report, monkeypatch, t):
     # the covers are solved on a pool with one worker per CPU, or in the
-    # driver's process on a one-CPU host: the CSV must not tell them apart
+    # driver's process on a one-CPU host: the CSV must not tell them apart,
+    # at t = 1 (every block sparse) and at t = 2 (the identity block dense,
+    # so its products go through BLAS on both paths)
     t0 = time.perf_counter()
     outs, workers = {}, {}
     for tag in ("a", "b", "c"):
@@ -298,7 +301,7 @@ def test_ac9_thread_determinism(tmp_path, report, monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                                 raising=False)
         cfg = make_config(overrides=dict(
-            grid_m=120, n_list=[2, 4], samples_per_n=3, seed=7,
+            t=t, grid_m=120, n_list=[2, 4], samples_per_n=3, seed=7,
             output_dir=str(tmp_path / tag),
         ))
         res = cmd_gap_sweep(cfg)
@@ -307,8 +310,8 @@ def test_ac9_thread_determinism(tmp_path, report, monkeypatch):
     wall = time.perf_counter() - t0
     ok = outs["a"] == outs["b"] == outs["c"] and workers["c"] == 1
     report(
-        f"AC9 {'PASS' if ok else 'FAIL'}: gap-sweep CSV byte-identical over "
-        f"repeat run and {workers['a']} workers vs the one-CPU path "
+        f"AC9 {'PASS' if ok else 'FAIL'}: t = {t:g} gap-sweep CSV byte-identical "
+        f"over repeat run and {workers['a']} workers vs the one-CPU path "
         f"({len(outs['a'])} bytes, {wall:.1f}s)"
     )
     assert ok

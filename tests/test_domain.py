@@ -19,7 +19,6 @@ from covergap.domain import (
     svd_truncate,
 )
 from covergap.hyperbolic import (
-    HPoint,
     ball_candidates,
     distance,
     mobius_apply,
@@ -29,13 +28,13 @@ from covergap.surface_group import (
     SupportSet,
     build_bolza_realization,
     dehn_reduce,
-    in_fundamental_domain,
     inverse_word,
     lattice_points,
     support_radius,
     support_set,
 )
 from covergap.symmetric_group import sample_uniform_hom
+from geometry_oracle import in_fundamental_domain
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +88,7 @@ def test_grid_sizes_and_weight_sum(real):
 def test_grid_nodes_strictly_inside(real):
     g = build_grid(real, 400)
     for row in g.xy:
-        assert in_fundamental_domain(real, HPoint(*row), slack=-1e-9)
+        assert in_fundamental_domain(real, row, slack=-1e-9)
 
 
 def test_grid_rejects_small_target(real):

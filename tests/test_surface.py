@@ -17,11 +17,8 @@ SOURCES = sorted((ROOT / "src" / "covergap").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 ORACLES = {
-    "ball_kernel": "the scalar kernel k_t whose cosh-scale test assemble_block "
-                   "vectorizes",
     "evaluate": "the matrix of a word, which the Dehn-reduction and "
                 "side-pairing tests compare with (AC8 reads letter_matrix)",
-    "in_fundamental_domain": "the Dirichlet-domain check of the grid nodes",
     "linearized_lower_bound": "goes once the benchmark stops wrapping "
                               "gap_lower_bound_coefficient (ROADMAP items 6 and 14)",
 }

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from covergap.hyperbolic import (
-    HPoint,
     distance,
     geodesic_point,
     mobius_apply,
     pairwise_cosh_distance,
 )
 from covergap.surface_group import (
+    BASE_POINT,
     MAX_R,
     _cell,
     _OrbitIndex,
@@ -27,12 +27,12 @@ from covergap.surface_group import (
     dehn_reduce,
     evaluate,
     free_reduce,
-    in_fundamental_domain,
     inverse_word,
     lattice_points,
     support_radius,
     support_set,
 )
+from geometry_oracle import act, in_fundamental_domain
 
 SQRT2 = math.sqrt(2.0)
 LETTERS = (1, 2, 3, 4, -1, -2, -3, -4)
@@ -61,11 +61,6 @@ def random_reduced_word(rng, length):
             continue
         w.append(l)
     return tuple(w)
-
-
-def act(M, z: HPoint) -> HPoint:
-    """The image of one point under one matrix, by mobius_apply."""
-    return HPoint(*mobius_apply(M, np.array([[z.x, z.y]]))[0])
 
 
 def proj_close(A, B, rtol=1e-10):
@@ -195,7 +190,7 @@ def test_side_pairing_words_match_matrices(real):
     for P, w in zip(real.side_pairings, real.side_pairing_words):
         assert proj_close(evaluate(w, real), P, rtol=1e-10)
         assert abs(np.trace(P)) > 2.0 + 1e-6
-        d = distance(real.base_point, act(P, real.base_point))
+        d = distance(BASE_POINT, act(P, BASE_POINT))
         assert d == pytest.approx(2.0 * math.acosh(1.0 + SQRT2), abs=1e-9)
 
 
@@ -203,7 +198,7 @@ def test_octagon_area_is_4pi(real):
     # independent check: triangulate from the center, hyperbolic triangle
     # area = pi - angle sum, angles from the law of cosines
     verts = real.domain_vertices
-    c = real.base_point
+    c = BASE_POINT
 
     def angle(a, b, opp):
         return math.acos(
@@ -224,7 +219,7 @@ def test_vertices_and_diameter(real):
     assert len(verts) == 8
     circ = math.acosh(3.0 + 2.0 * SQRT2)
     for v in verts:
-        assert distance(real.base_point, v) == pytest.approx(circ, abs=1e-9)
+        assert distance(BASE_POINT, v) == pytest.approx(circ, abs=1e-9)
     dmax = max(
         distance(verts[i], verts[j])
         for i in range(8)
@@ -251,28 +246,31 @@ def test_side_pairings_glue_sides(real):
 
 
 def test_in_fundamental_domain(real):
-    assert in_fundamental_domain(real, real.base_point)
+    assert in_fundamental_domain(real, BASE_POINT)
     for v in real.domain_vertices:
         assert in_fundamental_domain(real, v, slack=1e-9)
         assert not in_fundamental_domain(real, v, slack=-1e-6)
-    assert not in_fundamental_domain(real, HPoint(5.0, 0.01))
+    assert not in_fundamental_domain(real, (5.0, 0.01))
     for P in real.side_pairings:
-        z = act(P, real.base_point)
+        z = act(P, BASE_POINT)
         assert not in_fundamental_domain(real, z, slack=-1e-6)
 
 
-@pytest.mark.parametrize("stored", [
-    lambda real: real.side_pairings,
-    lambda real: real.generator_matrices,
-    lambda real: [M for _, M in support_set(real, 1.0).elements],
-    lambda real: [M for _, M in lattice_points(real, 5.0)],
-], ids=["side_pairings", "generator_matrices", "support_set", "lattice_points"])
-def test_group_elements_are_read_only_matrices(real, stored):
-    # a group element is a float64 2x2 array that no caller can write to
-    mats = stored(real)
-    assert len(mats) > 0
-    for M in mats:
-        assert isinstance(M, np.ndarray) and M.dtype == np.float64 and M.shape == (2, 2)
+@pytest.mark.parametrize("stored, shape", [
+    (lambda real: real.side_pairings, (2, 2)),
+    (lambda real: real.generator_matrices, (2, 2)),
+    (lambda real: [M for _, M in support_set(real, 1.0).elements], (2, 2)),
+    (lambda real: [M for _, M in lattice_points(real, 5.0)], (2, 2)),
+    (lambda real: [real.domain_vertices], (8, 2)),
+], ids=["side_pairings", "generator_matrices", "support_set", "lattice_points",
+        "domain_vertices"])
+def test_group_elements_are_read_only_matrices(real, stored, shape):
+    # a group element is a float64 2x2 array, and the polygon's vertices
+    # one (8, 2) array, that no caller can write to
+    arrays = stored(real)
+    assert len(arrays) > 0
+    for M in arrays:
+        assert isinstance(M, np.ndarray) and M.dtype == np.float64 and M.shape == shape
         with pytest.raises(ValueError, match="read-only"):
             M[0, 0] = 0.0
 
@@ -302,7 +300,7 @@ def test_lattice_r4_identity_plus_pairings(real):
 
 def test_lattice_words_and_displacements_consistent(real):
     L = lattice_points(real, 5.0)
-    base = real.base_point
+    base = BASE_POINT
     disps = []
     for w, M in L:
         assert proj_close(evaluate(w, real), M, rtol=1e-9)
@@ -338,7 +336,6 @@ def test_lattice_against_unpruned_enumeration(real):
     # oracle: all products of side pairings to depth 7, no pruning, dedup by
     # rounded sign-normalized entries; compare the displacement <= R slices
     gens = real.side_pairings
-    base = real.base_point
 
     def keys(mats):
         flat = mats.reshape(len(mats), 4).copy()
@@ -366,7 +363,7 @@ def test_lattice_against_unpruned_enumeration(real):
 
     all_mats = np.array(all_mats)
     a, b, c, d = all_mats[:, 0, 0], all_mats[:, 0, 1], all_mats[:, 1, 0], all_mats[:, 1, 1]
-    x, y = base.x, base.y
+    x, y = BASE_POINT
     den = (c * x + d) ** 2 + (c * y) ** 2
     gx = ((a * x + b) * (c * x + d) + a * c * y * y) / den
     gy = y / den
@@ -381,7 +378,7 @@ def test_lattice_against_unpruned_enumeration(real):
 
 def _orbit_points(mats):
     """x and y of gamma i for each matrix of a stacked (n, 2, 2) array."""
-    return mobius_apply(mats, np.array([[0.0, 1.0]]))[:, 0].T
+    return mobius_apply(mats, np.array([BASE_POINT]))[:, 0].T
 
 
 def test_lattice_at_cap_has_distinct_orbit_points(real):
@@ -472,12 +469,12 @@ def test_support_counts_and_growth(real):
 def test_support_t0_elements_touch_domain(real):
     # at t = 0 every admitted translate must actually meet the closed domain
     verts = real.domain_vertices
-    pts = [real.base_point] + list(verts)
+    pts = [BASE_POINT] + verts.tolist()
     for j in range(8):
-        v, w = verts[j], verts[(j + 1) % 8]
-        pts.append(HPoint((v.x + w.x) / 2, math.sqrt(v.y * w.y)))
+        (vx, vy), (wx, wy) = verts[j], verts[(j + 1) % 8]
+        pts.append(((vx + wx) / 2, math.sqrt(vy * wy)))
     ss = support_set(real, 0.0)
-    X = np.array([[p.x, p.y] for p in pts])
+    X = np.array(pts)
     for wd, M in ss.elements:
         a, b, c, d = M.ravel()
         den = (c * X[:, 0] + d) ** 2 + (c * X[:, 1]) ** 2
@@ -492,16 +489,12 @@ def test_support_t0_elements_touch_domain(real):
 def _boundary_samples(real, per_side=64):
     """per_side uniform samples of each side of the polygon (vertices
     included) and the largest arclength gap between consecutive ones."""
-    verts = real.domain_vertices
+    verts = real.domain_vertices.tolist()
     pts, gap = [], 0.0
     for v, w in zip(verts, verts[1:] + verts[:1]):
         gap = max(gap, distance(v, w) / per_side)
         pts += [geodesic_point(v, w, i / per_side) for i in range(per_side)]
-    return np.array([[p.x, p.y] for p in pts]), gap
-
-
-def _vertex_rows(real):
-    return np.array([[v.x, v.y] for v in real.domain_vertices])
+    return np.array(pts), gap
 
 
 def _bracketed_distances(real, t, per_side):
@@ -513,7 +506,7 @@ def _bracketed_distances(real, t, per_side):
     t = 7 is 2e-13."""
     cand = lattice_points(real, support_radius(t))
     mats = np.stack([M for _, M in cand])
-    exact = _translate_cosh_distance(_vertex_rows(real), mats)
+    exact = _translate_cosh_distance(real.domain_vertices, mats)
     S, gap = _boundary_samples(real, per_side)
     sampled = np.array([pairwise_cosh_distance(S, mobius_apply(M, S)).min() for M in mats])
     assert (exact <= sampled * (1.0 + 1e-10)).all()
@@ -606,7 +599,7 @@ def test_support_set_sees_a_common_perpendicular(real):
     # from P, along that axis, between the midpoints of two sides: no
     # vertex-to-side distance is that short
     rho = math.acosh(1.0 + SQRT2)
-    P = _vertex_rows(real)
+    P = real.domain_vertices
     for k in range(4):
         for D in (2.5 * rho, 3.0 * rho, 5.0 * rho):
             M = _rot_about_i(k * math.pi / 4.0) @ _translate_along_real(D) \
