@@ -359,7 +359,6 @@ def truncation_components(op: CoverOperator, ranks, seed=0) -> list:
         records.append({
             "r": r,
             "truncated_top": res.top,
-            "sigma_error_total": sigma_total,
             "certified_gap": 2.0 * sigma_total,
             "hs_reference": hs_total / math.sqrt(r),
             "bound": res.top + sigma_total,

@@ -5,8 +5,11 @@ from the master seed, and writes rows in deterministic (n, index) order so
 identical configs give byte-identical data files. The gap sweep solves its
 covers on a fork pool with one worker process per CPU this process may run
 on, and in this process where there is one CPU or no fork; every other
-command runs serially. Wall-clock numbers go to the JSON sidecar only, never
-into the data files. cmd_gap_sweep and cmd_truncation_study still accept an
+command runs serially. The truncation study stays serial: its SVDs ran
+slower in pool workers than here, and a 2-worker pool over its six Lanczos
+solves alone measured 0.99x its serial wall time on 2 CPUs. Every command
+writes its table and then its JSON sidecar through _write_outputs;
+wall-clock numbers go to the sidecar only, never into the data files. cmd_gap_sweep and cmd_truncation_study still accept an
 ignored `threads` keyword, because the benchmark harness
 (perfbench/child.py) passes it.
 """
@@ -311,18 +314,30 @@ def _write_table(path: str, header, rows, fmt: str) -> str:
     return path
 
 
-def _write_meta(path: str, cfg: ExperimentConfig, wall: float,
-                extra: Optional[dict] = None, partial: bool = False) -> str:
-    payload = {
+# the sidecar has a function of its own, as perfbench/child.py times the
+# table's and the sidecar's writes as separate calls
+def _write_meta(path: str, cfg: ExperimentConfig, wall: float, extra: dict,
+                partial: bool) -> str:
+    _write_json(path, {
         "config": dataclasses.asdict(cfg),
         "code_version": _code_version(),
         "wall_time_seconds": wall,
         "partial": partial,
-    }
-    if extra:
-        payload.update(extra)
-    _write_json(path, payload)
+        **extra,
+    })
     return path
+
+
+def _write_outputs(cfg: ExperimentConfig, name: str, header, rows, t_start: float,
+                   extra: Optional[dict] = None, partial: bool = False):
+    """Write the table `<name>.csv` (`<name>.json` under --format json),
+    then its sidecar `<name>_meta.json`: the config, the code version, the
+    partial flag, `extra`, and the wall time from the clock reading t_start
+    to the end of the table's write. Returns the two paths."""
+    data = _write_table(_outpath(cfg, name + ".csv"), header, rows, cfg.format)
+    wall = time.perf_counter() - t_start
+    meta = _write_meta(_outpath(cfg, name + "_meta.json"), cfg, wall, extra or {}, partial)
+    return data, meta
 
 
 def _outpath(cfg: ExperimentConfig, name: str) -> str:
@@ -475,10 +490,6 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     marks.append(time.perf_counter())
     records, failure, workers = _collect_gap_records(draws, blocks)
     marks.append(time.perf_counter())
-    data_path = _write_table(
-        _outpath(cfg, "gap_sweep.csv"), GAP_HEADER,
-        [r.row() for r in records], cfg.format,
-    )
     medians = {}
     for n in cfg.n_list:
         chosen = _transitive_slice(cfg, records, n)
@@ -500,8 +511,8 @@ def cmd_gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict:
     summary_path = _outpath(cfg, "gap_sweep_summary.json")
     _write_json(summary_path, summary)
     marks.append(time.perf_counter())
-    meta_path = _write_meta(
-        _outpath(cfg, "gap_sweep_meta.json"), cfg, marks[-1] - marks[0],
+    data_path, meta_path = _write_outputs(
+        cfg, "gap_sweep", GAP_HEADER, [r.row() for r in records], marks[0],
         extra={"records": len(records), "workers": workers,
                "sample_seconds": _sample_seconds(records),
                "stage_seconds": _stage_seconds(marks)},
@@ -537,15 +548,10 @@ def cmd_strong_convergence(cfg: ExperimentConfig) -> dict:
     for eps in cfg.epsilon_list:
         seen = [f for f in fractions[eps] if not math.isnan(f)]
         trend[_fmt(eps)] = all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
-    data_path = _write_table(
-        _outpath(cfg, "strong_convergence.csv"),
+    data_path, meta_path = _write_outputs(
+        cfg, "strong_convergence",
         ["n", "epsilon", "threshold", "exceed_count", "samples", "fraction"],
-        rows, cfg.format,
-    )
-    meta_path = _write_meta(
-        _outpath(cfg, "strong_convergence_meta.json"), cfg,
-        time.perf_counter() - t_start,
-        extra={"h_peak": peak, "nonincreasing": trend},
+        rows, t_start, extra={"h_peak": peak, "nonincreasing": trend},
     )
     return {"gap_data": sweep["data"], "gap_summary": sweep["summary"],
             "gap_meta": sweep["meta"], "data": data_path, "meta": meta_path,
@@ -572,16 +578,12 @@ def cmd_truncation_study(cfg: ExperimentConfig, threads: int = 1) -> dict:
                 n, comp["r"], _fmt(comp["certified_gap"]), _fmt(observed),
                 _fmt(comp["hs_reference"]), _fmt(comp["bound"]), _fmt(full),
             ])
-    data_path = _write_table(
-        _outpath(cfg, "truncation_study.csv"),
+    slope = _fit_loglog(ranks, [float(r[4]) for r in rows])
+    data_path, meta_path = _write_outputs(
+        cfg, "truncation_study",
         ["n", "r", "certified_gap", "observed_diff",
          "hs_reference", "truncated_bound", "full_norm"],
-        rows, cfg.format,
-    )
-    slope = _fit_loglog(ranks, [float(r[4]) for r in rows])
-    wall = time.perf_counter() - t_start
-    meta_path = _write_meta(
-        _outpath(cfg, "truncation_study_meta.json"), cfg, wall,
+        rows, t_start,
         extra={"hs_reference_loglog_slope": slope, "skipped_ranks": skipped},
     )
     return {"data": data_path, "meta": meta_path, "slope": slope, "rows": rows}
@@ -604,14 +606,12 @@ def cmd_selberg_table(cfg: ExperimentConfig) -> dict:
                 _fmt(tv.quadrature_error_estimate), _fmt(lam),
                 _fmt(plane_density(lam)),
             ])
-    data_path = _write_table(
-        _outpath(cfg, "selberg_table.csv"),
+    data_path, meta_path = _write_outputs(
+        cfg, "selberg_table",
         ["t", "kind", "param", "value", "error_estimate",
          "lambda", "plane_density"],
-        rows, cfg.format,
+        rows, t_start,
     )
-    wall = time.perf_counter() - t_start
-    meta_path = _write_meta(_outpath(cfg, "selberg_table_meta.json"), cfg, wall)
     return {"data": data_path, "meta": meta_path, "rows": rows}
 
 
@@ -639,8 +639,10 @@ def _enumerate_hom_tuples(n: int):
 def cmd_sampler_validate(cfg: ExperimentConfig) -> dict:
     """Exhaustive-enumeration and chi-square checks of the uniform sampler."""
     t_start = time.perf_counter()
+    header = ["n", "enumerated", "count_homs", "count_match",
+              "chi2_stat", "df", "pvalue", "pass"]
     report = {"alpha": cfg.gof_alpha, "draws": cfg.gof_draws, "per_n": {}}
-    overall = True
+    rows = []
     for n in range(2, cfg.n_max + 1):
         tuples = _enumerate_hom_tuples(n)
         expected_count = count_homs(n, 2)
@@ -655,24 +657,14 @@ def cmd_sampler_validate(cfg: ExperimentConfig) -> dict:
         df = len(tuples) - 1
         pvalue = float(chdtrc(df, stat))
         ok = count_ok and pvalue > cfg.gof_alpha
-        overall = overall and ok
-        report["per_n"][str(n)] = {
-            "enumerated": len(tuples),
-            "count_homs": expected_count,
-            "count_match": count_ok,
-            "chi2_stat": stat,
-            "df": df,
-            "pvalue": pvalue,
-            "pass": ok,
-        }
-    report["pass"] = overall
-    path = _outpath(cfg, "sampler_validate.json")
-    _write_json(path, report)
-    wall = time.perf_counter() - t_start
-    meta_path = _write_meta(_outpath(cfg, "sampler_validate_meta.json"), cfg, wall)
-    if not overall:
+        row = [n, len(tuples), expected_count, count_ok, stat, df, pvalue, ok]
+        report["per_n"][str(n)] = dict(zip(header[1:], row[1:]))
+        rows.append([_fmt(x) if isinstance(x, float) else x for x in row])
+    report["pass"] = all(row[-1] for row in rows)
+    data_path, meta_path = _write_outputs(cfg, "sampler_validate", header, rows, t_start)
+    if not report["pass"]:
         raise ComputeError("sampler validation failed; see report")
-    return {"report": report, "data": path, "meta": meta_path}
+    return {"report": report, "data": data_path, "meta": meta_path}
 
 
 def cmd_lattice_count(cfg: ExperimentConfig) -> dict:
@@ -694,15 +686,9 @@ def cmd_lattice_count(cfg: ExperimentConfig) -> dict:
     slope = None
     if len(fit_R) >= 2:
         slope = float(np.polyfit(fit_R, [math.log(lat[R]) for R in fit_R], 1)[0])
-    data_path = _write_table(
-        _outpath(cfg, "lattice_count.csv"),
-        ["kind", "parameter", "count", "C_hat"],
-        rows, cfg.format,
-    )
-    wall = time.perf_counter() - t_start
-    meta_path = _write_meta(
-        _outpath(cfg, "lattice_count_meta.json"), cfg, wall,
-        extra={"growth_exponent": slope, "C_hat": C_hat},
+    data_path, meta_path = _write_outputs(
+        cfg, "lattice_count", ["kind", "parameter", "count", "C_hat"], rows,
+        t_start, extra={"growth_exponent": slope, "C_hat": C_hat},
     )
     return {"data": data_path, "meta": meta_path,
             "growth_exponent": slope, "C_hat": C_hat,

@@ -197,13 +197,6 @@ def build_bolza_realization() -> FuchsianRealization:
     gi = _adjugate(g)
     gens = _read_only(np.stack([g[0] @ gi[1], g[2] @ gi[3] @ gi[0], g[2], gi[3]]))
 
-    pres = SurfacePresentation(2)
-    rel = np.eye(2)
-    for letter in pres.relator:
-        rel = rel @ (gens[letter - 1] if letter > 0 else _adjugate(gens[-letter - 1]))
-    if not min(np.abs(rel - s * np.eye(2)).max() for s in (1.0, -1.0)) <= 1e-8:
-        raise RuntimeError("octagon side pairings do not satisfy the surface relation")
-
     # vertices: disk radius tanh(circum/2), angles between side-pairing axes
     rv = math.tanh(circum / 2.0)
     angles = (-math.pi / 2.0 + math.pi / 8.0 + k * math.pi / 4.0 for k in range(8))
@@ -211,14 +204,18 @@ def build_bolza_realization() -> FuchsianRealization:
 
     pairing_words = list(_PAIRING_WORDS) + [inverse_word(w) for w in _PAIRING_WORDS]
 
-    return FuchsianRealization(
-        presentation=pres,
+    real = FuchsianRealization(
+        presentation=SurfacePresentation(2),
         generator_matrices=gens,
         domain_vertices=_read_only(np.array(vertices)),
         side_pairings=_read_only(np.concatenate([g, gi])),
         side_pairing_words=pairing_words,
         circumradius=circum,
     )
+    rel = evaluate(real.presentation.relator, real)
+    if not min(np.abs(rel - s * np.eye(2)).max() for s in (1.0, -1.0)) <= 1e-8:
+        raise RuntimeError("octagon side pairings do not satisfy the surface relation")
+    return real
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     ])
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
-    assert json.loads((tmp_path / "sampler_validate.json").read_text())["pass"] is False
+    with open(tmp_path / "sampler_validate.csv", newline="") as f:
+        assert [row["pass"] for row in csv.DictReader(f)] == ["False"]
 
 
 def test_gap_sweep_rejects_threads_and_repeats_byte_identical(tmp_path, capsys):
@@ -301,6 +302,31 @@ def test_json_format_output(tmp_path, capsys):
     recs = json.loads((tmp_path / "lattice_count.json").read_text())
     assert isinstance(recs, list) and recs
     assert {"kind", "parameter", "count", "C_hat"} <= set(recs[0])
+
+
+def test_every_table_follows_format(tmp_path):
+    # every table, sampler-validate's included, is one file in the
+    # requested format, and its JSON rows hold the CSV's cells as values
+    flags = {
+        "selberg-table": ["--t-list", "1.0", "--real-r-list", "0,1",
+                          "--imag-a-list", "0.25"],
+        "lattice-count": ["--radius-list", "0,4", "--t-list", "1.0"],
+        "sampler-validate": ["--n-max", "2", "--gof-draws", "1000"],
+    }
+    for command, extra in flags.items():
+        name = command.replace("-", "_")
+        tables = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / command / fmt
+            assert main([command, "--out", str(out), "--format", fmt, *extra]) == 0
+            assert sorted(p.name for p in out.iterdir()) == [f"{name}.{fmt}",
+                                                             f"{name}_meta.json"]
+            tables[fmt] = out / f"{name}.{fmt}"
+        with open(tables["csv"], newline="") as f:
+            csv_rows = list(csv.DictReader(f))
+        json_rows = json.loads(tables["json"].read_text())
+        assert csv_rows
+        assert [{k: str(v) for k, v in row.items()} for row in json_rows] == csv_rows
 
 
 def test_missing_subcommand_is_usage_error():

@@ -747,6 +747,25 @@ def test_truncated_apply_symmetric_at_a_tied_partner_rank(dense_t2, monkeypatch)
         assert skew <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: the identity block is its "
+                   "own partner, and its rank-8 truncation splits a +-lambda tie")
+def test_truncated_apply_symmetric_at_a_split_identity_tie(dense_t2, monkeypatch):
+    # at t = 2 on the coarsest grid the identity's eigenvalues by |lambda|
+    # run -0.785, +0.785, +0.785 at positions 8-10; the rank-8 truncated
+    # apply reads a largest relative skew of 0.061 at n = 4 and 0.034 at
+    # n = 8 over these 20 pairs, against about 1e-16 for matvec
+    _, blocks = dense_t2
+    applies = _captured_truncated_applies(monkeypatch)
+    for n in (4, 8):
+        op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=3))
+        truncation_components(op, [8], seed=0)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            x, y = rng.standard_normal((2, op.dimension))
+            skew = abs(y @ applies[-1](x) - x @ applies[-1](y))
+            assert skew <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
 def test_truncated_top_close_to_full_dense_oracle(small):
     # the factored apply matches the dense truncated operator, and
     # |top(T_r) - top(T)| <= sum sigma_{r+1}, dense eigensolver on both
@@ -758,7 +777,7 @@ def test_truncated_top_close_to_full_dense_oracle(small):
         for r, comp in zip((2, 8), truncation_components(op, [2, 8], seed=0)):
             truncated = np.linalg.eigvalsh(_dense_operator(op, r)).max()
             assert comp["truncated_top"] == pytest.approx(truncated, rel=1e-9)
-            assert abs(comp["truncated_top"] - full) <= comp["sigma_error_total"] + 1e-9
+            assert abs(comp["truncated_top"] - full) <= comp["certified_gap"] / 2 + 1e-9
 
 
 def test_truncation_one_pass_equals_per_rank_calls(small):

@@ -5,6 +5,7 @@ Heavy numerics stay on the crudest legal grid (grid_m=50) with single-digit
 sample counts; the point here is plumbing, not spectral accuracy.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -536,6 +537,11 @@ def test_selberg_table_values(tmp_path):
         assert float(row[6]) >= 0.0
 
 
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def test_sampler_validate_tiny(tmp_path):
     cfg = _tiny_cfg(tmp_path, n_max=3, gof_draws=2000)
     res = cmd_sampler_validate(cfg)
@@ -546,7 +552,7 @@ def test_sampler_validate_tiny(tmp_path):
     for entry in res["report"]["per_n"].values():
         assert entry["pvalue"] == chi2.sf(entry["chi2_stat"], entry["df"])
     assert res["report"]["pass"] is True
-    assert json.loads(Path(res["data"]).read_text())["pass"] is True
+    assert [row["pass"] for row in _csv_rows(res["data"])] == ["True", "True"]
 
 
 def test_sampler_validate_statistical_failure_raises(tmp_path):
@@ -555,8 +561,8 @@ def test_sampler_validate_statistical_failure_raises(tmp_path):
     cfg = _tiny_cfg(tmp_path, n_max=2, gof_draws=2000, gof_alpha=0.999999)
     with pytest.raises(ComputeError):
         cmd_sampler_validate(cfg)
-    report = json.loads((tmp_path / "sampler_validate.json").read_text())
-    assert report["pass"] is False
+    rows = _csv_rows(tmp_path / "sampler_validate.csv")
+    assert [row["pass"] for row in rows] == ["False"]
 
 
 def test_lattice_count_known_values(tmp_path):

@@ -17,8 +17,6 @@ SOURCES = sorted((ROOT / "src" / "covergap").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 ORACLES = {
-    "evaluate": "the matrix of a word, which the Dehn-reduction and "
-                "side-pairing tests compare with (AC8 reads letter_matrix)",
     "linearized_lower_bound": "goes once the benchmark stops wrapping "
                               "gap_lower_bound_coefficient (ROADMAP items 6 and 14)",
 }
