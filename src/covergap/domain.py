@@ -1,7 +1,7 @@
 """Discretization of functions on the fundamental polygon.
 
-A quadrature grid subdivides the octagon into geodesic triangles with one
-node per cell and the cell's exact hyperbolic area as weight, so the weights
+A quadrature grid has one node per geodesic cell of the polygon's fan mesh
+(fan_mesh) and the cell's exact hyperbolic area as weight, so the weights
 sum to the Gauss-Bonnet area 4*pi*(genus-1) up to roundoff. Kernel blocks
 are assembled in symmetrized Nystrom form sqrt(w_j) k(z_j, gamma z_k)
 sqrt(w_k), which keeps the global operator exactly symmetric, and truncated
@@ -66,41 +66,52 @@ def _triangle_node(A, B, C) -> tuple:
     return geodesic_point(A, geodesic_point(B, C, 0.5), 2.0 / 3.0)
 
 
-def build_grid(real: FuchsianRealization, target_m: int) -> QuadratureGrid:
-    """Fan-triangulate the polygon from the base point and subdivide each of
-    the 8 fan triangles into k^2 geodesic cells, k chosen so 8 k^2 is as
-    close to target_m as possible. One node per cell at the approximate
-    centroid, weight = the cell's exact area (angle deficit), so the weight
-    sum hits 4 pi at machine precision rather than the 1% contract.
-    """
-    if target_m < 50:
-        raise ValueError("target_m must be at least 50")
-    k = max(1, int(round(math.sqrt(target_m / 8.0))))
-    if abs(8 * (k + 1) ** 2 - target_m) < abs(8 * k * k - target_m):
-        k += 1
-
+def fan_mesh(real: FuchsianRealization, k: int) -> tuple:
+    """Half-plane vertices (V, 2) and triangles (T, 3) of the polygon's fan
+    triangulation: one fan triangle from the base point per side, each cut
+    into k^2 geodesic cells. Each fan has its own vertices: row i runs from
+    geodesic_point(L, R, 0.0), a few ulps off the spoke point L, to the
+    spoke point R, so the apex and the spoke points repeat across fans."""
     verts = real.domain_vertices.tolist()  # Python floats for geodesic_point
-    center = BASE_POINT
-    points, weights = [], []
+    points = []
     for j in range(len(verts)):
         vL, vR = verts[j], verts[(j + 1) % len(verts)]
-        # rows of vertices from the apex toward the far side
-        rows = [[center]]
+        # rows of i + 1 vertices from the apex toward the far side
+        points.append(BASE_POINT)
         for i in range(1, k + 1):
-            L = geodesic_point(center, vL, i / k)
-            R = geodesic_point(center, vR, i / k)
-            row = [geodesic_point(L, R, jj / i) for jj in range(i)] + [R]
-            rows.append(row)
-        for i in range(k):
-            for jj in range(i + 1):
-                tri = (rows[i][jj], rows[i + 1][jj], rows[i + 1][jj + 1])
-                points.append(_triangle_node(*tri))
-                weights.append(_triangle_area(*tri))
-                if jj < i:
-                    tri = (rows[i][jj], rows[i][jj + 1], rows[i + 1][jj + 1])
-                    points.append(_triangle_node(*tri))
-                    weights.append(_triangle_area(*tri))
-    return QuadratureGrid(xy=np.array(points), weights=np.array(weights), m=len(points))
+            L = geodesic_point(BASE_POINT, vL, i / k)
+            R = geodesic_point(BASE_POINT, vR, i / k)
+            points += [geodesic_point(L, R, jj / i) for jj in range(i)] + [R]
+    fan = []
+    for i in range(k):
+        r, s = i * (i + 1) // 2, (i + 1) * (i + 2) // 2  # first vertex of rows i, i + 1
+        for jj in range(i + 1):
+            fan.append((r + jj, s + jj, s + jj + 1))
+            if jj < i:
+                fan.append((r + jj, r + jj + 1, s + jj + 1))
+    offsets = len(points) // len(verts) * np.arange(len(verts))
+    return np.array(points), (np.array(fan) + offsets[:, None, None]).reshape(-1, 3)
+
+
+def build_grid(real: FuchsianRealization, target_m: int) -> QuadratureGrid:
+    """One node per cell of fan_mesh, k chosen so that sides * k^2 is as
+    close to target_m as possible: the cell's approximate centroid, with
+    the cell's exact area (angle deficit) as weight, so the weight sum hits
+    4 pi at machine precision rather than the 1% contract."""
+    if target_m < 50:
+        raise ValueError("target_m must be at least 50")
+    sides = len(real.domain_vertices)
+    k = max(1, int(round(math.sqrt(target_m / sides))))
+    if abs(sides * (k + 1) ** 2 - target_m) < abs(sides * k * k - target_m):
+        k += 1
+    points, tris = fan_mesh(real, k)
+    points = points.tolist()  # Python floats for geodesic_point
+    nodes, weights = [], []
+    for a, b, c in zip(*tris.T.tolist()):
+        cell = points[a], points[b], points[c]
+        nodes.append(_triangle_node(*cell))
+        weights.append(_triangle_area(*cell))
+    return QuadratureGrid(xy=np.array(nodes), weights=np.array(weights), m=len(nodes))
 
 
 @dataclass

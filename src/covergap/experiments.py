@@ -9,9 +9,9 @@ command runs serially. The truncation study stays serial: its SVDs ran
 slower in pool workers than here, and a 2-worker pool over its six Lanczos
 solves alone measured 0.99x its serial wall time on 2 CPUs. Every command
 writes its table and then its JSON sidecar through _write_outputs;
-wall-clock numbers go to the sidecar only, never into the data files. cmd_gap_sweep and cmd_truncation_study still accept an
-ignored `threads` keyword, because the benchmark harness
-(perfbench/child.py) passes it.
+wall-clock numbers go to the sidecar only, never into the data files.
+cmd_gap_sweep and cmd_truncation_study still accept an ignored `threads`
+keyword, because the benchmark harness (perfbench/child.py) passes it.
 """
 
 import csv

@@ -6,11 +6,12 @@ The mesh lives in the Poincare disk w = (z - i)/(z + i). The Dirichlet
 energy is conformally invariant in two dimensions, so the stiffness matrix
 is the Euclidean P1 one there; the mass matrix carries the hyperbolic
 density 4/(1 - |w|^2)^2, integrated by a 6-point degree-4 rule. The mesh is
-build_grid's fan triangulation: the octagon cut from its base point into 8
-triangles, each into k^2 cells whose vertices lie on geodesics
-(geodesic_point), with straight edges in the disk. Boundary vertices are
-matched through the side pairings, and n sheets are glued by
-(x, i) ~ (P x, phi(P)(i)). Eigenvalues converge as O(h^2), h ~ 1/k.
+the program's own domain.fan_mesh, with straight edges in the disk. Its
+vertices are glued on each sheet to their repeats in the other fans, and n
+sheets are glued by (x, i) ~ (P x, phi(P)(i)) for every side pairing P. The
+glued complex must be a closed surface: every edge borders exactly two
+triangles and V - E + F = n (2 - 2g), or the oracle fails. Eigenvalues
+converge as O(h^2), h ~ 1/k.
 """
 
 import numpy as np
@@ -19,64 +20,56 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
-from covergap.hyperbolic import geodesic_point
-from covergap.surface_group import BASE_POINT, evaluate
+from covergap.domain import fan_mesh
+from covergap.hyperbolic import mobius_apply
+from covergap.surface_group import evaluate
 from covergap.symmetric_group import evaluate_word
 
 # Dunavant's 6-point rule, exact for degree 4: (barycentric a, weight), each
 # at the three points (a, a, 1 - 2a) up to permutation
 _RULE = ((0.445948490915965, 0.223381589678011), (0.091576213509771, 0.109951743655322))
-_MATCH_TOL = 1e-8  # disk distance within which a mapped boundary vertex lands
+_MATCH_TOL = 1e-8  # disk distance within which two vertices are one
 
 
-def fan_mesh(real, k: int):
-    """Vertices (complex disk coordinates), triangles (T, 3) and boundary
-    vertex indices of the fan mesh with k subdivisions per spoke. Vertices
-    on a spoke are shared by its two fan triangles."""
-    verts, center = real.domain_vertices.tolist(), BASE_POINT
-    points = [center]
-
-    def add(p):
-        points.append(p)
-        return len(points) - 1
-
-    spokes = [[0] + [add(geodesic_point(center, v, i / k)) for i in range(1, k + 1)]
-              for v in verts]
-    tris, boundary = [], []
-    for j in range(len(verts)):
-        left, right = spokes[j], spokes[(j + 1) % len(verts)]
-        rows = [[0]]
-        for i in range(1, k + 1):
-            a, b = points[left[i]], points[right[i]]
-            rows.append([left[i]] + [add(geodesic_point(a, b, jj / i)) for jj in range(1, i)]
-                        + [right[i]])
-        for i in range(k):
-            for jj in range(i + 1):
-                tris.append((rows[i][jj], rows[i + 1][jj], rows[i + 1][jj + 1]))
-                if jj < i:
-                    tris.append((rows[i][jj], rows[i][jj + 1], rows[i + 1][jj + 1]))
-        boundary += rows[k]
-    z = np.array([complex(*p) for p in points])
-    return (z - 1j) / (z + 1j), np.array(tris), np.unique(boundary)
+def _disk(xy):
+    z = xy[:, 0] + 1j * xy[:, 1]
+    return (z - 1j) / (z + 1j)
 
 
-def _side_matches(real, w, boundary):
-    """(pairing index, a, b) for every boundary vertex a that side pairing
-    P maps onto boundary vertex b."""
-    tree = cKDTree(np.column_stack([w[boundary].real, w[boundary].imag]))
-    z = 1j * (1 + w[boundary]) / (1 - w[boundary])
-    out = []
-    for p, (P, word) in enumerate(zip(real.side_pairings, real.side_pairing_words)):
+def glued_mesh(real, k: int, hom=None):
+    """(w, tris, idx, chi): fan_mesh(real, k) in the disk, the (n, T, 3)
+    degree of freedom of each triangle corner on every sheet of the cover
+    glued by hom (the surface for hom None), and the Euler characteristic.
+    Fails unless the glued complex is closed with chi = n (2 - 2g)."""
+    xy, tris = fan_mesh(real, k)
+    w = _disk(xy)
+    n = 1 if hom is None else hom.n
+    sheets = np.arange(n)
+    tree = cKDTree(np.column_stack([w.real, w.imag]))
+
+    def glue(a, b, perm):  # (a, sheet) ~ (b, perm[sheet]), node vertex * n + sheet
+        return (a[:, None] * n + sheets).ravel(), (b[:, None] * n + perm).ravel()
+
+    pairs = [glue(*tree.query_pairs(_MATCH_TOL, output_type="ndarray").T, sheets)]
+    for P, word in zip(real.side_pairings, real.side_pairing_words):
         M = evaluate(word, real)
         assert min(np.abs(M - P).max(), np.abs(M + P).max()) <= 1e-9
-        (a, b), (c, d) = P
-        image = (a * z + b) / (c * z + d)
-        image = (image - 1j) / (image + 1j)
+        image = _disk(mobius_apply(P, xy))
         dist, hit = tree.query(np.column_stack([image.real, image.imag]),
                                distance_upper_bound=_MATCH_TOL)
         found = np.isfinite(dist)
-        out += [(p, x, y) for x, y in zip(boundary[found], boundary[hit[found]])]
-    return out
+        perm = sheets if hom is None else np.array(evaluate_word(hom, word))
+        pairs.append(glue(np.flatnonzero(found), hit[found], perm))
+    a, b = (np.concatenate(v) for v in zip(*pairs))
+    glued = coo_matrix((np.ones(len(a)), (a, b)), shape=(len(w) * n,) * 2)
+    dofs, label = connected_components(glued, directed=False)
+    idx = label[tris[None] * n + sheets[:, None, None]]
+    lo, hi = np.sort(np.stack([idx, np.roll(idx, -1, axis=2)]), axis=0)
+    _, shared = np.unique(lo * dofs + hi, return_counts=True)
+    assert (shared == 2).all(), f"{(shared != 2).sum()} edges do not border two triangles"
+    chi = dofs - len(shared) + idx[..., 0].size
+    assert chi == n * (2 - 2 * real.presentation.genus), f"Euler characteristic {chi}"
+    return w, tris, idx, chi
 
 
 def _element_matrices(w, tris):
@@ -98,18 +91,9 @@ def _element_matrices(w, tris):
 def fem_eigenvalues(real, k: int, hom=None, count: int = 2) -> np.ndarray:
     """The `count` smallest eigenvalues of the P1 Laplacian on the cover of
     the surface glued by hom (the surface itself for hom None), ascending."""
-    w, tris, boundary = fan_mesh(real, k)
-    n = 1 if hom is None else hom.n
-    perms = [tuple(range(n)) if hom is None else evaluate_word(hom, word)
-             for word in real.side_pairing_words]
-    # union-find over (vertex, sheet) = vertex * n + sheet, as graph components
-    edges = np.array([(a * n + i, b * n + perms[p][i])
-                      for p, a, b in _side_matches(real, w, boundary) for i in range(n)])
-    size = len(w) * n
-    glue = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(size, size))
-    dofs, label = connected_components(glue, directed=False)
+    w, tris, idx, _ = glued_mesh(real, k, hom)
+    n, dofs = len(idx), idx.max() + 1  # every vertex lies in a triangle
     K, M = _element_matrices(w, tris)
-    idx = label[tris[None] * n + np.arange(n)[:, None, None]]  # (n, T, 3)
     rows = np.broadcast_to(idx[..., :, None], idx.shape + (3,)).ravel()
     cols = np.broadcast_to(idx[..., None, :], idx.shape + (3,)).ravel()
 

@@ -16,6 +16,7 @@ from covergap.domain import (
     assemble_block,
     assemble_support_blocks,
     build_grid,
+    fan_mesh,
     svd_truncate,
 )
 from covergap.hyperbolic import (
@@ -83,6 +84,19 @@ def test_grid_sizes_and_weight_sum(real):
         assert g.xy.shape == (m, 2)
         assert abs(g.weights.sum() - 4.0 * math.pi) < 1e-10
         assert (g.weights > 0).all()
+
+
+def test_fan_mesh_repeats_only_the_apex_and_the_spoke_points(real):
+    # each fan keeps its own vertices, so the apex repeats in every fan and
+    # each spoke point in the two fans it borders, to a few ulps
+    k, sides = 7, len(real.domain_vertices)
+    xy, tris = fan_mesh(real, k)
+    assert xy.shape == (sides * (k + 1) * (k + 2) // 2, 2)
+    assert tris.shape == (sides * k * k, 3)
+    assert sorted(np.unique(tris)) == list(range(len(xy)))
+    i, j = np.nonzero(np.triu(pairwise_cosh_distance(xy, xy) - 1.0 < 1e-12, 1))
+    assert len(i) == sides * (sides - 1) // 2 + sides * k
+    assert np.abs(xy[i] - xy[j]).max() <= 1e-14
 
 
 def test_grid_nodes_strictly_inside(real):

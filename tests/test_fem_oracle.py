@@ -8,6 +8,7 @@ of v. Each FEM lambda_1 is a 16/24 Richardson step, within 1e-5 of a 48/64
 one on these covers.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from covergap.domain import assemble_support_blocks, build_grid
 from covergap.selberg import SpectralParameter, selberg_h
 from covergap.surface_group import build_bolza_realization, support_set
 from covergap.symmetric_group import evaluate_word, sample_uniform_hom
-from fem_oracle import fem_eigenvalues
+from fem_oracle import fem_eigenvalues, glued_mesh
 
 BOLZA_LAMBDA1 = 3.8388872588  # Strohmaier and Uski, Comm. Math. Phys. 317 (2013)
 T, GRID_M = 2.0, 392
@@ -43,6 +44,22 @@ def _fem_lambda1(real, hom, k1, k2):
 def test_bolza_lambda1_from_a_richardson_step(real):
     # 3.8438 / 3.8411 at k = 32 / 48, of multiplicity 3
     assert abs(_fem_lambda1(real, None, 32, 48) - BOLZA_LAMBDA1) <= 2e-4
+
+
+def test_glued_mesh_is_closed_with_the_cover_euler_characteristic(real):
+    assert glued_mesh(real, 8)[-1] == -2
+    assert glued_mesh(real, 16, sample_uniform_hom(8, 2, seed=COVER_SEEDS[0]))[-1] == -16
+
+
+def test_a_missing_side_pairing_fails_loudly(real):
+    # without pairing 0 and its inverse the octagon is cut open along a
+    # loop, which keeps chi = -2; unchecked, the oracle read lambda_1 as
+    # 1.7366 here instead of 3.9125
+    keep = [p for p in range(8) if p not in (0, 4)]
+    cut = dataclasses.replace(real, side_pairings=real.side_pairings[keep],
+                              side_pairing_words=[real.side_pairing_words[p] for p in keep])
+    with pytest.raises(AssertionError, match="16 edges do not border two triangles"):
+        fem_eigenvalues(cut, 8)
 
 
 @pytest.fixture(scope="module")

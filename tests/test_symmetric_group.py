@@ -772,6 +772,28 @@ def test_first_generator_class_law_matches_enumeration_at_n4():
         ctype: Fraction(hits[ctype], total) for ctype in partitions(n)}
 
 
+def _character_class_law(n):
+    """P(A_1 in K) for a uniform genus-2 tuple from the character table
+    alone: |K| sum_lam chi_lam(K)^2 codim_lam^2 / |Hom|, in Python ints. A
+    different identity from the peeling weights _first_generator_class_law
+    reads."""
+    tab = character_table(n)
+    squares = [w * w for w in tab.codims]
+    total = count_homs(n, 2)
+    return {ctype: Fraction(size * sum(x * x * w for x, w in zip(col, squares)), total)
+            for ctype, size, col in zip(tab.partitions, tab.class_sizes, tab.chi.T.tolist())}
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_character_class_law_sums_to_one(n):
+    assert sum(_character_class_law(n).values()) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_character_class_law_equals_the_peeling_law(n):
+    assert _character_class_law(n) == _first_generator_class_law(n)
+
+
 def test_first_generator_class_chi_square_at_n8():
     n, draws = 8, 4000
     obs = Counter(sample_uniform_hom(n, 2, seed=s).gens[0].cycle_type()
