@@ -6,9 +6,9 @@ column c of block gamma reads column phi(gamma)(c), phi evaluated on the
 block's word left to right. Only when phi has an abelian image is that the
 cover's ball-kernel operator, whose spectrum there is the cover's new
 eigenvalues; the cover's own operator reads column phi(gamma)^-1(c). Its
-top eigenvalue, from Lanczos with the full Ritz solve run only near the
-steps where it can stop, feeds the inverse Selberg transform to give a
-lower bound on the first new Laplacian eigenvalue.
+top eigenvalue, from Lanczos with one top Ritz pair per step, feeds the
+inverse Selberg transform to give a lower bound on the first new
+Laplacian eigenvalue.
 """
 
 import functools
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse import csr_matrix
 
@@ -31,7 +30,7 @@ from .selberg import (
 )
 from .symmetric_group import HomTuple, evaluate_word
 
-KRYLOV_TOL = 1e-8  # Lanczos stops when the top residual is <= KRYLOV_TOL * scale
+KRYLOV_TOL = 1e-8  # Lanczos stops when the top residual is <= KRYLOV_TOL * |top|
 
 
 def _mean_zero_basis(n: int) -> np.ndarray:
@@ -122,39 +121,33 @@ class LanczosResult:
     iterations: int
 
 
-def _top_residual_estimate(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
-    """beta_j |u_last| for the top Ritz pair of T_j (diagonal alphas[:j+1],
-    off-diagonal betas[:j]), from LAPACK bisection for the top eigenvalue
-    alone and inverse iteration for its vector: close to eigh_tridiagonal's
-    residual, not bit for bit. 0 where either routine reports a failure."""
+def _top_ritz_pair(alphas: np.ndarray, betas: np.ndarray, j: int) -> tuple:
+    """(top, beta_j |u_last|): the top Ritz value of T_j (diagonal
+    alphas[:j+1], off-diagonal betas[:j]) and its residual, from LAPACK
+    bisection for the top eigenvalue alone and inverse iteration for its
+    vector; at j = 0, where u = (1), (alpha_0, beta_0). Raises LinAlgError
+    where either routine reports a failure."""
+    if j == 0:
+        return float(alphas[0]), float(betas[0])
     d, e = alphas[: j + 1], betas[:j]
     found, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, j + 1, j + 1, 0.0, "B")
     if info or found != 1:
-        return 0.0
+        raise np.linalg.LinAlgError(f"dstebz failed at Lanczos step {j}: info {info}")
     u, info = dstein(d, e, w[:1], block, split)
-    return 0.0 if info else float(betas[j]) * abs(float(u[-1, 0]))
+    if info:
+        raise np.linalg.LinAlgError(f"dstein failed at Lanczos step {j}: info {info}")
+    return float(w[0]), float(betas[j]) * abs(float(u[-1, 0]))
 
 
 def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
     """Top eigenvalue of a symmetric operator by Lanczos with full
     reorthogonalization and a deterministic seeded start vector.
 
-    Stops at the first step j whose top Ritz residual beta_j |u_last| is at
-    most KRYLOV_TOL times the largest |Ritz value| (scale), whose beta_j is
-    at most 1e-14 max(1, scale), or that exhausts the space. The full Ritz
-    solve of step j (eigh_tridiagonal on alphas[:j+1], betas[:j]) runs only
-    near where the loop can stop: at step 0, at the cap (exhaustion is the
-    cap, as cap = min(maxiter, dim)) and where the cheap residual estimate
-    (_top_residual_estimate) is at most 20 KRYLOV_TOL G, with
-    G = max(1, max|alpha| + 2 max beta) a Gershgorin bound on scale. That
-    takes in every step with beta_j <= 1e-14 G, as the estimate is 0 or at
-    most beta_j (u has unit norm), and the factor 20 makes the first full
-    solve come a step or more before the stop. Once a tested step stops, or
-    the cap is reached, the untested steps since the last test are tested
-    in order on the leading slices and the first that stops is returned, so
-    the result (or KrylovConvergenceError) is that of testing every step,
-    bit for bit, even where the estimate misjudges a step; only such a
-    step costs Lanczos steps past the stop.
+    Every step j computes one Ritz pair, the top one (_top_ritz_pair), and
+    stops at the first step whose residual is at most KRYLOV_TOL |top|,
+    whose beta_j is at most 1e-14 max(1, |top|), or that exhausts the
+    space; that pair is the result. Reaching the cap min(maxiter, dim)
+    without a stop raises KrylovConvergenceError with the last pair.
     """
     if dim < 1:
         raise ValueError("operator has an empty fiber")
@@ -165,46 +158,22 @@ def _lanczos_top(apply, dim: int, seed, maxiter: int = 400) -> LanczosResult:
     V = np.empty((cap + 1, dim))
     V[0] = v
     alphas, betas = np.empty(cap), np.empty(cap)
-
-    def ritz(j):
-        """(stops, top, residual) of step j."""
-        theta, U = eigh_tridiagonal(alphas[: j + 1], betas[:j])
-        top = float(theta[-1])
-        res_top = float(betas[j]) * abs(float(U[-1, -1]))
-        scale = max(abs(top), abs(float(theta[0])))
-        stops = (res_top <= KRYLOV_TOL * scale or betas[j] <= 1e-14 * max(1.0, scale)
-                 or j + 1 == dim)
-        return stops, top, res_top
-
-    a_max = b_max = 0.0
-    last = -1  # the last tested step
     for j in range(cap):
         w = apply(V[j])
         if j:
             w = w - betas[j - 1] * V[j - 1]
-            b_max = max(b_max, betas[j - 1])
         a = float(V[j] @ w)
         alphas[j] = a
-        a_max = max(a_max, abs(a))
         w = w - a * V[j]
         for _ in range(2):  # full reorthogonalization, twice is enough
             w = w - V[: j + 1].T @ (V[: j + 1] @ w)
         b = betas[j] = float(np.linalg.norm(w))
-        gershgorin = max(1.0, a_max + 2.0 * b_max)
-        if (j == 0 or j + 1 == cap
-                or _top_residual_estimate(alphas, betas, j) <= 20.0 * KRYLOV_TOL * gershgorin):
-            stops, top, res_top = ritz(j)
-            if stops or j + 1 == cap:
-                for s in range(last + 1, j):
-                    out = ritz(s)
-                    if out[0]:
-                        return LanczosResult(out[1], out[2], s + 1)
-                if stops:
-                    return LanczosResult(top, res_top, j + 1)
-                raise KrylovConvergenceError(top, res_top, cap)
-            last = j
+        top, res_top = _top_ritz_pair(alphas, betas, j)
+        if (res_top <= KRYLOV_TOL * abs(top) or b <= 1e-14 * max(1.0, abs(top))
+                or j + 1 == dim):
+            return LanczosResult(top, res_top, j + 1)
         V[j + 1] = w / b
-    raise AssertionError("unreachable: the cap is always tested")
+    raise KrylovConvergenceError(top, res_top, cap)
 
 
 # ------------------------------------------------------------- estimation

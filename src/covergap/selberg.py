@@ -35,6 +35,8 @@ class SpectralParameter:
     def __post_init__(self):
         if self.kind not in ("real", "imaginary"):
             raise ValueError(f"kind must be 'real' or 'imaginary', got {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"parameter value must be finite, got {self.value}")
         if self.value < 0:
             raise ValueError("parameter value must be nonnegative")
         if self.kind == "imaginary" and self.value > 0.5 + 1e-12:
@@ -126,10 +128,13 @@ def invert_h(t: float, v: float) -> SpectralParameter:
     the solution is unique. v at or below the peak (a discretized norm can
     dip under the continuum baseline) returns a = 0 and v at or above the
     ball area returns a = 1/2, without bisecting; v above the ball area by
-    more than a tolerance is inconsistent input and raises.
+    more than a tolerance is inconsistent input and raises, as do a t or v
+    that is not finite.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not math.isfinite(v):
+        raise ValueError(f"value must be finite, got {v}")
     lo_val = h_peak(t)
     hi_val = ball_area(t)
     # discretized norms can sit a hair above the continuum ceiling; only a

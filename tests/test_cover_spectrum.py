@@ -422,8 +422,9 @@ def test_lanczos_against_dense_symmetric():
 
 
 def _per_step_lanczos(apply, dim, seed, maxiter=400):
-    """The Lanczos loop that runs the Ritz solve at every step, kept as the
-    reference for the lazily tested one."""
+    """The Lanczos loop that runs the full Ritz solve (eigh_tridiagonal) at
+    every step and scales its test by the largest |Ritz value|, kept as the
+    reference for the loop that computes the top Ritz pair alone."""
     cap = min(maxiter, dim)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
@@ -456,57 +457,59 @@ def _per_step_lanczos(apply, dim, seed, maxiter=400):
 
 
 def _outcome(solve, *args, **kwargs):
+    """(top, residual, steps, capped) of a solve, capped where it raised
+    KrylovConvergenceError."""
     try:
-        return solve(*args, **kwargs)
+        res = solve(*args, **kwargs)
     except KrylovConvergenceError as exc:
-        return ("cap", exc.best_estimate, exc.residual, exc.iterations)
+        return exc.best_estimate, exc.residual, exc.iterations, True
+    return res.top, res.top_residual, res.iterations, False
+
+
+def _assert_same_outcome(got, want):
+    # the residual beta_j |u_last| is computed to about eps |top|, not to
+    # eps of itself, as u_last is a small component of a unit vector
+    assert got[2:] == want[2:]
+    assert abs(got[0] - want[0]) <= 1e-14 * abs(want[0])
+    assert abs(got[1] - want[1]) <= 1e-14 * abs(want[0])
 
 
 @pytest.mark.parametrize("family", ["small", "dense_t2"])
-def test_lazy_ritz_tests_equal_the_per_step_loop(request, family, monkeypatch):
-    # 30 covers per family (t = 1 and t = 2): the same top, residual and
-    # step count bit for bit, with one matvec per step and fewer Ritz
-    # solves than steps; with small caps, the same result or the same
-    # KrylovConvergenceError
+def test_top_ritz_pair_equals_the_per_step_loop(request, family):
+    # 30 covers per family (t = 1 and t = 2): the same step count, and top
+    # and residual to 1e-14 relative to top, as the full Ritz solve at
+    # every step, with one matvec per step; with small caps, the same
+    # result or the same KrylovConvergenceError
     _, blocks = request.getfixturevalue(family)
-    solves, matvecs = [], []
-    ritz = cover_spectrum.eigh_tridiagonal
-
-    def counted(*args):
-        solves.append(1)
-        return ritz(*args)
-
+    matvecs = []
     steps = 0
     for n in (4, 8, 16):
         for s in range(10):
             op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=s))
             apply = functools.partial(matvec, op)
-            want = _per_step_lanczos(apply, op.dimension, s)
-            monkeypatch.setattr(cover_spectrum, "eigh_tridiagonal", counted)
-            assert _lanczos_top(lambda x: matvecs.append(1) or apply(x),
-                                op.dimension, s) == want
-            monkeypatch.setattr(cover_spectrum, "eigh_tridiagonal", ritz)
-            steps += want.iterations
+            want = _outcome(_per_step_lanczos, apply, op.dimension, s)
+            got = _outcome(_lanczos_top, lambda x: matvecs.append(1) or apply(x),
+                           op.dimension, s)
+            _assert_same_outcome(got, want)
+            steps += want[2]
             if s == 0:
-                for cap in (1, 2, 5, 12, want.iterations - 1, want.iterations):
-                    assert _outcome(_lanczos_top, apply, op.dimension, s, maxiter=cap) \
-                        == _outcome(_per_step_lanczos, apply, op.dimension, s, maxiter=cap)
-    assert len(matvecs) == steps and len(solves) < steps / 2
+                for cap in (1, 2, 5, 12, want[2] - 1, want[2]):
+                    _assert_same_outcome(
+                        _outcome(_lanczos_top, apply, op.dimension, s, maxiter=cap),
+                        _outcome(_per_step_lanczos, apply, op.dimension, s, maxiter=cap))
+    assert len(matvecs) == steps
 
 
-def test_lazy_ritz_tests_survive_a_misjudging_estimate(small, monkeypatch):
-    # an estimate that never sees a stop leaves only step 0 and the cap to
-    # the full solve; the untested steps are then tested in order, and the
-    # first stop is still the per-step loop's
+def test_lanczos_raises_on_a_failed_ritz_pair(small, monkeypatch):
+    # a LAPACK failure in the top Ritz pair raises instead of ending or
+    # steering the iteration
     _, blocks = small
-    monkeypatch.setattr(cover_spectrum, "_top_residual_estimate",
-                        lambda *args: math.inf)
-    for n, s in ((4, 0), (8, 1)):
-        op = build_cover_operator(blocks, sample_uniform_hom(n, 2, seed=s))
-        apply = functools.partial(matvec, op)
-        want = _per_step_lanczos(apply, op.dimension, s)
-        for cap in (want.iterations + 7, 400):
-            assert _lanczos_top(apply, op.dimension, s, maxiter=cap) == want
+    op = build_cover_operator(blocks, sample_uniform_hom(4, 2, seed=0))
+    dstein = cover_spectrum.dstein
+    monkeypatch.setattr(cover_spectrum, "dstein",
+                        lambda *args: (dstein(*args)[0], 1))
+    with pytest.raises(np.linalg.LinAlgError, match="dstein failed at Lanczos step 1"):
+        _lanczos_top(functools.partial(matvec, op), op.dimension, 0)
 
 
 def test_lanczos_zero_operator():

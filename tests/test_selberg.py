@@ -39,6 +39,11 @@ def test_parameter_validation():
         SpectralParameter("real", -1.0)
     with pytest.raises(ValueError):
         SpectralParameter("complex", 1.0)
+    # a non-finite value would give a NaN transform
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (SpectralParameter.real, SpectralParameter.imaginary):
+            with pytest.raises(ValueError, match="finite"):
+                make(bad)
 
 
 def test_zero_radius():
@@ -144,6 +149,14 @@ def test_invert_clamps_below_peak():
 def test_invert_rejects_above_area():
     with pytest.raises(ValueError):
         invert_h(1.0, ball_area(1.0) + 0.1)
+
+
+def test_invert_rejects_non_finite():
+    # NaN fails every comparison, so bisection would read it as a = 0
+    for t, v in ((1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+                 (math.nan, 10.0), (math.inf, 10.0)):
+        with pytest.raises(ValueError, match="finite"):
+            invert_h(t, v)
 
 
 def test_lambda_from_param():
