@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix, issparse, vstack
 
 from .hyperbolic import (
     ball_candidates,
+    check_radius,
     disk_tree,
     distance,
     geodesic_point,
@@ -121,7 +122,6 @@ class OperatorBlock:
     gamma: tuple  # (word, read-only 2x2 matrix)
     matrix: object  # dense ndarray or csr_matrix
     hs_norm: float
-    t: float
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else self.matrix
@@ -148,8 +148,8 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     depends on neither storage nor summation order, and a sparse block
     allocates no m x m array.
     """
+    cosh_t = math.cosh(check_radius(t))
     image = mobius_apply(gamma[1], grid.xy)
-    cosh_t = math.cosh(t)
     kept = []
     for lo in range(0, grid.m, ROW_CHUNK):
         i, j = ball_candidates(grid.tree, image[lo:lo + ROW_CHUNK], cosh_t)
@@ -177,7 +177,7 @@ def assemble_block(gamma, t: float, grid: QuadratureGrid) -> OperatorBlock:
     else:
         mat = np.zeros((m, m))
         mat[i, j] = vals
-    return OperatorBlock(gamma=gamma, matrix=mat, hs_norm=hs, t=t)
+    return OperatorBlock(gamma=gamma, matrix=mat, hs_norm=hs)
 
 
 class BlockFamily(tuple):
@@ -185,11 +185,12 @@ class BlockFamily(tuple):
 
     A plain container: assemble_support_blocks builds it and establishes
     what the cover operators rely on. The blocks share one grid size m and
-    radius t, and the family is closed under gamma -> gamma^-1 with
-    transposed matrices, which makes every cover operator built from it
-    symmetric. partners[i] is the family position of block i's inverse
-    partner, so self[partners[i]].matrix is self[i].matrix transposed; the
-    identity block is its own partner.
+    were assembled at radius t, which the family alone stores, and the
+    family is closed under gamma -> gamma^-1 with transposed matrices,
+    which makes every cover operator built from it symmetric. partners[i]
+    is the family position of block i's inverse partner, so
+    self[partners[i]].matrix is self[i].matrix transposed; the identity
+    block is its own partner.
 
     rowsum_ceiling is the Collatz-Wielandt bound max_j (T u)_j / u_j on the
     top eigenvalue of any cover operator T built from the family.  T is
@@ -206,9 +207,9 @@ class BlockFamily(tuple):
 
     genus = 2  # every block is a translate of the Bolza octagon
 
-    def __new__(cls, blocks, partners):
+    def __new__(cls, blocks, partners, t: float):
         self = super().__new__(cls, blocks)
-        m, t = self[0].matrix.shape[0], self[0].t
+        m = self[0].matrix.shape[0]
         u = np.sqrt(next(b for b in self if not b.gamma[0]).matrix.diagonal())
         s = np.zeros(m)
         for b in self:
@@ -304,10 +305,10 @@ def assemble_support_blocks(support, t: float, grid: QuadratureGrid) -> BlockFam
             raise ValueError(f"inverse partners {tuple(g[0])} and {tuple(h[0])} "
                              f"are not inverse: |M_i M_j -+ I| = {dev}")
         mat = b.matrix.T.tocsr() if b.is_sparse else np.ascontiguousarray(b.matrix.T)
-        blocks[j] = OperatorBlock(gamma=h, matrix=mat, hs_norm=b.hs_norm, t=t)
+        blocks[j] = OperatorBlock(gamma=h, matrix=mat, hs_norm=b.hs_norm)
     kept = [i for i, b in enumerate(blocks) if not b.is_zero]
     position = {i: k for k, i in enumerate(kept)}
-    return BlockFamily([blocks[i] for i in kept], [position[partners[i]] for i in kept])
+    return BlockFamily([blocks[i] for i in kept], [position[partners[i]] for i in kept], t)
 
 
 def svd_truncate(block: OperatorBlock, ranks) -> tuple:

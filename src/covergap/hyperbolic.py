@@ -38,11 +38,18 @@ def distance(z, w) -> float:
     return math.acosh(1.0 + eps)
 
 
+def check_radius(t: float) -> float:
+    """t itself if it is a radius, finite and nonnegative; ValueError
+    otherwise. Every layer that takes a kernel or ball radius (ball_area,
+    the transform, the support search, block assembly) checks it here."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {t}")
+    return t
+
+
 def ball_area(t: float) -> float:
     """Area 2 pi (cosh t - 1) of a hyperbolic disk of radius t."""
-    if t < 0:
-        raise ValueError("radius must be nonnegative")
-    return 2.0 * math.pi * (math.cosh(t) - 1.0)
+    return 2.0 * math.pi * (math.cosh(check_radius(t)) - 1.0)
 
 
 def geodesic_point(z, w, s: float) -> tuple:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import ball_area
+from .hyperbolic import ball_area, check_radius
 
 FOUR_SQRT2 = 4.0 * math.sqrt(2.0)
 
@@ -86,8 +86,9 @@ _QUAD_TOL = 1e-12  # _integrate stops once doubling the order moves less
 
 
 def _integrate(f, t: float):
-    """Order-doubling wrapper; returns (value, |last change|)."""
-    prev = _integrate_fixed(f, t, 16)
+    """Order-doubling wrapper; returns (value, |last change|), (0.0, 0.0)
+    at t = 0. t is checked by check_radius."""
+    prev = _integrate_fixed(f, check_radius(t), 16)
     n = 32
     while n <= 2048:
         cur = _integrate_fixed(f, t, n)
@@ -101,10 +102,6 @@ def _integrate(f, t: float):
 
 def selberg_h(t: float, p: SpectralParameter) -> TransformValue:
     """Transform of the radius-t ball kernel at spectral parameter p."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return TransformValue(0.0, 0.0)
     if p.kind == "imaginary":
         a = p.value
         f = lambda u: np.cosh(a * u)
@@ -131,8 +128,8 @@ def invert_h(t: float, v: float) -> SpectralParameter:
     more than a tolerance is inconsistent input and raises, as do a t or v
     that is not finite.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    if check_radius(t) == 0:
+        raise ValueError(f"t must be positive, got {t}")
     if not math.isfinite(v):
         raise ValueError(f"value must be finite, got {v}")
     lo_val = h_peak(t)
@@ -181,9 +178,5 @@ def gap_lower_bound_coefficient(t: float) -> float:
     h_t(ia) - h_t(0) >= c(t) a^2, so a norm excess over the r = 0 baseline
     yields 1/4 - lambda_1 <= (norm - h_t(0)) / c(t).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
     val, _ = _integrate(lambda u: u * u, t)
     return 2.0 * math.sqrt(2.0) * val

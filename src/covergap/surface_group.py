@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hyperbolic import mobius_apply
+from .hyperbolic import check_radius, mobius_apply
 
 Word = tuple  # of signed ints
 
@@ -279,11 +279,9 @@ class _OrbitIndex:
 
 
 def _keep_cosh(R: float) -> float:
-    """cosh R with lattice_points' rounding allowance, R checked against
-    the enumeration cap."""
-    if not math.isfinite(R) or R < 0:
-        raise ValueError(f"R must be finite and nonnegative, got {R}")
-    if R > MAX_R:
+    """cosh R with lattice_points' rounding allowance, R checked by
+    check_radius and against the enumeration cap."""
+    if check_radius(R) > MAX_R:
         raise ValueError(f"R={R} exceeds the enumeration cap {MAX_R}")
     return math.cosh(R) * (1.0 + 1e-12) + 1e-12
 
@@ -462,9 +460,7 @@ def support_set(real: FuchsianRealization, t: float) -> SupportSet:
     whose inverse was not admitted is dropped: the verdicts differ only
     within rounding of the 1e-7 margin, where both are beyond t. Elements
     are sorted as lattice_points sorts them."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    near_cosh = _keep_cosh(support_radius(t, real.circumradius))
+    near_cosh = _keep_cosh(support_radius(check_radius(t), real.circumradius))
     cosh_t = math.cosh(t) * (1.0 + 1e-7)
 
     def admit(prods, coshd):

@@ -390,7 +390,7 @@ def test_row_layout_built_once_per_family_and_per_rank(small, monkeypatch):
         return of(cls, *args)
 
     monkeypatch.setattr(RowLayout, "of", classmethod(counting))
-    family = BlockFamily(list(blocks), blocks.partners)
+    family = BlockFamily(list(blocks), blocks.partners, blocks.t)
     layout = family.layout
     assert len(calls) == 1
     ranks = [2, 4]
@@ -616,7 +616,7 @@ def test_estimate_gap_clamps_inflated_norm(small):
         dataclasses.replace(b, matrix=b.matrix * 1.6, hs_norm=1.6 * b.hs_norm)
         for b in blocks
     ]
-    op = build_cover_operator(BlockFamily(scaled, blocks.partners),
+    op = build_cover_operator(BlockFamily(scaled, blocks.partners, blocks.t),
                               sample_uniform_hom(4, 2, seed=3))
     est = estimate_gap(op, seed=1)
     assert est.op_norm > selberg_h(T_RADIUS, SpectralParameter.imaginary(0.5)).value
@@ -648,7 +648,7 @@ def test_estimate_gap_rejects_impossible_norm(small):
     v[::2] = -1.0
     v /= np.sqrt(grid.m)
     fake = dataclasses.replace(ident, matrix=20.0 * np.outer(v, v), hs_norm=20.0)
-    op = build_cover_operator(BlockFamily([fake], [0]), sample_uniform_hom(2, 2, seed=0))
+    op = build_cover_operator(BlockFamily([fake], [0], blocks.t), sample_uniform_hom(2, 2, seed=0))
     with pytest.raises(ValueError):
         estimate_gap(op, seed=1)
 

@@ -20,6 +20,7 @@ from covergap.domain import (
     svd_truncate,
 )
 from covergap.hyperbolic import (
+    ball_area,
     ball_candidates,
     distance,
     mobius_apply,
@@ -34,6 +35,7 @@ from covergap.surface_group import (
     support_radius,
     support_set,
 )
+from covergap.selberg import SpectralParameter, gap_lower_bound_coefficient, h_peak, selberg_h
 from covergap.symmetric_group import sample_uniform_hom
 from geometry_oracle import in_fundamental_domain
 
@@ -290,7 +292,7 @@ def test_partner_blocks_equal_their_own_assembly(real, t):
                   if not b.is_zero]
         partners = _dense_partners([b.gamma[1] for b in direct])
         assert family.partners == partners
-        assert family.rowsum_ceiling == BlockFamily(direct, partners).rowsum_ceiling
+        assert family.rowsum_ceiling == BlockFamily(direct, partners, t).rowsum_ceiling
         for b, d in zip(family, direct, strict=True):
             assert b.gamma is d.gamma
             _assert_block_is(b, d.matrix, d.hs_norm)
@@ -361,6 +363,30 @@ def test_threshold_pair_kept_and_pair_above_dropped():
     D = assemble_block(((), np.eye(2)), t, grid).dense()
     assert D[0, 1] == 1.0
     assert D[0, 2] == 0.0
+
+
+# one radius rule for every layer that takes the kernel radius t
+RADIUS_LAYERS = {
+    "ball_area": lambda real, grid, support, t: ball_area(t),
+    "selberg_h": lambda real, grid, support, t: selberg_h(t, SpectralParameter.real(0.0)),
+    "h_peak": lambda real, grid, support, t: h_peak(t),
+    "gap_lower_bound_coefficient":
+        lambda real, grid, support, t: gap_lower_bound_coefficient(t),
+    "support_set": lambda real, grid, support, t: support_set(real, t),
+    "lattice_points": lambda real, grid, support, t: lattice_points(real, t),
+    "assemble_block": lambda real, grid, support, t: assemble_block(((), np.eye(2)), t, grid),
+    "assemble_support_blocks":
+        lambda real, grid, support, t: assemble_support_blocks(support, t, grid),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("layer", list(RADIUS_LAYERS))
+def test_every_layer_rejects_a_bad_radius(real, grid, support, layer, t):
+    # unchecked, NaN gives a NaN transform or an all-zero block and -1.0 the
+    # t = 1 block (cosh is even); hyperbolic.check_radius decides for all
+    with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        RADIUS_LAYERS[layer](real, grid, support, t)
 
 
 # -------------------------------------------------------------- truncation

@@ -9,6 +9,7 @@ from scipy.special import roots_jacobi
 from covergap.hyperbolic import ball_area
 from covergap.selberg import (
     SpectralParameter,
+    TransformValue,
     gap_lower_bound_coefficient,
     h_peak,
     invert_h,
@@ -47,9 +48,15 @@ def test_parameter_validation():
 
 
 def test_zero_radius():
-    assert selberg_h(0.0, SpectralParameter.real(2.0)).value == 0.0
+    # t = 0 takes the quadrature's own path: an empty integral, exactly 0
+    for p in (SpectralParameter.real(2.0), SpectralParameter.imaginary(0.5)):
+        assert selberg_h(0.0, p) == TransformValue(0.0, 0.0)
     assert h_peak(0.0) == 0.0
     assert gap_lower_bound_coefficient(0.0) == 0.0
+    assert ball_area(0.0) == 0.0
+    # the range [h_t(0), ball area] is empty at t = 0
+    with pytest.raises(ValueError, match="positive"):
+        invert_h(0.0, 0.0)
 
 
 def test_area_identity():

@@ -772,6 +772,7 @@ def test_first_generator_class_law_matches_enumeration_at_n4():
         ctype: Fraction(hits[ctype], total) for ctype in partitions(n)}
 
 
+@lru_cache(maxsize=None)
 def _character_class_law(n):
     """P(A_1 in K) for a uniform genus-2 tuple from the character table
     alone: |K| sum_lam chi_lam(K)^2 codim_lam^2 / |Hom|, in Python ints. A
@@ -794,13 +795,13 @@ def test_character_class_law_equals_the_peeling_law(n):
     assert _character_class_law(n) == _first_generator_class_law(n)
 
 
-def test_first_generator_class_chi_square_at_n8():
-    n, draws = 8, 4000
-    obs = Counter(sample_uniform_hom(n, 2, seed=s).gens[0].cycle_type()
-                  for s in range(draws))
-    cells = sorted((draws * float(p), obs[ctype])
-                   for ctype, p in _first_generator_class_law(n).items())
-    # merge the smallest cells until each expects at least 5 draws
+def _class_chi_square(law, homs):
+    """(cells, p-value) of a chi-square of the cycle types of phi(a_1) over
+    homs against law, the smallest classes merged until each cell expects
+    at least 5 draws."""
+    draws = len(homs)
+    obs = Counter(h.gens[0].cycle_type() for h in homs)
+    cells = sorted((draws * float(p), obs[ctype]) for ctype, p in law.items())
     merged, pool = [], [0.0, 0]
     for e, o in cells:
         pool = [pool[0] + e, pool[1] + o]
@@ -809,9 +810,22 @@ def test_first_generator_class_chi_square_at_n8():
             pool = [0.0, 0]
     if pool[0]:
         merged[-1] = [merged[-1][0] + pool[0], merged[-1][1] + pool[1]]
-    assert len(merged) > 10
     stat = sum((o - e) ** 2 / e for e, o in merged)
-    assert chi2.sf(stat, len(merged) - 1) > 1e-3
+    return len(merged), chi2.sf(stat, len(merged) - 1)
+
+
+def test_first_generator_class_chi_square_at_n8():
+    homs = [sample_uniform_hom(8, 2, seed=s) for s in range(4000)]
+    cells, pvalue = _class_chi_square(_first_generator_class_law(8), homs)
+    assert cells > 10
+    assert pvalue > 1e-3
+
+
+def test_first_generator_class_chi_square_at_n16():
+    # the fixed-point tests' draws, against the character-table law
+    cells, pvalue = _class_chi_square(_character_class_law(16), _fixed_point_draws(16, 1500))
+    assert cells > 50
+    assert pvalue > 1e-3
 
 
 def test_transitive_fraction_is_high():
@@ -843,11 +857,20 @@ def _fixed_points(hom):
             for w in _fixed_point_words()]
 
 
+@lru_cache(maxsize=None)
+def _fixed_point_draws(n, draws):
+    """The fixed-seed draws the fixed-point and class-law tests share."""
+    return tuple(sample_uniform_hom(n, 2, seed=FIX_SEED + s) for s in range(draws))
+
+
+def _mean_and_error(fix):
+    """Column means of fix (draws x statistics) and their standard errors."""
+    return fix.mean(axis=0), fix.std(axis=0, ddof=1) / math.sqrt(len(fix))
+
+
 def _sampled_fixed_points(n, draws):
     """Mean and standard error of fix phi(w) over fixed-seed draws."""
-    fix = np.array([_fixed_points(sample_uniform_hom(n, 2, seed=FIX_SEED + s))
-                    for s in range(draws)])
-    return fix.mean(axis=0), fix.std(axis=0, ddof=1) / math.sqrt(draws)
+    return _mean_and_error(np.array([_fixed_points(h) for h in _fixed_point_draws(n, draws)]))
 
 
 def test_fixed_point_means_are_exact_at_n3():
@@ -872,6 +895,28 @@ def test_fixed_point_means_approach_divisor_counts(n):
     limit = np.array([1.0] * 48 + [2.0, 2.0, 3.0])
     mean, se = _sampled_fixed_points(n, 1500)
     assert np.all(np.abs(mean - limit) <= 4.0 * se + c / n)
+
+
+def _exact_power_fixed_points(n, q):
+    """E fix phi(a_1^q) from _character_class_law, exactly: an l-cycle of
+    phi(a_1) gives l fixed points of its q-th power when l divides q."""
+    return sum(p * sum(l for l in ctype if q % l == 0)
+               for ctype, p in _character_class_law(n).items())
+
+
+# E fix phi(a_1^q) for q = 1, 2, 4, to 6 decimals (ROADMAP, Baseline)
+POWER_FIXED_POINTS = {8: (1.027954, 2.040479, 3.045402), 16: (1.004621, 2.004816, 3.004818)}
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_first_generator_power_means_equal_the_character_law(n):
+    exact = [_exact_power_fixed_points(n, q) for q in (1, 2, 3, 4)]
+    for q, want in zip((1, 2, 4), POWER_FIXED_POINTS[n]):
+        assert abs(float(exact[q - 1]) - want) <= 5e-7
+    fix = np.array([[sum(i == j for i, j in enumerate(evaluate_word(h, (1,) * q).images0))
+                     for q in (1, 2, 3, 4)] for h in _fixed_point_draws(n, 1500)])
+    mean, se = _mean_and_error(fix)
+    assert np.all(np.abs(mean - np.array(exact, dtype=float)) <= 4.0 * se)
 
 
 # ====================================================== tuples and actions
